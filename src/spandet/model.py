@@ -6,11 +6,11 @@ by anchor queries: each decoder layer attends (anchor encodings concatenated
 with content in cross-attention), and a shared two-layer head emits
 (delta_c, delta_w) applied to the anchor in logit space.
 
-Denoising queries run through the same layers as separate tensor blocks:
-they can attend to the learnable queries and their own group, while the
-learnable path never touches them. That makes learnable-query outputs
-bitwise independent of denoising configuration, which stands in for the
-usual attention mask.
+Denoising (DN) queries run through the same layers as one extra block of
+rows. In self-attention every DN row sees the learnable queries plus the rows
+of its own group; a constant block mask hides the other groups. The
+learnable queries run as their own block and never see DN rows, so their
+outputs are bitwise independent of the denoising configuration.
 """
 
 from __future__ import annotations
@@ -99,16 +99,18 @@ class DecoderLayer(Module):
         self.ln3 = LayerNorm(hidden)
 
     def self_block(self, content: T.Tensor, pe: T.Tensor,
-                   prefix: tuple[T.Tensor, T.Tensor] | None = None) -> T.Tensor:
-        """Self-attention sub-layer; `prefix` prepends extra key/value rows
-        (denoising groups attending to the learnable queries)."""
+                   prefix: tuple[T.Tensor, T.Tensor] | None = None,
+                   mask: np.ndarray | None = None) -> T.Tensor:
+        """Self-attention sub-layer. `prefix` prepends extra key/value rows
+        (the learnable queries, seen by the DN rows); `mask` is a constant
+        (rows, prefix + rows) additive score mask (the DN group blocks)."""
         q = content + pe
         if prefix is None:
             k, v = q, content
         else:
             k = T.concat([prefix[0], q], axis=0)
             v = T.concat([prefix[1], content], axis=0)
-        return self.ln1(content + self.self_attn(q, k, v))
+        return self.ln1(content + self.self_attn(q, k, v, mask))
 
     def cross_ffn(self, content: T.Tensor, pe_anchor: T.Tensor,
                   memory: T.Tensor, pe_mem: T.Tensor) -> T.Tensor:
@@ -165,7 +167,7 @@ class DetectionModel(Module):
             d_total = len(dn.anchors)
             content_d = T.concat([self.dn_content] * d_total, axis=0)
             anchor_d = T.Tensor(_logit(np.asarray(dn.anchors, dtype=np.float64)))
-            group_size = d_total // dn.n_groups
+            dn_mask = dn_attention_mask(cfg.num_queries, d_total, dn.n_groups)
 
         layers: list[LayerPrediction] = []
         dn_layers: list[T.Tensor] = []
@@ -175,12 +177,7 @@ class DetectionModel(Module):
                 # layer-input learnable keys/values, shared with the dn groups
                 k_pref, v_pref = content_l + pe_l, content_l
                 pe_d = encode_anchor_t(T.sigmoid(anchor_d), h, cfg.temperature)
-                updates = []
-                for g in range(dn.n_groups):
-                    lo, hi = g * group_size, (g + 1) * group_size
-                    updates.append(dec.self_block(content_d[lo:hi, :], pe_d[lo:hi, :],
-                                                  prefix=(k_pref, v_pref)))
-                content_d = T.concat(updates, axis=0) if len(updates) > 1 else updates[0]
+                content_d = dec.self_block(content_d, pe_d, (k_pref, v_pref), dn_mask)
             content_l = dec.self_block(content_l, pe_l)
             content_l = dec.cross_ffn(content_l, pe_l, memory, pe_mem)
             delta_l = self.span_head(content_l)
@@ -206,6 +203,14 @@ class DetectionModel(Module):
         final_ivs, final_scores = materialize(out.layers[-1])
         aux = [materialize(l) for l in out.layers[:-1]]
         return Prediction(final_ivs, final_scores, aux)
+
+
+def dn_attention_mask(n_prefix: int, d_total: int, n_groups: int) -> np.ndarray:
+    """Additive (d_total, n_prefix + d_total) mask for DN rows stored group by
+    group: 0 on the prefix and the row's own group, -inf on other groups."""
+    group = np.arange(d_total) * n_groups // d_total
+    blocks = np.where(group[:, None] == group[None, :], 0.0, -np.inf)
+    return np.concatenate([np.zeros((d_total, n_prefix)), blocks], axis=1)
 
 
 def _logit(p: np.ndarray) -> np.ndarray:

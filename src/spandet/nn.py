@@ -130,13 +130,18 @@ class MultiHeadAttention(Module):
         self.wv = Linear(dim, dim, rng)
         self.wo = Linear(dim, dim, rng)
 
-    def __call__(self, q_in: T.Tensor, k_in: T.Tensor, v_in: T.Tensor) -> T.Tensor:
+    def __call__(self, q_in: T.Tensor, k_in: T.Tensor, v_in: T.Tensor,
+                 mask: np.ndarray | None = None) -> T.Tensor:
+        """`mask`: optional constant (n_q, n_k) array added to every head's
+        scores; -inf hides a key. Each query must keep one visible key."""
         h = self.heads
         q = _split_heads(self.wq(q_in), h)
         k = _split_heads(self.wk(k_in), h)
         v = _split_heads(self.wv(v_in), h)
         dh = q.shape[-1]
         scores = T.scale(T.matmul(q, T.transpose(k, (0, 2, 1))), 1.0 / np.sqrt(dh))
+        if mask is not None:
+            scores = scores + T.Tensor(np.broadcast_to(mask, scores.shape))
         ctx = T.matmul(T.softmax(scores, axis=-1), v)
         return self.wo(_merge_heads(ctx))
 

@@ -1,8 +1,9 @@
 """Minimal reverse-mode autodiff engine over numpy arrays.
 
 Every operation records itself on the tensors it produces (creation-ordered
-graph = the tape); ``backward`` replays the tape once in reverse topological
-order, accumulating gradients. Double precision is the default so finite
+graph = the tape); ``backward`` replays the tape once in reverse creation
+order, accumulating gradients. A node is always created after its parents, so
+that order is topological. Double precision is the default so finite
 difference checks have headroom.
 
 Broadcasting is deliberately restricted: scalar-with-tensor and row-vector
@@ -78,22 +79,22 @@ class Tensor:
     def backward(self) -> None:
         """Accumulate gradients of this scalar into every requires_grad leaf.
 
-        The tape is consumed: a second backward over the same graph raises.
+        Nodes run in reverse creation order, so all consumers of a node are
+        done before it runs. The tape is consumed: a second backward raises.
         """
         if self.size != 1:
             raise ValueError(f"backward requires a scalar loss, got shape {self.shape}")
         if self._op == "consumed":
             raise RuntimeError("backward already called: tape consumed")
 
-        order = _toposort(self)
+        order = _interior_nodes(self)
         self.grad = np.ones_like(self.data)
-        for node in order:  # reverse topological, each node exactly once
-            if node._backward is not None and node.grad is not None:
+        for node in order:  # each interior node exactly once
+            if node.grad is not None:
                 node._backward(node.grad)
-            if node._parents:
-                node._parents = ()
-                node._backward = None
-                node._op = "consumed"
+            node._parents = ()
+            node._backward = None
+            node._op = "consumed"
         # intermediate grads stay available; leaves keep theirs for the optimizer
 
     def _accumulate(self, g: np.ndarray) -> None:
@@ -147,25 +148,17 @@ class Tensor:
         return transpose(self, axes)
 
 
-def _toposort(root: Tensor) -> list[Tensor]:
-    """Reverse topological order, iterative to survive deep graphs."""
-    order: list[Tensor] = []
-    seen: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(root, False)]
+def _interior_nodes(root: Tensor) -> list[Tensor]:
+    """Nodes with parents reachable from `root`, newest first: a reverse
+    creation order, which is topological. Iterative, so deep graphs are fine."""
+    nodes = {id(root): root} if root._parents else {}
+    stack = list(nodes.values())
     while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            order.append(node)
-            continue
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        stack.append((node, True))
-        for p in node._parents:
-            if id(p) not in seen:
-                stack.append((p, False))
-    order.reverse()
-    return order
+        for p in stack.pop()._parents:
+            if p._parents and id(p) not in nodes:
+                nodes[id(p)] = p
+                stack.append(p)
+    return sorted(nodes.values(), key=lambda t: t._id, reverse=True)
 
 
 def _wrap(x, like: Tensor | None = None) -> Tensor:

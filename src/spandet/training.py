@@ -111,18 +111,13 @@ def composite_loss(layer: LayerPrediction, dn_cw: T.Tensor | None,
     probs = 1.0 / (1.0 + np.exp(-logits.data))
     pred_ivs = [(Interval(float(c), float(w)), float(p))
                 for (c, w), p in zip(cw.data, probs)]
+    gt_cw = np.array([[g.c, g.w] for g in gts])
     if gts:
         cost = build_match_cost(pred_ivs, gts,
                                 (weights.span, weights.giou, weights.focal))
         pairs = hungarian(cost)
-        gt_cw = np.array([[g.c, g.w] for g in gts])
-        span_terms, giou_terms = [], []
-        for i, j in pairs:
-            target = T.Tensor(gt_cw[j])
-            span_terms.append(span_l1_t(cw[i, :], target))
-            giou_terms.append(1.0 - giou_1d_t(cw[i, :], target))
-        l_span = T.scale(_tsum(span_terms), 1.0 / len(pairs))
-        l_giou = T.scale(_tsum(giou_terms), 1.0 / len(pairs))
+        rows, cols = np.array(pairs).T
+        l_span, l_giou = _box_terms(cw[rows, :], gt_cw[cols])
     else:
         pairs = []
         l_span = T.Tensor(0.0)
@@ -134,14 +129,7 @@ def composite_loss(layer: LayerPrediction, dn_cw: T.Tensor | None,
     l_focal = focal_loss_mean(logits, targets, alpha, gamma)
 
     if dn_cw is not None and len(dn_cw.data):
-        gt_cw = np.array([[g.c, g.w] for g in gts])
-        dn_span_terms, dn_giou_terms = [], []
-        for q in range(dn_cw.shape[0]):
-            target = T.Tensor(gt_cw[dn_gt_index[q]])
-            dn_span_terms.append(span_l1_t(dn_cw[q, :], target))
-            dn_giou_terms.append(1.0 - giou_1d_t(dn_cw[q, :], target))
-        l_dn_span = T.scale(_tsum(dn_span_terms), 1.0 / len(dn_span_terms))
-        l_dn_giou = T.scale(_tsum(dn_giou_terms), 1.0 / len(dn_giou_terms))
+        l_dn_span, l_dn_giou = _box_terms(dn_cw, gt_cw[dn_gt_index])
     else:
         l_dn_span = T.Tensor(0.0)
         l_dn_giou = T.Tensor(0.0)
@@ -156,11 +144,13 @@ def composite_loss(layer: LayerPrediction, dn_cw: T.Tensor | None,
     return total, breakdown
 
 
-def _tsum(terms: list[T.Tensor]) -> T.Tensor:
-    out = terms[0]
-    for t in terms[1:]:
-        out = out + t
-    return out
+def _box_terms(pred: T.Tensor, target: np.ndarray) -> tuple[T.Tensor, T.Tensor]:
+    """Mean span L1 and mean (1 - gIoU) over paired (k, 2) rows; sum-then-scale
+    equals the sequential per-pair sum bitwise for k < 8 (numpy sums those in order)."""
+    tgt = T.Tensor(target)
+    inv = 1.0 / len(target)
+    return (T.scale(T.sum_(span_l1_t(pred, tgt)), inv),
+            T.scale(T.sum_(1.0 - giou_1d_t(pred, tgt)), inv))
 
 
 def detection_loss(out: ModelOutput, gts: list[Interval],
@@ -342,8 +332,10 @@ def train(split, provider: Provider, model_cfg: ModelConfig,
             for p in params.values():
                 if p.grad is not None:
                     p.grad = p.grad * inv
-            clip_grad_norm(params, train_cfg.grad_clip)
+            norm = clip_grad_norm(params, train_cfg.grad_clip)
             step += 1
+            if not math.isfinite(norm):
+                raise NumericalError(f"non-finite gradient norm at epoch {epoch}, step {step}")
             lr = cosine_lr(step, total_steps, train_cfg.lr, warmup)
             opt.step(lr)
 

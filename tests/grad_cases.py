@@ -19,6 +19,12 @@ def make_aux(seed):
     }
 
 
+# additive attention-style mask: -inf hides an entry, no row is fully hidden
+BLOCK_MASK = np.array([[0.0, -np.inf, 0.0, -np.inf],
+                       [0.0, 0.0, -np.inf, -np.inf],
+                       [-np.inf, 0.0, 0.0, 0.0]])
+
+
 GRAD_CASES = {
     "matmul": lambda t, a: T.sum_(T.matmul(t, a["m"])),
     "add_bias": lambda t, a: T.sum_((t + a["bias"]) * a["w"]),
@@ -41,4 +47,6 @@ GRAD_CASES = {
         T.reshape(T.transpose(t, (1, 0)), (2, 6)) * a["w26"]),
     "inverse_sigmoid": lambda t, a: T.sum_(T.inverse_sigmoid(T.sigmoid(t)) * a["w"]),
     "scale": lambda t, a: T.sum_(T.scale(t, -2.5) * a["w"]),
+    "gather_rows": lambda t, a: T.sum_(t[[0, 2, 0], :] * a["w"]),
+    "masked_softmax": lambda t, a: T.sum_(T.softmax(t + BLOCK_MASK, axis=-1) * a["w"]),
 }

@@ -3,12 +3,13 @@ import pytest
 
 from spandet import tensor as T
 from spandet.geometry import Interval
-from spandet.model import (ClassifierHead, DetectionModel, ModelConfig,
+from spandet.model import (ClassifierHead, DetectionModel, LayerPrediction,
+                           ModelConfig, ModelOutput, dn_attention_mask,
                            load_classifier, load_detector, save_classifier,
                            save_detector)
 from spandet.nn import (MultiHeadAttention, encode_anchor_t, module_grad_check,
                         sinusoidal_encode, sinusoidal_encode_t)
-from spandet.training import make_denoising
+from spandet.training import detection_loss, make_denoising
 
 TINY = dict(d_model=16, hidden=16, heads=4, ffn_mult=2, enc_layers=1,
             dec_layers=2, num_queries=2, max_tokens=64)
@@ -223,3 +224,73 @@ def test_checkpoint_kind_mismatch(tmp_path):
 def test_attention_rejects_bad_head_split():
     with pytest.raises(ValueError, match="divisible"):
         MultiHeadAttention(10, 3, np.random.default_rng(0))
+
+
+# -- masked DN self-attention against the per-group reference ------------------
+
+
+def forward_per_group(m, vectors, positions, dn):
+    """Reference forward with one self-attention block per DN group: each
+    group attends to the learnable prefix and to itself, with no mask."""
+    cfg, h = m.cfg, m.cfg.hidden
+    memory = m.proj(T.Tensor(vectors))
+    pe_mem = T.Tensor(sinusoidal_encode(positions, h, cfg.temperature))
+    for enc in m.encoder:
+        memory = enc(memory, pe_mem)
+    content_l, anchor_l = m.query_content, m.query_anchors
+    size = len(dn.anchors) // dn.n_groups
+    content_d = T.concat([m.dn_content] * len(dn.anchors), axis=0)
+    anchor_d = T.inverse_sigmoid(T.Tensor(dn.anchors))
+    layers, dn_layers = [], []
+    for dec in m.decoder:
+        pe_l = encode_anchor_t(T.sigmoid(anchor_l), h, cfg.temperature)
+        prefix = (content_l + pe_l, content_l)
+        pe_d = encode_anchor_t(T.sigmoid(anchor_d), h, cfg.temperature)
+        content_d = T.concat([dec.self_block(content_d[g * size:(g + 1) * size, :],
+                                             pe_d[g * size:(g + 1) * size, :], prefix)
+                              for g in range(dn.n_groups)], axis=0)
+        content_l = dec.cross_ffn(dec.self_block(content_l, pe_l), pe_l, memory, pe_mem)
+        anchor_l = anchor_l + m.span_head(content_l)
+        layers.append(LayerPrediction(T.sigmoid(anchor_l), m.class_head(content_l)[:, 0]))
+        content_d = dec.cross_ffn(content_d, pe_d, memory, pe_mem)
+        anchor_d = anchor_d + m.span_head(content_d)
+        dn_layers.append(T.sigmoid(anchor_d))
+    return ModelOutput(layers, dn_layers, dn.gt_index)
+
+
+def test_dn_attention_mask_layout():
+    mask = dn_attention_mask(n_prefix=2, d_total=6, n_groups=3)
+    assert mask.shape == (6, 8)
+    visible = np.isfinite(mask)
+    assert visible[:, :2].all()                       # every row sees the prefix
+    group = np.repeat(np.arange(3), 2)
+    assert np.array_equal(visible[:, 2:], group[:, None] == group[None, :])
+    assert np.all(mask[visible] == 0.0)
+
+
+@pytest.mark.parametrize("groups", [1, 2, 5])
+@pytest.mark.parametrize("n_targets", [1, 2, 3])
+def test_masked_dn_matches_per_group_reference(groups, n_targets):
+    cfg = ModelConfig(**{**TINY, "num_queries": 3, "dn_groups": groups})
+    m = DetectionModel(cfg, seed=20 + groups)
+    vec, pos = rand_input(seed=30 + n_targets)
+    gts = [Interval(0.15 + 0.3 * j, 0.2) for j in range(n_targets)]
+    dnb = make_denoising(gts, cfg, np.random.default_rng(groups * 10 + n_targets))
+
+    results = []
+    for run in (m.forward, lambda v, p, d: forward_per_group(m, v, p, d)):
+        out = run(vec, pos, dnb)
+        m.zero_grad()
+        detection_loss(out, gts)[0].backward()
+        grads = {k: p.grad.copy() for k, p in m.parameters().items()}
+        results.append((out, grads))
+    (fast, g_fast), (ref, g_ref) = results
+
+    for a, b in zip(fast.dn_layers, ref.dn_layers):
+        assert np.abs(a.data - b.data).max() < 1e-12
+    for a, b in zip(fast.layers, ref.layers):
+        assert np.abs(a.cw.data - b.cw.data).max() < 1e-12
+        assert np.abs(a.logits.data - b.logits.data).max() < 1e-12
+    assert g_fast.keys() == g_ref.keys()
+    for k in g_fast:
+        assert np.abs(g_fast[k] - g_ref[k]).max() < 1e-10, k

@@ -77,6 +77,56 @@ def test_tape_consumed_once():
         y.backward()
 
 
+def test_backward_walks_a_50000_node_chain_without_recursion():
+    x = T.Tensor([1.5, -2.0], requires_grad=True)
+    y = x
+    for i in range(50_000):  # far past the interpreter's recursion limit
+        y = T.scale(y, -1.0) if i % 2 else y + 1.0
+    T.sum_(y).backward()
+    assert np.array_equal(x.grad, [1.0, 1.0])  # 25,000 sign flips
+
+
+def test_shared_node_gets_one_contribution_per_consumer(monkeypatch):
+    x = T.Tensor([2.0, 3.0], requires_grad=True)
+    h = x * 1.0
+    loss = T.sum_(h * 2.0 + h * 3.0 + h * 5.0)
+    calls = {id(x): 0, id(h): 0}
+    accumulate = T.Tensor._accumulate
+
+    def spy(self, g):
+        if id(self) in calls:
+            calls[id(self)] += 1
+        accumulate(self, g)
+
+    monkeypatch.setattr(T.Tensor, "_accumulate", spy)
+    loss.backward()
+    assert calls == {id(h): 3, id(x): 1}  # h passes its gradient on once, complete
+    assert np.array_equal(x.grad, [10.0, 10.0])
+
+
+def test_backward_runs_in_reverse_creation_order():
+    x = T.Tensor([1.0], requires_grad=True)
+    a = x * 2.0
+    b = x * 3.0
+    c = a * b          # created last, consumes a then b
+    d = T.sum_(c + a)  # a has a second, later consumer
+    ran = []
+
+    def record(node):
+        bwd = node._backward
+
+        def run(g):
+            ran.append(node)
+            bwd(g)
+        node._backward = run
+
+    for node in (a, b, c, d):
+        record(node)
+    d.backward()
+    assert [n._id for n in ran] == sorted((n._id for n in (a, b, c, d)), reverse=True)
+    assert np.array_equal(x.grad, [14.0])  # d/dx (6x^2 + 2x) at x = 1
+
+
 def test_gradient_accumulates_across_backwards():
     x = T.Tensor(2.0, requires_grad=True)
     (x * x).backward()

@@ -4,13 +4,16 @@ import numpy as np
 import pytest
 
 from spandet import tensor as T
+from spandet import training
 from spandet.data import SynthSpec, synth_generate, synthetic_provider
-from spandet.geometry import Interval
+from spandet.geometry import Interval, giou_1d_t, span_l1_t
+from spandet.matching import build_match_cost, hungarian
 from spandet.model import LayerPrediction, ModelConfig, ModelOutput
 from spandet.nn import module_grad_check
-from spandet.training import (AdamW, LossWeights, TrainConfig, clip_grad_norm,
-                              composite_loss, cosine_lr, detection_loss,
-                              focal_loss, focal_loss_mean, make_denoising, train)
+from spandet.training import (AdamW, LossWeights, NumericalError, TrainConfig,
+                              clip_grad_norm, composite_loss, cosine_lr,
+                              detection_loss, focal_loss, focal_loss_mean,
+                              make_denoising, train)
 
 CFG = ModelConfig(d_model=16, hidden=16, heads=4, ffn_mult=2, enc_layers=1,
                   dec_layers=1, num_queries=3, max_tokens=64,
@@ -103,6 +106,46 @@ def test_composite_matches_independent_reference():
                                    [tuple(r) for r in dn] if dn is not None else None,
                                    dn_idx, [(g.c, g.w) for g in gts], lw)
         assert abs(float(total.data) - want) < 1e-9, f"seed {seed}"
+
+
+def composite_loss_per_pair(layer, dn_cw, dn_gt_index, gts, weights=LossWeights()):
+    """Reference objective with one span/gIoU node per pair, summed left to
+    right: the form the gathered objective replaced."""
+    cw, logits = layer.cw, layer.logits
+    probs = 1.0 / (1.0 + np.exp(-logits.data))
+    pred_ivs = [(Interval(float(c), float(w)), float(p)) for (c, w), p in zip(cw.data, probs)]
+    pairs = hungarian(build_match_cost(pred_ivs, gts,
+                                       (weights.span, weights.giou, weights.focal)))
+    gt_cw = np.array([[g.c, g.w] for g in gts])
+
+    def mean_terms(rows, targets):
+        span = giou = None
+        for r, tg in zip(rows, targets):
+            s_r = span_l1_t(r, T.Tensor(tg))
+            g_r = 1.0 - giou_1d_t(r, T.Tensor(tg))
+            span = s_r if span is None else span + s_r
+            giou = g_r if giou is None else giou + g_r
+        return T.scale(span, 1.0 / len(rows)), T.scale(giou, 1.0 / len(rows))
+
+    l_span, l_giou = mean_terms([cw[i, :] for i, _ in pairs], [gt_cw[j] for _, j in pairs])
+    targets = np.zeros(cw.shape[0])
+    targets[[i for i, _ in pairs]] = 1.0
+    l_focal = focal_loss_mean(logits, targets)
+    l_dn_span, l_dn_giou = mean_terms([dn_cw[q, :] for q in range(dn_cw.shape[0])],
+                                      [gt_cw[j] for j in dn_gt_index])
+    return (T.scale(l_span, weights.span) + T.scale(l_giou, weights.giou)
+            + T.scale(l_focal, weights.focal) + T.scale(l_dn_span, weights.dn_span)
+            + T.scale(l_dn_giou, weights.dn_giou))
+
+
+def test_gathered_objective_bitwise_equals_per_pair_reference():
+    for seed in range(50):  # the C04 instances
+        cw, logits, dn, dn_idx, gts = random_instance(seed, n=3, m=2)
+        total, _ = composite_loss(LayerPrediction(T.Tensor(cw), T.Tensor(logits)),
+                                  T.Tensor(dn), dn_idx, gts)
+        ref = composite_loss_per_pair(LayerPrediction(T.Tensor(cw), T.Tensor(logits)),
+                                      T.Tensor(dn), dn_idx, gts)
+        assert float(total.data) == float(ref.data), f"seed {seed}"
 
 
 def test_composite_perfect_prediction_hits_focal_floor():
@@ -249,6 +292,25 @@ def test_training_deterministic():
     assert r1.log == r2.log
     s1, s2 = r1.model.state(), r2.model.state()
     assert all(np.array_equal(s1[k], s2[k]) for k in s1)
+
+
+def test_non_finite_gradient_stops_training_before_the_weights_move(monkeypatch):
+    split, prov = small_corpus(n=24)
+    seen = {}
+    clip = training.clip_grad_norm
+
+    def plant_nan(params, max_norm):
+        seen["params"] = params
+        seen["before"] = {k: p.data.copy() for k, p in params.items()}
+        params["class_head.bias"].grad[0] = np.nan  # the loss itself stays finite
+        return clip(params, max_norm)
+
+    monkeypatch.setattr(training, "clip_grad_norm", plant_nan)
+    with pytest.raises(NumericalError, match="epoch 1, step 1"):
+        train(split, prov, ModelConfig(**SMALL_MODEL),
+              TrainConfig(epochs=1, batch_size=8, seed=0))
+    for k, p in seen["params"].items():
+        assert np.array_equal(p.data, seen["before"][k]), k
 
 
 def test_training_rejects_empty_dataset():
