@@ -11,13 +11,11 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import data as D
 from . import metrics as M
 from .geometry import cw_to_span
 from .model import ModelConfig, load_detector
-from .textproc import read_embedding_file, tokenize, write_embedding_file
+from .textproc import load_features, tokenize, write_embedding_file
 from .training import LossWeights, NumericalError, TrainConfig, train
 
 EXIT_OK = 0
@@ -54,9 +52,10 @@ def _provider_for(dataset: str, embeddings: str | None):
         emb_dir = Path(embeddings)
 
         def provide(sample):
-            ef = read_embedding_file(emb_dir / f"{sample.id}.emb")
-            pos = np.array([(o.x1 + o.x2) / 2.0 / len(sample.text) for o in ef.offsets])
-            return ef.vectors.astype(np.float64), pos
+            try:
+                return load_features(emb_dir / f"{sample.id}.emb", sample.text)
+            except ValueError as e:
+                raise ValueError(f"record {sample.id}: {e}") from e
 
         return provide
     p = Path(dataset)

@@ -16,14 +16,14 @@ outputs are bitwise independent of the denoising configuration.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import tensor as T
 from .geometry import Interval
 from .nn import (ConcatPosAttention, Linear, MLP, Module, MultiHeadAttention,
-                 LayerNorm, encode_anchor_t, sinusoidal_encode)
+                 LayerNorm, sinusoidal_encode)
 
 
 @dataclass
@@ -71,9 +71,8 @@ class ModelOutput:
 
 @dataclass
 class Prediction:
-    intervals: list[Interval]
+    intervals: list[Interval]   # final decoder layer, one per query
     scores: list[float]
-    aux: list[tuple[list[Interval], list[float]]] = field(default_factory=list)
 
 
 class EncoderLayer(Module):
@@ -98,13 +97,13 @@ class DecoderLayer(Module):
         self.ffn = MLP([hidden, hidden * ffn_mult, hidden], rng)
         self.ln3 = LayerNorm(hidden)
 
-    def self_block(self, content: T.Tensor, pe: T.Tensor,
+    def self_block(self, content: T.Tensor, q: T.Tensor,
                    prefix: tuple[T.Tensor, T.Tensor] | None = None,
                    mask: np.ndarray | None = None) -> T.Tensor:
-        """Self-attention sub-layer. `prefix` prepends extra key/value rows
-        (the learnable queries, seen by the DN rows); `mask` is a constant
-        (rows, prefix + rows) additive score mask (the DN group blocks)."""
-        q = content + pe
+        """Self-attention sub-layer; `q` is `content` plus its anchor encoding.
+        `prefix` prepends extra key/value rows (the learnable queries, seen by
+        the DN rows); `mask` is a constant (rows, prefix + rows) additive
+        score mask (the DN group blocks)."""
         if prefix is None:
             k, v = q, content
         else:
@@ -172,13 +171,14 @@ class DetectionModel(Module):
         layers: list[LayerPrediction] = []
         dn_layers: list[T.Tensor] = []
         for dec in self.decoder:
-            pe_l = encode_anchor_t(T.sigmoid(anchor_l), h, cfg.temperature)
+            pe_l = T.anchor_encode(T.sigmoid(anchor_l), h, cfg.temperature)
+            q_l = content_l + pe_l
             if use_dn:
-                # layer-input learnable keys/values, shared with the dn groups
-                k_pref, v_pref = content_l + pe_l, content_l
-                pe_d = encode_anchor_t(T.sigmoid(anchor_d), h, cfg.temperature)
-                content_d = dec.self_block(content_d, pe_d, (k_pref, v_pref), dn_mask)
-            content_l = dec.self_block(content_l, pe_l)
+                # the learnable queries' q is also the dn rows' prefix keys
+                pe_d = T.anchor_encode(T.sigmoid(anchor_d), h, cfg.temperature)
+                content_d = dec.self_block(content_d, content_d + pe_d,
+                                           (q_l, content_l), dn_mask)
+            content_l = dec.self_block(content_l, q_l)
             content_l = dec.cross_ffn(content_l, pe_l, memory, pe_mem)
             delta_l = self.span_head(content_l)
             anchor_l = anchor_l + delta_l
@@ -192,17 +192,11 @@ class DetectionModel(Module):
         return ModelOutput(layers, dn_layers, dn.gt_index if use_dn else None)
 
     def predict(self, vectors: np.ndarray, positions: np.ndarray) -> Prediction:
-        out = self.forward(vectors, positions, dn=None)
-
-        def materialize(layer: LayerPrediction):
-            cw = layer.cw.data
-            scores = T.sigmoid(layer.logits).data
-            ivs = [Interval(float(c), float(w)) for c, w in cw]
-            return ivs, [float(s) for s in scores]
-
-        final_ivs, final_scores = materialize(out.layers[-1])
-        aux = [materialize(l) for l in out.layers[:-1]]
-        return Prediction(final_ivs, final_scores, aux)
+        """Final-layer intervals and scores; builds no tape."""
+        with T.no_grad():
+            final = self.forward(vectors, positions, dn=None).layers[-1]
+        return Prediction([Interval(float(c), float(w)) for c, w in final.cw.data],
+                          [float(p) for p in T.expit(final.logits.data)])
 
 
 def dn_attention_mask(n_prefix: int, d_total: int, n_groups: int) -> np.ndarray:

@@ -1,5 +1,9 @@
 """Layers for the detection transformer: linear maps, layer norm, multi-head
-attention, and sinusoidal position encoding (numpy and differentiable forms).
+attention, and sinusoidal position encoding.
+
+Linear maps and attention run on the fused ``tensor.linear`` and
+``tensor.attention`` primitives, one tape node each; the differentiable
+anchor encoding is ``tensor.anchor_encode``.
 """
 
 from __future__ import annotations
@@ -82,7 +86,7 @@ class Linear(Module):
         self.bias = T.Tensor(np.zeros(d_out), requires_grad=True)
 
     def __call__(self, x: T.Tensor) -> T.Tensor:
-        return T.matmul(x, self.weight) + self.bias
+        return T.linear(x, self.weight, self.bias)
 
 
 class MLP(Module):
@@ -108,16 +112,6 @@ class LayerNorm(Module):
         return T.layer_norm(x, self.gain, self.bias)
 
 
-def _split_heads(x: T.Tensor, heads: int) -> T.Tensor:
-    n, d = x.shape
-    return T.transpose(T.reshape(x, (n, heads, d // heads)), (1, 0, 2))
-
-
-def _merge_heads(x: T.Tensor) -> T.Tensor:
-    h, n, dh = x.shape
-    return T.reshape(T.transpose(x, (1, 0, 2)), (n, h * dh))
-
-
 class MultiHeadAttention(Module):
     """Attention where the caller bakes positional terms into q/k inputs."""
 
@@ -134,16 +128,8 @@ class MultiHeadAttention(Module):
                  mask: np.ndarray | None = None) -> T.Tensor:
         """`mask`: optional constant (n_q, n_k) array added to every head's
         scores; -inf hides a key. Each query must keep one visible key."""
-        h = self.heads
-        q = _split_heads(self.wq(q_in), h)
-        k = _split_heads(self.wk(k_in), h)
-        v = _split_heads(self.wv(v_in), h)
-        dh = q.shape[-1]
-        scores = T.scale(T.matmul(q, T.transpose(k, (0, 2, 1))), 1.0 / np.sqrt(dh))
-        if mask is not None:
-            scores = scores + T.Tensor(np.broadcast_to(mask, scores.shape))
-        ctx = T.matmul(T.softmax(scores, axis=-1), v)
-        return self.wo(_merge_heads(ctx))
+        return self.wo(T.attention(self.wq(q_in), self.wk(k_in), self.wv(v_in),
+                                   self.heads, mask))
 
 
 class ConcatPosAttention(Module):
@@ -164,15 +150,16 @@ class ConcatPosAttention(Module):
     def __call__(self, content_q: T.Tensor, pos_q: T.Tensor,
                  memory: T.Tensor, pos_k: T.Tensor) -> T.Tensor:
         h = self.heads
-        q = T.concat([_split_heads(self.wq_content(content_q), h),
-                      _split_heads(self.wq_pos(pos_q), h)], axis=-1)
-        k = T.concat([_split_heads(self.wk_content(memory), h),
-                      _split_heads(self.wk_pos(pos_k), h)], axis=-1)
-        v = _split_heads(self.wv(memory), h)
-        dk = q.shape[-1]
-        scores = T.scale(T.matmul(q, T.transpose(k, (0, 2, 1))), 1.0 / np.sqrt(dk))
-        ctx = T.matmul(T.softmax(scores, axis=-1), v)
-        return self.wo(_merge_heads(ctx))
+        q = _concat_per_head(self.wq_content(content_q), self.wq_pos(pos_q), h)
+        k = _concat_per_head(self.wk_content(memory), self.wk_pos(pos_k), h)
+        return self.wo(T.attention(q, k, self.wv(memory), h))
+
+
+def _concat_per_head(content: T.Tensor, pos: T.Tensor, heads: int) -> T.Tensor:
+    """(n, d) and (n, d) -> (n, 2d) whose head i is [content head i | pos head i]."""
+    n, d = content.shape
+    parts = [T.reshape(t, (n, heads, d // heads)) for t in (content, pos)]
+    return T.reshape(T.concat(parts, axis=-1), (n, 2 * d))
 
 
 def sinusoidal_encode(pos, dim: int, temperature: float = 10000.0) -> np.ndarray:
@@ -190,25 +177,3 @@ def sinusoidal_encode(pos, dim: int, temperature: float = 10000.0) -> np.ndarray
     out[:, 0::2] = np.sin(args)
     out[:, 1::2] = np.cos(args)
     return out[0] if scalar else out
-
-
-def sinusoidal_encode_t(pos: T.Tensor, dim: int, temperature: float = 10000.0) -> T.Tensor:
-    """Differentiable version: pos is a (n,) tensor, result (n, dim)."""
-    if dim % 2:
-        raise ValueError(f"sinusoidal dim must be even, got {dim}")
-    freqs = temperature ** (2.0 * np.arange(dim // 2) / dim)
-    inv = T.Tensor((2.0 * np.pi / freqs)[None, :])
-    args = T.matmul(T.reshape(pos, (-1, 1)), inv)          # (n, dim/2)
-    n, half = args.shape
-    parts = T.concat([T.reshape(T.sin(args), (n, half, 1)),
-                      T.reshape(T.cos(args), (n, half, 1))], axis=-1)
-    return T.reshape(parts, (n, dim))                       # interleaved
-
-
-def encode_anchor_t(cw: T.Tensor, dim: int, temperature: float = 10000.0) -> T.Tensor:
-    """Encode (c, w) anchors: each coordinate into dim/2, concatenated."""
-    if dim % 4:
-        raise ValueError(f"anchor encoding needs dim divisible by 4, got {dim}")
-    pe_c = sinusoidal_encode_t(cw[:, 0], dim // 2, temperature)
-    pe_w = sinusoidal_encode_t(cw[:, 1], dim // 2, temperature)
-    return T.concat([pe_c, pe_w], axis=-1)

@@ -6,6 +6,19 @@ order, accumulating gradients. A node is always created after its parents, so
 that order is topological. Double precision is the default so finite
 difference checks have headroom.
 
+The cost of the engine is Python per tape node, not arithmetic, so the
+layers the detector repeats most are fused primitives: one node each, with a
+hand-written backward. ``linear`` is ``x @ w + b``; ``attention`` is
+multi-head scaled-dot attention from the projected q/k/v to the merged
+context, keeping only the probabilities for backward; ``anchor_encode`` is
+the interleaved sin/cos encoding of ``(c, w)`` anchors. Each computes the
+same numpy expressions, in the same order, as the chain of elementary
+primitives it replaces.
+
+Inside ``with no_grad():`` operations record no parents and build no
+backward closures; results are constants. Inference uses it, since it never
+calls backward. The switch is process-wide and not thread-safe.
+
 Broadcasting is deliberately restricted: scalar-with-tensor and row-vector
 bias only. Anything else raises ``ShapeError``.
 """
@@ -13,7 +26,8 @@ bias only. Anything else raises ``ShapeError``.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Sequence
+from contextlib import contextmanager
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -27,6 +41,19 @@ class ShapeError(ValueError):
 
 
 _ids = itertools.count()
+_grad_enabled = True
+
+
+@contextmanager
+def no_grad() -> Iterator[None]:
+    """Build no tape inside the block; the previous mode is restored on exit,
+    also when the block raises."""
+    global _grad_enabled
+    prev, _grad_enabled = _grad_enabled, False
+    try:
+        yield
+    finally:
+        _grad_enabled = prev
 
 
 class Tensor:
@@ -171,14 +198,14 @@ def _wrap(x, like: Tensor | None = None) -> Tensor:
 def _result(data: np.ndarray, parents: Sequence[Tensor], bwd_builder, op: str) -> Tensor:
     out = Tensor.__new__(Tensor)
     out.data = data
-    out.requires_grad = any(p.requires_grad for p in parents)
+    out.requires_grad = _grad_enabled and any(p.requires_grad for p in parents)
     out.grad = None
     out._id = next(_ids)
     if out.requires_grad:
         out._parents = tuple(parents)
         out._backward = bwd_builder()
         out._op = op
-    else:  # constants stay off the tape
+    else:  # constants, and everything under no_grad, stay off the tape
         out._parents = ()
         out._backward = None
         out._op = "const"
@@ -488,10 +515,15 @@ def relu(a: Tensor) -> Tensor:
     return _result(data, (a,), build, "relu")
 
 
+def expit(x: np.ndarray) -> np.ndarray:
+    """Logistic function on an array, the values ``sigmoid`` computes."""
+    t = np.exp(-np.abs(x))  # exp of a non-positive number: never overflows
+    return np.where(x >= 0, 1.0 / (1.0 + t), t / (1.0 + t))
+
+
 def sigmoid(a: Tensor) -> Tensor:
     a = _wrap(a)
-    t = np.exp(-np.abs(a.data))  # exp of a non-positive number: never overflows
-    data = np.where(a.data >= 0, 1.0 / (1.0 + t), t / (1.0 + t))
+    data = expit(a.data)
 
     def build():
         y = data
@@ -638,6 +670,114 @@ def powc(a: Tensor, p: float) -> Tensor:
     return _result(data, (a,), build, "powc")
 
 
+# -- fused primitives -----------------------------------------------------------
+
+
+def linear(x, w, b) -> Tensor:
+    """``x @ w + b`` for x (n, d_in), w (d_in, d_out), b (d_out,), as one node."""
+    x, w, b = _wrap(x), _wrap(w), _wrap(b)
+    if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0] or b.shape != w.shape[1:]:
+        raise ShapeError(f"linear: shapes {x.shape} @ {w.shape} + {b.shape} are not compatible")
+    data = x.data @ w.data + b.data
+
+    def build():
+        xd, wd = x.data, w.data
+
+        def bwd(g):
+            if x.requires_grad:
+                x._accumulate(g @ wd.T)
+            if w.requires_grad:
+                w._accumulate(xd.T @ g)
+            if b.requires_grad:
+                b._accumulate(g.sum(axis=0))
+        return bwd
+
+    return _result(data, (x, w, b), build, "linear")
+
+
+def attention(q, k, v, heads: int, mask: np.ndarray | None = None) -> Tensor:
+    """Multi-head scaled-dot attention as one node.
+
+    q (n, heads*dk), k (m, heads*dk) and v (m, heads*dv) are split into heads
+    by columns; each head takes softmax(q k^T / sqrt(dk) + mask) v, and the
+    heads are merged back into (n, heads*dv). `mask`: optional constant (n, m)
+    array added to every head's scores; -inf hides a key, and each query must
+    keep one visible key. Backward keeps the probabilities, not the scores.
+    """
+    q, k, v = _wrap(q), _wrap(k), _wrap(v)
+    if (q.ndim != 2 or k.ndim != 2 or v.ndim != 2 or q.shape[1] != k.shape[1]
+            or k.shape[0] != v.shape[0] or q.shape[1] % heads or v.shape[1] % heads):
+        raise ShapeError(f"attention: q {q.shape}, k {k.shape}, v {v.shape} do not "
+                         f"split into {heads} heads")
+    n, m = q.shape[0], k.shape[0]
+    if mask is not None and np.shape(mask) != (n, m):
+        raise ShapeError(f"attention: mask {np.shape(mask)} is not ({n}, {m})")
+    dk, dv = q.shape[1] // heads, v.shape[1] // heads
+    qh = np.transpose(q.data.reshape(n, heads, dk), (1, 0, 2))     # (h, n, dk)
+    kt = np.transpose(k.data.reshape(m, heads, dk), (1, 2, 0))     # (h, dk, m)
+    vh = np.transpose(v.data.reshape(m, heads, dv), (1, 0, 2))     # (h, m, dv)
+    s = float(1.0 / np.sqrt(dk))
+    p = qh @ kt
+    p *= s
+    if mask is not None:
+        p += mask
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    data = np.transpose(p @ vh, (1, 0, 2)).reshape(n, heads * dv)
+
+    def build():
+        def bwd(g):
+            gctx = np.ascontiguousarray(np.transpose(g.reshape(n, heads, dv), (1, 0, 2)))
+            if v.requires_grad:
+                gvh = np.swapaxes(p, -1, -2) @ gctx
+                v._accumulate(np.transpose(gvh, (1, 0, 2)).reshape(m, heads * dv))
+            if q.requires_grad or k.requires_grad:
+                gp = gctx @ np.swapaxes(vh, -1, -2)
+                gs = (gp - (gp * p).sum(axis=-1, keepdims=True)) * p * s
+                if q.requires_grad:
+                    gqh = gs @ np.swapaxes(kt, -1, -2)
+                    q._accumulate(np.transpose(gqh, (1, 0, 2)).reshape(n, heads * dk))
+                if k.requires_grad:
+                    gkt = np.swapaxes(qh, -1, -2) @ gs
+                    k._accumulate(np.transpose(gkt, (2, 0, 1)).reshape(m, heads * dk))
+        return bwd
+
+    return _result(data, (q, k, v), build, "attention")
+
+
+def anchor_encode(cw, dim: int, temperature: float = 10000.0) -> Tensor:
+    """Encode (n, 2) anchors (c, w) as (n, dim): each coordinate fills dim/2
+    columns with sin/cos interleaved over a geometric frequency ladder (the
+    layout of ``nn.sinusoidal_encode``), c first, then w. One node."""
+    cw = _wrap(cw)
+    if dim % 4:
+        raise ValueError(f"anchor encoding needs dim divisible by 4, got {dim}")
+    if cw.ndim != 2 or cw.shape[1] != 2:
+        raise ShapeError(f"anchor_encode: expected (n, 2) anchors, got {cw.shape}")
+    n, half = cw.shape[0], dim // 2
+    freqs = temperature ** (2.0 * np.arange(half // 2) / half)
+    inv = (2.0 * np.pi / freqs)[None, :]                    # (1, dim/4)
+    args = cw.data[:, :, None] * inv                        # (n, 2, dim/4)
+    sin, cos = np.sin(args), np.cos(args)
+    out = np.empty((n, 2, half // 2, 2))
+    out[..., 0] = sin
+    out[..., 1] = cos
+    data = out.reshape(n, dim)
+
+    def build():
+        def bwd(g):
+            g4 = g.reshape(n, 2, half // 2, 2)
+            grad = np.empty((n, 2))
+            for j in range(2):  # (n, dim/4) @ (dim/4, 1) per coordinate, as the chain did
+                gargs = -g4[:, j, :, 1] * sin[:, j] + g4[:, j, :, 0] * cos[:, j]
+                grad[:, j] = (gargs @ inv.T)[:, 0]
+            cw._accumulate(grad)
+        return bwd
+
+    return _result(data, (cw,), build, "anchor_encode")
+
+
 PRIMITIVES: dict[str, Callable] = {
     "matmul": matmul,
     "add": add,
@@ -663,6 +803,9 @@ PRIMITIVES: dict[str, Callable] = {
     "powc": powc,
     "reshape": reshape,
     "transpose": transpose,
+    "linear": linear,
+    "attention": attention,
+    "anchor_encode": anchor_encode,
 }
 
 

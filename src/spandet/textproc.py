@@ -173,21 +173,46 @@ def read_embedding_file(path) -> EmbeddingFile:
     return EmbeddingFile(vec, offsets, PROVENANCE_NAMES[prov])
 
 
+def check_against_text(path, offsets: list[CharSpan], text: str) -> None:
+    """Raise ValueError unless a feature file fits `text`: the sidecar hash,
+    when there is one, is the text's, and the token offsets are sorted and
+    end inside the text."""
+    sidecar = Path(str(path) + ".sha256")
+    if sidecar.exists():
+        want = sidecar.read_text().strip()
+        got = hashlib.sha256(text.encode("utf-8")).hexdigest()
+        if want != got:
+            raise ValueError(f"{path}: source text hash mismatch")
+    for i in range(1, len(offsets)):
+        if offsets[i].x1 < offsets[i - 1].x1:
+            raise ValueError(f"{path}: token offsets are not sorted (token {i} starts at "
+                             f"{offsets[i].x1}, before token {i - 1} at {offsets[i - 1].x1})")
+    for i, o in enumerate(offsets):
+        if o.x2 > len(text):
+            raise ValueError(f"{path}: token {i} ends at {o.x2}, past the end of the "
+                             f"{len(text)}-character text")
+
+
+def load_features(path, text: str) -> tuple[np.ndarray, np.ndarray]:
+    """A feature file checked against its source `text`: the vectors upcast
+    to float64 and each token's normalized character midpoint in [0, 1]."""
+    ef = read_embedding_file(path)
+    check_against_text(path, ef.offsets, text)
+    pos = np.array([(o.x1 + o.x2) / 2.0 / len(text) for o in ef.offsets])
+    return ef.vectors.astype(np.float64), pos
+
+
 def load_embeddings(path, tk: TokenizedText | None = None,
                     text: str | None = None) -> EmbeddingSequence:
-    """Load a feature file; validates token count against `tk` and the sidecar
-    hash against `text` when given. Vectors are upcast to float64."""
+    """Load a feature file; validates token count against `tk` and, when
+    `text` is given, the file against it (`check_against_text`). Vectors are
+    upcast to float64."""
     ef = read_embedding_file(path)
     if tk is not None and len(ef.vectors) != len(tk.tokens):
         raise ValueError(f"{path}: token count mismatch "
                          f"(file has {len(ef.vectors)}, tokenizer produced {len(tk.tokens)})")
     if text is not None:
-        sidecar = Path(str(path) + ".sha256")
-        if sidecar.exists():
-            want = sidecar.read_text().strip()
-            got = hashlib.sha256(text.encode("utf-8")).hexdigest()
-            if want != got:
-                raise ValueError(f"{path}: source text hash mismatch")
+        check_against_text(path, ef.offsets, text)
     return EmbeddingSequence(ef.vectors.astype(np.float64), provenance=ef.provenance)
 
 

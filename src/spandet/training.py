@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import statistics
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable
@@ -311,6 +312,7 @@ def train(split, provider: Provider, model_cfg: ModelConfig,
     for epoch in range(1, train_cfg.epochs + 1):
         order = rng.permutation(n)
         term_sums: dict[str, float] = {}
+        norms: list[float] = []
         lr = train_cfg.lr
         for b in range(batches_per_epoch):
             idxs = order[b * train_cfg.batch_size:(b + 1) * train_cfg.batch_size]
@@ -333,6 +335,7 @@ def train(split, provider: Provider, model_cfg: ModelConfig,
                 if p.grad is not None:
                     p.grad = p.grad * inv
             norm = clip_grad_norm(params, train_cfg.grad_clip)
+            norms.append(norm)
             step += 1
             if not math.isfinite(norm):
                 raise NumericalError(f"non-finite gradient norm at epoch {epoch}, step {step}")
@@ -340,16 +343,23 @@ def train(split, provider: Provider, model_cfg: ModelConfig,
             opt.step(lr)
 
         record = {"epoch": epoch, "lr": lr,
-                  "train": {k: v / n for k, v in term_sums.items()}}
+                  "train": {k: v / n for k, v in term_sums.items()},
+                  # pre-clip norms of the epoch's steps; clip_frac is the
+                  # share of steps that clip_grad_norm rescaled
+                  "grad_norm": {"min": min(norms), "median": statistics.median(norms),
+                                "max": max(norms)},
+                  "clip_frac": (sum(x > train_cfg.grad_clip for x in norms) / len(norms)
+                                if train_cfg.grad_clip > 0 else 0.0)}
         if val_cache:
             v_sum = 0.0
-            for s in split.val:
-                vec, pos, gts = val_cache[s.id]
-                out = model.forward(vec, pos, None)
-                loss, _ = detection_loss(out, gts, weights,
-                                         train_cfg.focal_alpha,
-                                         train_cfg.focal_gamma)
-                v_sum += float(loss.data)
+            with T.no_grad():
+                for s in split.val:
+                    vec, pos, gts = val_cache[s.id]
+                    out = model.forward(vec, pos, None)
+                    loss, _ = detection_loss(out, gts, weights,
+                                             train_cfg.focal_alpha,
+                                             train_cfg.focal_gamma)
+                    v_sum += float(loss.data)
             record["val_loss"] = v_sum / len(split.val)
             if record["val_loss"] < best_val:
                 best_val = record["val_loss"]

@@ -16,6 +16,9 @@ def make_aux(seed):
         "bias": T.Tensor(rng.normal(size=4)),
         "gain": T.Tensor(rng.normal(size=4)),
         "w26": T.Tensor(rng.normal(size=(2, 6))),
+        "w32": T.Tensor(rng.normal(size=(3, 2))),
+        "row": T.Tensor(rng.normal(size=(1, 4))),
+        "w68": T.Tensor(rng.normal(size=(6, 8))),
     }
 
 
@@ -49,4 +52,14 @@ GRAD_CASES = {
     "scale": lambda t, a: T.sum_(T.scale(t, -2.5) * a["w"]),
     "gather_rows": lambda t, a: T.sum_(t[[0, 2, 0], :] * a["w"]),
     "masked_softmax": lambda t, a: T.sum_(T.softmax(t + BLOCK_MASK, axis=-1) * a["w"]),
+    # fused primitives; every operand depends on t, so every backward path runs
+    "linear": lambda t, a: T.sum_(
+        T.linear(t, T.reshape(t[0:2, :], (4, 2)) + a["m"], t[2, 1:3]) * a["w32"]),
+    "attention": lambda t, a: T.sum_(
+        T.attention(t, t * 0.7 + a["w"], T.sin(t), 2) * a["w"]),
+    "attention_masked": lambda t, a: T.sum_(
+        T.attention(t, T.concat([t * 0.5, a["row"]], axis=0),
+                    T.concat([a["row"], t], axis=0), 2, BLOCK_MASK) * a["w"]),
+    "anchor_encode": lambda t, a: T.sum_(
+        T.anchor_encode(T.reshape(t, (6, 2)), 8, 100.0) * a["w68"]),
 }

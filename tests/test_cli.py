@@ -4,7 +4,8 @@ import json
 import pytest
 
 from spandet.cli import main
-from spandet.data import load_annotations, load_predictions, load_split
+from spandet.data import (LABEL_HUMAN, AnnotatedText, load_annotations,
+                          load_predictions, load_split, save_split)
 
 
 def run(args):
@@ -172,6 +173,30 @@ def test_embed_then_train_from_files(tiny_pipeline, tmp_path):
                  "--out", str(run2), "--epochs", "1", "--batch-size", "8",
                  "--hidden", "16", "--heads", "4", "--enc-layers", "1",
                  "--dec-layers", "1", "--max-tokens", "64"]) == 0
+
+
+def test_embeddings_that_do_not_fit_their_text_exit_2(tiny_pipeline, tmp_path, capsys):
+    _, ds, run_dir, _ = tiny_pipeline
+    emb = tmp_path / "emb"
+    assert main(["embed", "--dataset", str(ds), "--out", str(emb)]) == 0
+    split = load_split(ds)
+    victim = split.test[0]
+    # the record's text is cut short after its features were written
+    split.test[0] = AnnotatedText(victim.id, victim.text[:21], [], LABEL_HUMAN)
+    cut = tmp_path / "cut"
+    save_split(cut, split)
+    predict = ["predict", "--checkpoint", str(run_dir / "best.npz"), "--embeddings",
+               str(emb), "--out", str(tmp_path / "p.jsonl"), "--overwrite"]
+    assert main(predict + ["--dataset", str(ds)]) == 0
+    capsys.readouterr()
+    assert main(predict + ["--dataset", str(cut)]) == 2
+    err = capsys.readouterr().err
+    assert f"record {victim.id}" in err and "hash mismatch" in err
+    # without the hash sidecar, the offsets past the end of the text show it
+    (emb / f"{victim.id}.emb.sha256").unlink()
+    assert main(predict + ["--dataset", str(cut)]) == 2
+    err = capsys.readouterr().err
+    assert f"record {victim.id}" in err and "past the end of the 21-character text" in err
 
 
 def test_predict_missing_checkpoint(tmp_path, tiny_pipeline):

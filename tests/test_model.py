@@ -7,8 +7,8 @@ from spandet.model import (ClassifierHead, DetectionModel, LayerPrediction,
                            ModelConfig, ModelOutput, dn_attention_mask,
                            load_classifier, load_detector, save_classifier,
                            save_detector)
-from spandet.nn import (MultiHeadAttention, encode_anchor_t, module_grad_check,
-                        sinusoidal_encode, sinusoidal_encode_t)
+from spandet.nn import (ConcatPosAttention, Linear, MultiHeadAttention,
+                        module_grad_check, sinusoidal_encode)
 from spandet.training import detection_loss, make_denoising
 
 TINY = dict(d_model=16, hidden=16, heads=4, ffn_mult=2, enc_layers=1,
@@ -73,7 +73,7 @@ def test_sinusoidal_odd_dim_rejected():
 
 def test_anchor_encoding_is_concat_of_halves():
     cw = T.Tensor([[0.5, 0.5]])
-    enc = encode_anchor_t(cw, 16).data[0]
+    enc = T.anchor_encode(cw, 16).data[0]
     half = sinusoidal_encode(0.5, 8)
     assert np.allclose(enc, np.concatenate([half, half]), atol=1e-12)
 
@@ -85,10 +85,11 @@ def test_sinusoidal_distinct_positions_not_parallel():
     assert cos < 1.0 - 1e-6
 
 
-def test_sinusoidal_tensor_matches_numpy():
-    pos = np.array([0.1, 0.42, 0.9])
-    got = sinusoidal_encode_t(T.Tensor(pos), 12).data
-    want = sinusoidal_encode(pos, 12)
+def test_anchor_encode_matches_numpy():
+    cw = np.array([[0.1, 0.3], [0.42, 0.05], [0.9, 0.77]])
+    got = T.anchor_encode(T.Tensor(cw), 24).data
+    want = np.concatenate([sinusoidal_encode(cw[:, 0], 12),
+                           sinusoidal_encode(cw[:, 1], 12)], axis=1)
     assert np.allclose(got, want, atol=1e-12)
 
 
@@ -118,9 +119,9 @@ def test_untrained_predictions_are_valid_intervals():
     assert len(pred.intervals) == 2 and len(pred.scores) == 2
     for iv in pred.intervals:
         assert 0.0 < iv.c < 1.0 and 0.0 < iv.w < 1.0
-    for layer_ivs, _ in pred.aux:
-        for iv in layer_ivs:
-            assert 0.0 < iv.c < 1.0 and 0.0 < iv.w < 1.0
+    for layer in m.forward(vec, pos).layers[:-1]:  # the auxiliary layers
+        for c, w in layer.cw.data:
+            assert 0.0 < c < 1.0 and 0.0 < w < 1.0
     assert all(0.0 < s < 1.0 for s in pred.scores)
 
 
@@ -246,10 +247,12 @@ def forward_per_group(m, vectors, positions, dn):
         pe_l = encode_anchor_t(T.sigmoid(anchor_l), h, cfg.temperature)
         prefix = (content_l + pe_l, content_l)
         pe_d = encode_anchor_t(T.sigmoid(anchor_d), h, cfg.temperature)
-        content_d = T.concat([dec.self_block(content_d[g * size:(g + 1) * size, :],
-                                             pe_d[g * size:(g + 1) * size, :], prefix)
-                              for g in range(dn.n_groups)], axis=0)
-        content_l = dec.cross_ffn(dec.self_block(content_l, pe_l), pe_l, memory, pe_mem)
+        groups = [slice(g * size, (g + 1) * size) for g in range(dn.n_groups)]
+        content_d = T.concat([dec.self_block(content_d[rows, :],
+                                             content_d[rows, :] + pe_d[rows, :], prefix)
+                              for rows in groups], axis=0)
+        content_l = dec.cross_ffn(dec.self_block(content_l, content_l + pe_l),
+                                  pe_l, memory, pe_mem)
         anchor_l = anchor_l + m.span_head(content_l)
         layers.append(LayerPrediction(T.sigmoid(anchor_l), m.class_head(content_l)[:, 0]))
         content_d = dec.cross_ffn(content_d, pe_d, memory, pe_mem)
@@ -294,3 +297,186 @@ def test_masked_dn_matches_per_group_reference(groups, n_targets):
     assert g_fast.keys() == g_ref.keys()
     for k in g_fast:
         assert np.abs(g_fast[k] - g_ref[k]).max() < 1e-10, k
+
+
+# -- fused primitives against their composed references -------------------------
+#
+# Each reference is the chain of elementary primitives the fused form replaced.
+
+
+def split_heads(x, heads):
+    n, d = x.shape
+    return T.transpose(T.reshape(x, (n, heads, d // heads)), (1, 0, 2))
+
+
+def merge_heads(x):
+    h, n, dh = x.shape
+    return T.reshape(T.transpose(x, (1, 0, 2)), (n, h * dh))
+
+
+def linear_ref(lin, x):
+    return T.matmul(x, lin.weight) + lin.bias
+
+
+def attend_ref(q, k, v):
+    """Scaled-dot attention over already split (h, n, d) heads."""
+    scores = T.scale(T.matmul(q, T.transpose(k, (0, 2, 1))), 1.0 / np.sqrt(q.shape[-1]))
+    return T.matmul(T.softmax(scores, axis=-1), v)
+
+
+def mha_ref(attn, q_in, k_in, v_in, mask=None):
+    h = attn.heads
+    q = split_heads(linear_ref(attn.wq, q_in), h)
+    k = split_heads(linear_ref(attn.wk, k_in), h)
+    v = split_heads(linear_ref(attn.wv, v_in), h)
+    if mask is None:
+        ctx = attend_ref(q, k, v)
+    else:
+        scores = T.scale(T.matmul(q, T.transpose(k, (0, 2, 1))), 1.0 / np.sqrt(q.shape[-1]))
+        scores = scores + T.Tensor(np.broadcast_to(mask, scores.shape))
+        ctx = T.matmul(T.softmax(scores, axis=-1), v)
+    return linear_ref(attn.wo, merge_heads(ctx))
+
+
+def concat_pos_ref(attn, content_q, pos_q, memory, pos_k):
+    h = attn.heads
+    q = T.concat([split_heads(linear_ref(attn.wq_content, content_q), h),
+                  split_heads(linear_ref(attn.wq_pos, pos_q), h)], axis=-1)
+    k = T.concat([split_heads(linear_ref(attn.wk_content, memory), h),
+                  split_heads(linear_ref(attn.wk_pos, pos_k), h)], axis=-1)
+    v = split_heads(linear_ref(attn.wv, memory), h)
+    return linear_ref(attn.wo, merge_heads(attend_ref(q, k, v)))
+
+
+def sinusoidal_encode_t(pos, dim, temperature=10000.0):
+    freqs = temperature ** (2.0 * np.arange(dim // 2) / dim)
+    inv = T.Tensor((2.0 * np.pi / freqs)[None, :])
+    args = T.matmul(T.reshape(pos, (-1, 1)), inv)
+    n, half = args.shape
+    parts = T.concat([T.reshape(T.sin(args), (n, half, 1)),
+                      T.reshape(T.cos(args), (n, half, 1))], axis=-1)
+    return T.reshape(parts, (n, dim))
+
+
+def encode_anchor_t(cw, dim, temperature=10000.0):
+    return T.concat([sinusoidal_encode_t(cw[:, 0], dim // 2, temperature),
+                     sinusoidal_encode_t(cw[:, 1], dim // 2, temperature)], axis=-1)
+
+
+def outputs_and_grads(build, leaves, seed):
+    """Output of `build()` and the gradients of a random projection of it
+    with respect to `leaves`."""
+    for leaf in leaves:
+        leaf.zero_grad()
+    out = build()
+    w = np.random.default_rng(seed).normal(size=out.shape)
+    T.sum_(out * T.Tensor(w)).backward()
+    return out.data, [leaf.grad.copy() for leaf in leaves]
+
+
+def assert_fused_matches_reference(fused, reference, leaves, seed):
+    out_f, grads_f = outputs_and_grads(fused, leaves, seed)
+    out_r, grads_r = outputs_and_grads(reference, leaves, seed)
+    assert out_f.shape == out_r.shape
+    assert np.abs(out_f - out_r).max() < 1e-12
+    for gf, gr in zip(grads_f, grads_r):
+        assert np.abs(gf - gr).max() < 1e-10
+
+
+def leaf(rng, *shape):
+    return T.Tensor(rng.normal(size=shape), requires_grad=True)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_linear_matches_matmul_plus_bias(seed):
+    rng = np.random.default_rng(seed)
+    lin = Linear(12, 5, rng)
+    lin.bias.data[:] = rng.normal(size=5)
+    x = leaf(rng, 7, 12)
+    assert_fused_matches_reference(lambda: lin(x), lambda: linear_ref(lin, x),
+                                   [x, lin.weight, lin.bias], seed)
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("masked", [False, True])
+def test_multi_head_attention_matches_composed_reference(seed, masked):
+    rng = np.random.default_rng(seed)
+    attn = MultiHeadAttention(16, 4, rng)
+    q, k, v = leaf(rng, 5, 16), leaf(rng, 8, 16), leaf(rng, 8, 16)
+    mask = None
+    if masked:  # DN-style: every query keeps the two prefix keys visible
+        mask = np.where(rng.uniform(size=(5, 8)) < 0.4, -np.inf, 0.0)
+        mask[:, :2] = 0.0
+    leaves = [q, k, v] + list(attn.parameters().values())
+    assert_fused_matches_reference(lambda: attn(q, k, v, mask),
+                                   lambda: mha_ref(attn, q, k, v, mask), leaves, seed)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_concat_pos_attention_matches_composed_reference(seed):
+    rng = np.random.default_rng(seed)
+    attn = ConcatPosAttention(16, 4, rng)
+    cq, pq, mem, pk = leaf(rng, 3, 16), leaf(rng, 3, 16), leaf(rng, 9, 16), leaf(rng, 9, 16)
+    leaves = [cq, pq, mem, pk] + list(attn.parameters().values())
+    assert_fused_matches_reference(lambda: attn(cq, pq, mem, pk),
+                                   lambda: concat_pos_ref(attn, cq, pq, mem, pk),
+                                   leaves, seed)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_anchor_encode_matches_composed_reference(seed):
+    rng = np.random.default_rng(seed)
+    cw = T.Tensor(rng.uniform(size=(6, 2)), requires_grad=True)
+    assert_fused_matches_reference(lambda: T.anchor_encode(cw, 32),
+                                   lambda: encode_anchor_t(cw, 32), [cw], seed)
+
+
+# -- tape size and the tape-free predict ------------------------------------------
+
+
+def tape_nodes(roots):
+    """Nodes reachable from `roots` through their parents, leaves included."""
+    seen, stack = set(), list(roots)
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(node._parents)
+    return len(seen)
+
+
+def test_tape_node_counts_at_the_c08_config():
+    cfg = ModelConfig(d_model=32, hidden=32, heads=4, ffn_mult=4, enc_layers=3,
+                      dec_layers=3, num_queries=1, max_tokens=128, dn_groups=5)
+    m = DetectionModel(cfg, seed=0)
+    vec, pos = rand_input(n=60, d=32, seed=1)
+    out = m.forward(vec, pos)
+    assert tape_nodes([t for layer in out.layers for t in (layer.cw, layer.logits)]) <= 320
+    gts = [Interval(0.6, 0.5)]
+    out = m.forward(vec, pos, make_denoising(gts, cfg, np.random.default_rng(2)))
+    assert tape_nodes([detection_loss(out, gts)[0]]) <= 800
+
+
+def test_predict_builds_no_tape_and_matches_the_taped_forward():
+    m = tiny_model(seed=13)
+    vec, pos = rand_input(seed=14)
+    taped = m.forward(vec, pos)
+    seen = []
+    forward = m.forward
+
+    def spy(*args, **kwargs):
+        seen.append(forward(*args, **kwargs))
+        return seen[-1]
+
+    m.forward = spy
+    pred = m.predict(vec, pos)
+    assert len(seen) == 1
+    for a, b in zip(taped.layers, seen[0].layers):
+        assert a.cw._parents and a.logits._parents
+        assert b.cw._parents == () and b.logits._parents == ()
+        assert np.array_equal(a.cw.data, b.cw.data)
+        assert np.array_equal(a.logits.data, b.logits.data)
+    final = taped.layers[-1]
+    assert pred.intervals == [Interval(float(c), float(w)) for c, w in final.cw.data]
+    assert pred.scores == [float(p) for p in T.sigmoid(final.logits).data]
+    assert m.forward(vec, pos).layers[-1].cw._parents  # the tape is back on

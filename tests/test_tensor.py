@@ -201,3 +201,36 @@ def test_float32_optional():
     x = T.Tensor(np.ones(3, dtype=np.float32))
     assert x.data.dtype == np.float32
     assert T.Tensor([1.0, 2.0]).data.dtype == np.float64
+
+
+def test_no_grad_builds_no_tape_and_restores_the_mode_after_an_exception():
+    x = T.Tensor([1.0, 2.0], requires_grad=True)
+    with pytest.raises(RuntimeError, match="inside"):
+        with T.no_grad():
+            y = T.linear(T.reshape(x, (1, 2)), T.Tensor(np.ones((2, 3))), T.Tensor(np.zeros(3)))
+            assert y._parents == () and y._backward is None and not y.requires_grad
+            raise RuntimeError("inside")
+    taped = x * 2.0
+    assert taped._parents[0] is x and taped.requires_grad
+    with T.no_grad():
+        with T.no_grad():
+            pass
+        assert not (x * 2.0).requires_grad  # leaving the inner block keeps the outer mode
+    T.sum_(taped).backward()
+    assert np.array_equal(x.grad, [2.0, 2.0])
+
+
+def test_fused_primitives_reject_bad_shapes():
+    x = T.Tensor(np.ones((3, 4)))
+    with pytest.raises(T.ShapeError, match="linear"):
+        T.linear(x, T.Tensor(np.ones((3, 2))), T.Tensor(np.zeros(2)))
+    with pytest.raises(T.ShapeError, match="linear"):
+        T.linear(x, T.Tensor(np.ones((4, 2))), T.Tensor(np.zeros(3)))
+    with pytest.raises(T.ShapeError, match="heads"):
+        T.attention(x, x, x, 3)
+    with pytest.raises(T.ShapeError, match="mask"):
+        T.attention(x, x, x, 2, np.zeros((3, 2)))
+    with pytest.raises(T.ShapeError, match="anchor_encode"):
+        T.anchor_encode(x, 8)
+    with pytest.raises(ValueError, match="divisible by 4"):
+        T.anchor_encode(T.Tensor(np.ones((3, 2))), 6)

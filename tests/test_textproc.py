@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from spandet.geometry import CharSpan
 from spandet.textproc import (EmbeddingSequence, append_mean_cls,
-                              load_embeddings, read_embedding_file,
+                              load_embeddings, load_features, read_embedding_file,
                               snap_to_token_bounds, token_positions, tokenize,
                               toy_embed, write_embedding_file)
 
@@ -148,6 +148,19 @@ def test_embedding_sidecar_hash_mismatch(tmp_path):
     write_embedding_file(path, vec, [CharSpan(0, 1)], text="original")
     with pytest.raises(ValueError, match="hash mismatch"):
         load_embeddings(path, text="tampered")
+
+
+def test_load_features_checks_offsets_against_the_text(tmp_path):
+    vec = np.zeros((3, 8), dtype=np.float32)
+    path = tmp_path / "x.emb"
+    write_embedding_file(path, vec, [CharSpan(0, 2), CharSpan(3, 5), CharSpan(6, 8)])
+    got, pos = load_features(path, "ab cd ef")
+    assert got.dtype == np.float64 and np.array_equal(pos, [1 / 8, 4 / 8, 7 / 8])
+    with pytest.raises(ValueError, match="token 2 ends at 8, past the end"):
+        load_features(path, "ab cd e")
+    write_embedding_file(path, vec, [CharSpan(0, 2), CharSpan(6, 8), CharSpan(3, 5)])
+    with pytest.raises(ValueError, match="not sorted"):
+        load_features(path, "ab cd ef")
 
 
 def test_large_dim_file_accepted(tmp_path):

@@ -313,6 +313,28 @@ def test_non_finite_gradient_stops_training_before_the_weights_move(monkeypatch)
         assert np.array_equal(p.data, seen["before"][k]), k
 
 
+@pytest.mark.parametrize("grad_clip", [0.1, 1e9])
+def test_log_records_preclip_gradient_norms_and_clip_fraction(monkeypatch, grad_clip):
+    split, prov = small_corpus(n=24)
+    norms = []
+    clip = training.clip_grad_norm
+
+    def record(params, max_norm):
+        norms.append(clip(params, max_norm))
+        return norms[-1]
+
+    monkeypatch.setattr(training, "clip_grad_norm", record)
+    res = train(split, prov, ModelConfig(**SMALL_MODEL),
+                TrainConfig(epochs=2, batch_size=8, seed=0, grad_clip=grad_clip))
+    steps = len(norms) // 2
+    for epoch, rec in enumerate(res.log):
+        mine = norms[epoch * steps:(epoch + 1) * steps]
+        assert rec["grad_norm"] == {"min": min(mine), "median": float(np.median(mine)),
+                                    "max": max(mine)}
+        assert rec["clip_frac"] == sum(x > grad_clip for x in mine) / steps
+    assert res.log[0]["clip_frac"] == (1.0 if grad_clip == 0.1 else 0.0)
+
+
 def test_training_rejects_empty_dataset():
     split, prov = small_corpus(n=10)
     split.train = []
