@@ -22,23 +22,25 @@ print(f"\nsoftmax([0,0,0]) = {T.softmax(T.Tensor([0.0, 0.0, 0.0])).data}")
 print(f"sigmoid(0) = {T.sigmoid(T.Tensor(0.0)).item()}, "
       f"inverse_sigmoid(0.5) = {T.inverse_sigmoid(T.Tensor(0.5)).item()}")
 
-# grad_check compares backward against central finite differences; the
-# whole detector is built from primitives that pass this at 1e-4.
+# grad_check compares backward against central finite differences, over
+# every coordinate of the tensors it is given; the whole detector is built
+# from primitives that pass this at 1e-4.
 rng = np.random.default_rng(0)
-w = T.Tensor(rng.normal(size=(4, 4)))
-b = T.Tensor(rng.normal(size=4))
+w = T.Tensor(rng.normal(size=(4, 4)), requires_grad=True)
+b = T.Tensor(rng.normal(size=4), requires_grad=True)
+x = T.Tensor(rng.normal(size=(3, 4)), requires_grad=True)
 
 
-def mlp_loss(t):
-    h = T.relu(T.matmul(t, w) + b)
+def mlp_loss():
+    h = T.relu(T.matmul(x, w) + b)
     return T.mean(T.sigmoid(h))
 
 
-err = T.grad_check(mlp_loss, T.Tensor(rng.normal(size=(3, 4))), eps=1e-5)
-print(f"\ngrad_check on a small MLP: max relative error {err:.2e}")
+err = T.grad_check(mlp_loss, [x, w, b], eps=1e-5)
+print(f"\ngrad_check on a small MLP (input and weights): max relative error {err:.2e}")
 
-# Any primitive is also reachable by name.
-out = T.primitive_forward("layer_norm", T.Tensor(rng.normal(size=(2, 8)) * 5),
-                          T.Tensor(np.ones(8)), T.Tensor(np.zeros(8)))
+# Layer norm: zero mean and unit variance per row before the affine part.
+out = T.layer_norm(T.Tensor(rng.normal(size=(2, 8)) * 5),
+                   T.Tensor(np.ones(8)), T.Tensor(np.zeros(8)))
 print(f"layer_norm row means ~ 0: {np.abs(out.data.mean(axis=-1)).max():.1e}, "
       f"row vars ~ 1: {np.abs(out.data.var(axis=-1) - 1).max():.1e}")

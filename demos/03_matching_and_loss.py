@@ -4,7 +4,7 @@ span L1, gIoU, and confidence, then the five-term training objective."""
 import numpy as np
 
 from spandet import tensor as T
-from spandet.geometry import Interval
+from spandet.geometry import Interval, giou_1d, span_l1
 from spandet.matching import build_match_cost, hungarian
 from spandet.model import LayerPrediction
 from spandet.training import LossWeights, composite_loss
@@ -15,7 +15,11 @@ preds = [(Interval(0.30, 0.25), 0.9),   # close to gt A, confident
          (Interval(0.55, 0.50), 0.2)]   # vague, low confidence
 gts = [Interval(0.28, 0.22), Interval(0.78, 0.18)]
 
-cost = build_match_cost(preds, gts, weights=(10.0, 1.0, 4.0))
+# The cost reads the pairwise span L1 and gIoU (training takes both from the
+# loss's own tensors) and each prediction's confidence.
+l1 = np.array([[span_l1(p, g) for g in gts] for p, _ in preds])
+giou = np.array([[giou_1d(p, g) for g in gts] for p, _ in preds])
+cost = build_match_cost(l1, giou, np.array([s for _, s in preds]), weights=(10.0, 1.0, 4.0))
 print("cost matrix (rows = predictions, cols = targets):")
 print(np.array_str(cost, precision=3))
 

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 
-from spandet.textproc import (load_embeddings, read_embedding_file, tokenize,
+from spandet.textproc import (load_features, read_embedding_file, tokenize,
                               toy_embed, write_embedding_file)
 
 text = "Models write; humans edit. Who said what?"
@@ -20,21 +20,23 @@ for tok, off in zip(tk.tokens, tk.offsets):
 # The toy embedder hashes character trigrams into a fixed table: the same
 # surface always maps to the same vector, no learned weights involved.
 emb = toy_embed(tk, d=16, seed=0)
-print(f"\nembeddings: {emb.vectors.shape}, provenance {emb.provenance!r}")
+print(f"\nembeddings: {emb.shape}")
 same = tokenize("edit edit")
 e2 = toy_embed(same, 16, seed=0)
-print(f"identical surfaces share vectors: {np.array_equal(e2.vectors[0], e2.vectors[1])}")
+print(f"identical surfaces share vectors: {np.array_equal(e2[0], e2[1])}")
 
 # Features from a real LLM travel through a little-endian binary format that
 # carries its own token offsets, so any upstream tokenizer works.
 with tempfile.TemporaryDirectory() as tmp:
     path = Path(tmp) / "features.emb"
-    write_embedding_file(path, emb.vectors.astype(np.float32), tk.offsets,
+    write_embedding_file(path, emb.astype(np.float32), tk.offsets,
                          provenance="file:finetuned", text=text)
     print(f"\nwrote {path.stat().st_size} bytes "
           f"(+ sidecar {Path(str(path) + '.sha256').name} with the text hash)")
     ef = read_embedding_file(path)
     print(f"read back: {ef.vectors.shape} {ef.vectors.dtype}, "
           f"provenance {ef.provenance!r}, offsets intact: {ef.offsets == tk.offsets}")
-    seq = load_embeddings(path, tk, text=text)   # validates count and hash
-    print(f"validated load: {len(seq)} rows, dim {seq.dim}")
+    # checks the sidecar hash and that the offsets are sorted and fit the text
+    vectors, positions = load_features(path, text)
+    print(f"validated load: {vectors.shape} {vectors.dtype}, "
+          f"token midpoints {np.round(positions[:3], 3)} ...")

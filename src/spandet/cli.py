@@ -16,7 +16,7 @@ from . import metrics as M
 from .geometry import cw_to_span
 from .model import ModelConfig, load_detector
 from .textproc import load_features, tokenize, write_embedding_file
-from .training import LossWeights, NumericalError, TrainConfig, train
+from .training import LossWeights, NumericalError, TrainConfig, check_max_tokens, train
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -172,6 +172,7 @@ def cmd_predict(args) -> int:
     records = []
     for sample in samples:
         vectors, positions = provider(sample)
+        check_max_tokens(sample.id, len(vectors), model.cfg.max_tokens)
         pred = model.predict(vectors, positions)
         spans = [cw_to_span(iv, len(sample.text)) for iv in pred.intervals]
         records.append({"id": sample.id,

@@ -354,15 +354,14 @@ def embed_with_signal(sample: AnnotatedText, d: int, seed: int,
     sigma along a fixed direction, standing in for features from a
     fine-tuned LLM. Returns (vectors, normalized token midpoints)."""
     tk = tokenize(sample.text)
-    emb = toy_embed(tk, d, seed)
-    vectors = emb.vectors
+    vectors = toy_embed(tk, d, seed)
     if sigma > 0 and sample.intervals:
         u = signal_direction(d, seed)
         for i, off in enumerate(tk.offsets):
             mid = (off.x1 + off.x2) / 2.0
             if any(sp.x1 <= mid < sp.x2 for sp in sample.intervals):
                 vectors[i] = vectors[i] + sigma * u
-    return vectors, token_positions(tk, len(sample.text))
+    return vectors, token_positions(tk.offsets, len(sample.text))
 
 
 def synthetic_provider(meta: dict):

@@ -1,8 +1,9 @@
 """1D interval algebra: normalized (center, width) boxes and character spans.
 
 Centers and widths are fractions of the text length in characters; character
-spans are half-open [x1, x2). Plain-float versions serve matching and metrics;
-the ``*_t`` variants run on autodiff tensors for the training losses.
+spans are half-open [x1, x2). The plain-float IoU, gIoU and span L1 are the
+scalar public API; the ``*_t`` variants run on autodiff tensors and give both
+the training losses and the match cost.
 """
 
 from __future__ import annotations

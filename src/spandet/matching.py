@@ -10,34 +10,26 @@ recognized reliably.
 from __future__ import annotations
 
 import math
-from typing import Sequence
 
 import numpy as np
-
-from .geometry import Interval, giou_1d, span_l1
 
 Assignment = list[tuple[int, int]]
 
 
-def build_match_cost(
-    preds: Sequence[tuple[Interval, float]],
-    gts: Sequence[Interval],
-    weights: tuple[float, float, float] = (10.0, 1.0, 4.0),
-) -> np.ndarray:
-    """Cost matrix (N preds x M gts): w_span*L1 + w_giou*(-gIoU) + w_class*(-p).
+def build_match_cost(l1: np.ndarray, giou: np.ndarray, probs: np.ndarray,
+                     weights: tuple[float, float, float] = (10.0, 1.0, 4.0)) -> np.ndarray:
+    """Cost matrix (N preds x M gts): w_span*L1 - w_giou*gIoU - w_class*p.
 
-    Assignment is treated as a constant downstream; no gradient flows here.
+    `l1` and `giou` are the (N, M) pairwise span L1 and gIoU, `probs` the (N,)
+    foreground probabilities. Assignment is treated as a constant downstream;
+    no gradient flows here.
     """
+    probs = np.asarray(probs, dtype=np.float64)
+    bad = ~((probs >= 0.0) & (probs <= 1.0))
+    if bad.any():
+        raise ValueError(f"foreground probability {probs[bad][0]} outside [0, 1]")
     w_span, w_giou, w_class = weights
-    cost = np.empty((len(preds), len(gts)))
-    for i, (iv, p) in enumerate(preds):
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"foreground probability {p} outside [0, 1]")
-        for j, gt in enumerate(gts):
-            cost[i, j] = (w_span * span_l1(iv, gt)
-                          - w_giou * giou_1d(iv, gt)
-                          - w_class * p)
-    return cost
+    return w_span * np.asarray(l1) - w_giou * np.asarray(giou) - w_class * probs[:, None]
 
 
 def hungarian(cost: np.ndarray) -> Assignment:

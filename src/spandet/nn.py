@@ -50,31 +50,6 @@ class Module:
         return {k: p.data.copy() for k, p in self.parameters().items()}
 
 
-def module_grad_check(module: Module, build_loss, eps: float = 1e-5) -> float:
-    """Max relative error between backward and central differences over every
-    parameter of a module. `build_loss` must rebuild the scalar loss from the
-    module's current parameter values on each call."""
-    params = module.parameters()
-    module.zero_grad()
-    build_loss().backward()
-    analytic = {k: (p.grad.copy() if p.grad is not None else np.zeros_like(p.data))
-                for k, p in params.items()}
-    worst = 0.0
-    for k, p in params.items():
-        flat = p.data.reshape(-1)
-        gflat = analytic[k].reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + eps
-            hi = float(build_loss().data)
-            flat[i] = orig - eps
-            lo = float(build_loss().data)
-            flat[i] = orig
-            numeric = (hi - lo) / (2.0 * eps)
-            worst = max(worst, abs(gflat[i] - numeric) / max(1.0, abs(gflat[i])))
-    return worst
-
-
 def xavier_uniform(fan_in: int, fan_out: int, rng: np.random.Generator) -> np.ndarray:
     bound = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-bound, bound, size=(fan_in, fan_out))

@@ -778,72 +778,33 @@ def anchor_encode(cw, dim: int, temperature: float = 10000.0) -> Tensor:
     return _result(data, (cw,), build, "anchor_encode")
 
 
-PRIMITIVES: dict[str, Callable] = {
-    "matmul": matmul,
-    "add": add,
-    "mul": mul,
-    "div": div,
-    "concat": concat,
-    "slice": slice_,
-    "softmax": softmax,
-    "layer_norm": layer_norm,
-    "relu": relu,
-    "sigmoid": sigmoid,
-    "inverse_sigmoid": inverse_sigmoid,
-    "exp": exp,
-    "log": log,
-    "sum": sum_,
-    "mean": mean,
-    "scale": scale,
-    "sin": sin,
-    "cos": cos,
-    "maximum": maximum,
-    "minimum": minimum,
-    "abs": abs_,
-    "powc": powc,
-    "reshape": reshape,
-    "transpose": transpose,
-    "linear": linear,
-    "attention": attention,
-    "anchor_encode": anchor_encode,
-}
-
-
-def primitive_forward(op: str, *inputs, **kwargs) -> Tensor:
-    """Dispatch a primitive by name; the result lands on the tape as usual."""
-    try:
-        fn = PRIMITIVES[op]
-    except KeyError:
-        raise ValueError(f"unknown primitive {op!r}") from None
-    return fn(*inputs, **kwargs)
-
-
-def grad_check(f: Callable[[Tensor], Tensor], x: Tensor, eps: float = 1e-5) -> float:
+def grad_check(build_loss: Callable[[], Tensor], tensors: Sequence[Tensor],
+               eps: float = 1e-5) -> float:
     """Max relative error between analytic and central-difference gradients.
 
-    f must be scalar-valued and re-runnable; error per coordinate is
-    |analytic - numeric| / max(1, |analytic|).
+    `build_loss()` must rebuild a scalar from the current values of `tensors`.
+    Their grads are zeroed, one backward gives the analytic gradient, then
+    each coordinate is perturbed in place by +-eps and restored exactly. Error
+    per coordinate is |analytic - numeric| / max(1, |analytic|).
     """
     if not 1e-7 <= eps <= 1e-3:
         raise ValueError(f"eps {eps} outside [1e-7, 1e-3]")
-    probe = Tensor(x.data.astype(np.float64).copy(), requires_grad=True)
-    out = f(probe)
+    for t in tensors:
+        t.zero_grad()
+    out = build_loss()
     if out.size != 1:
         raise ValueError("grad_check requires a scalar-valued function")
     out.backward()
-    analytic = np.zeros_like(probe.data) if probe.grad is None else probe.grad.copy()
-
-    flat = probe.data.reshape(-1)
-    numeric = np.zeros_like(flat)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + eps
-        hi = float(f(probe).data)
-        flat[i] = orig - eps
-        lo = float(f(probe).data)
-        flat[i] = orig
-        numeric[i] = (hi - lo) / (2.0 * eps)
-    numeric = numeric.reshape(probe.data.shape)
-
-    denom = np.maximum(1.0, np.abs(analytic))
-    return float(np.max(np.abs(analytic - numeric) / denom)) if analytic.size else 0.0
+    worst = 0.0
+    for t in tensors:
+        analytic = np.zeros_like(t.data) if t.grad is None else t.grad
+        for i in np.ndindex(t.shape):
+            orig = t.data[i]
+            t.data[i] = orig + eps
+            hi = float(build_loss().data)
+            t.data[i] = orig - eps
+            lo = float(build_loss().data)
+            t.data[i] = orig
+            numeric = (hi - lo) / (2.0 * eps)
+            worst = max(worst, abs(analytic[i] - numeric) / max(1.0, abs(analytic[i])))
+    return float(worst)

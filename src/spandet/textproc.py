@@ -41,19 +41,6 @@ class TokenizedText:
         return len(self.tokens)
 
 
-@dataclass
-class EmbeddingSequence:
-    vectors: np.ndarray  # (n, d), one row per token
-    provenance: str = "toy"
-
-    @property
-    def dim(self) -> int:
-        return self.vectors.shape[1]
-
-    def __len__(self) -> int:
-        return self.vectors.shape[0]
-
-
 def tokenize(text: str) -> TokenizedText:
     """Split into word runs and single punctuation marks, with exact offsets."""
     if not text or not text.strip():
@@ -66,9 +53,9 @@ def tokenize(text: str) -> TokenizedText:
     return TokenizedText(tokens, offsets)
 
 
-def token_positions(tk: TokenizedText, text_len: int) -> np.ndarray:
+def token_positions(offsets: list[CharSpan], text_len: int) -> np.ndarray:
     """Normalized character midpoint of each token, in [0, 1]."""
-    return np.array([(o.x1 + o.x2) / 2.0 / text_len for o in tk.offsets])
+    return np.array([(o.x1 + o.x2) / 2.0 / text_len for o in offsets])
 
 
 def _trigrams(surface: str) -> list[str]:
@@ -84,9 +71,9 @@ def _vector_table(d: int, seed: int) -> np.ndarray:
     return _table_cache[key]
 
 
-def toy_embed(tk: TokenizedText, d: int, seed: int = 0) -> EmbeddingSequence:
-    """Hash-table embedding: each token maps to the mean of its character
-    trigrams' table vectors, scaled so norms sit near 1.
+def toy_embed(tk: TokenizedText, d: int, seed: int = 0) -> np.ndarray:
+    """Hash-table embedding, (n, d): each token maps to the mean of its
+    character trigrams' table vectors, scaled so norms sit near 1.
 
     Position-independent and deterministic: same surface, same vector.
     """
@@ -98,7 +85,7 @@ def toy_embed(tk: TokenizedText, d: int, seed: int = 0) -> EmbeddingSequence:
         grams = _trigrams(tok)
         idx = [zlib.crc32(g.encode("utf-8")) % _TABLE_SIZE for g in grams]
         out[i] = table[idx].sum(axis=0) / np.sqrt(len(grams))
-    return EmbeddingSequence(out, provenance="toy")
+    return out
 
 
 def append_mean_cls(vectors: np.ndarray) -> np.ndarray:
@@ -198,22 +185,7 @@ def load_features(path, text: str) -> tuple[np.ndarray, np.ndarray]:
     to float64 and each token's normalized character midpoint in [0, 1]."""
     ef = read_embedding_file(path)
     check_against_text(path, ef.offsets, text)
-    pos = np.array([(o.x1 + o.x2) / 2.0 / len(text) for o in ef.offsets])
-    return ef.vectors.astype(np.float64), pos
-
-
-def load_embeddings(path, tk: TokenizedText | None = None,
-                    text: str | None = None) -> EmbeddingSequence:
-    """Load a feature file; validates token count against `tk` and, when
-    `text` is given, the file against it (`check_against_text`). Vectors are
-    upcast to float64."""
-    ef = read_embedding_file(path)
-    if tk is not None and len(ef.vectors) != len(tk.tokens):
-        raise ValueError(f"{path}: token count mismatch "
-                         f"(file has {len(ef.vectors)}, tokenizer produced {len(tk.tokens)})")
-    if text is not None:
-        check_against_text(path, ef.offsets, text)
-    return EmbeddingSequence(ef.vectors.astype(np.float64), provenance=ef.provenance)
+    return ef.vectors.astype(np.float64), token_positions(ef.offsets, len(text))
 
 
 def snap_to_token_bounds(span: CharSpan, offsets: list[CharSpan]) -> tuple[CharSpan, int]:

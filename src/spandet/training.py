@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from . import tensor as T
-from .geometry import Interval, clamp_interval, giou_1d_t, span_l1_t, span_to_cw
+from .geometry import Interval, giou_1d_t, span_l1_t, span_to_cw
 from .matching import build_match_cost, hungarian
 from .model import (ClassifierHead, DetectionModel, LayerPrediction,
                     ModelConfig, ModelOutput, save_detector)
@@ -52,20 +52,19 @@ class DenoisingBatch:
 def make_denoising(gts: list[Interval], cfg: ModelConfig,
                    rng: np.random.Generator) -> DenoisingBatch | None:
     """Noised copies of the targets: center jittered by a fraction of the
-    width, width rescaled multiplicatively, then clamped back to validity."""
+    width, width rescaled multiplicatively, then clamped back to validity
+    (as ``geometry.clamp_interval``). Group-major rows; the noise is drawn as
+    (center, width) per row, in row order."""
     if not gts or cfg.dn_groups == 0:
         return None
-    anchors = []
-    gt_index = []
-    for _ in range(cfg.dn_groups):
-        for j, gt in enumerate(gts):
-            u = rng.uniform(-cfg.dn_center_noise, cfg.dn_center_noise)
-            v = rng.uniform(-cfg.dn_width_noise, cfg.dn_width_noise)
-            noisy = clamp_interval(gt.c + u * gt.w, gt.w * (1.0 + v))
-            anchors.append([noisy.c, noisy.w])
-            gt_index.append(j)
-    return DenoisingBatch(np.array(anchors), np.array(gt_index, dtype=int),
-                          cfg.dn_groups)
+    cn, wn = cfg.dn_center_noise, cfg.dn_width_noise
+    noise = rng.uniform([-cn, -wn], [cn, wn], size=(cfg.dn_groups, len(gts), 2))
+    gc = np.array([gt.c for gt in gts])
+    gw = np.array([gt.w for gt in gts])
+    w = np.minimum(np.maximum(gw * (1.0 + noise[..., 1]), 1e-4), 1.0)
+    c = np.minimum(np.maximum(gc + noise[..., 0] * gw, w / 2), 1.0 - w / 2)
+    return DenoisingBatch(np.stack([c, w], axis=-1).reshape(-1, 2),
+                          np.tile(np.arange(len(gts)), cfg.dn_groups), cfg.dn_groups)
 
 
 def _focal_core(logits: T.Tensor, targets: np.ndarray,
@@ -108,17 +107,21 @@ def composite_loss(layer: LayerPrediction, dn_cw: T.Tensor | None,
     paired with their originating targets by construction.
     """
     cw, logits = layer.cw, layer.logits
-    n_queries = cw.shape[0]
-    probs = 1.0 / (1.0 + np.exp(-logits.data))
-    pred_ivs = [(Interval(float(c), float(w)), float(p))
-                for (c, w), p in zip(cw.data, probs)]
+    n_queries, m = cw.shape[0], len(gts)
     gt_cw = np.array([[g.c, g.w] for g in gts])
     if gts:
-        cost = build_match_cost(pred_ivs, gts,
+        # every (query, target) pair once: the match cost reads the values,
+        # the matched loss terms gather from the same nodes
+        pair_cw = cw[np.repeat(np.arange(n_queries), m), :]
+        pair_gt = T.Tensor(np.tile(gt_cw, (n_queries, 1)))
+        l1, giou = span_l1_t(pair_cw, pair_gt), giou_1d_t(pair_cw, pair_gt)
+        cost = build_match_cost(l1.data.reshape(n_queries, m),
+                                giou.data.reshape(n_queries, m), T.expit(logits.data),
                                 (weights.span, weights.giou, weights.focal))
         pairs = hungarian(cost)
         rows, cols = np.array(pairs).T
-        l_span, l_giou = _box_terms(cw[rows, :], gt_cw[cols])
+        matched = rows * m + cols
+        l_span, l_giou = _mean_terms(l1[matched], giou[matched])
     else:
         pairs = []
         l_span = T.Tensor(0.0)
@@ -130,7 +133,8 @@ def composite_loss(layer: LayerPrediction, dn_cw: T.Tensor | None,
     l_focal = focal_loss_mean(logits, targets, alpha, gamma)
 
     if dn_cw is not None and len(dn_cw.data):
-        l_dn_span, l_dn_giou = _box_terms(dn_cw, gt_cw[dn_gt_index])
+        dn_gt = T.Tensor(gt_cw[dn_gt_index])
+        l_dn_span, l_dn_giou = _mean_terms(span_l1_t(dn_cw, dn_gt), giou_1d_t(dn_cw, dn_gt))
     else:
         l_dn_span = T.Tensor(0.0)
         l_dn_giou = T.Tensor(0.0)
@@ -145,13 +149,11 @@ def composite_loss(layer: LayerPrediction, dn_cw: T.Tensor | None,
     return total, breakdown
 
 
-def _box_terms(pred: T.Tensor, target: np.ndarray) -> tuple[T.Tensor, T.Tensor]:
-    """Mean span L1 and mean (1 - gIoU) over paired (k, 2) rows; sum-then-scale
-    equals the sequential per-pair sum bitwise for k < 8 (numpy sums those in order)."""
-    tgt = T.Tensor(target)
-    inv = 1.0 / len(target)
-    return (T.scale(T.sum_(span_l1_t(pred, tgt)), inv),
-            T.scale(T.sum_(1.0 - giou_1d_t(pred, tgt)), inv))
+def _mean_terms(l1: T.Tensor, giou: T.Tensor) -> tuple[T.Tensor, T.Tensor]:
+    """Mean span L1 and mean (1 - gIoU) over k pairs; sum-then-scale equals the
+    sequential per-pair sum bitwise for k < 8 (numpy sums those in order)."""
+    inv = 1.0 / len(l1.data)
+    return T.scale(T.sum_(l1), inv), T.scale(T.sum_(1.0 - giou), inv)
 
 
 def detection_loss(out: ModelOutput, gts: list[Interval],
@@ -261,10 +263,16 @@ Provider = Callable[[object], tuple[np.ndarray, np.ndarray]]
 """Maps an annotated sample to (embedding matrix, normalized token midpoints)."""
 
 
-def _prepare(samples, provider) -> dict:
+def check_max_tokens(record_id: str, n: int, max_tokens: int) -> None:
+    if n > max_tokens:
+        raise ValueError(f"record {record_id}: {n} tokens exceed max_tokens {max_tokens}")
+
+
+def _prepare(samples, provider, max_tokens: int) -> dict:
     cache = {}
     for s in samples:
         vec, pos = provider(s)
+        check_max_tokens(s.id, len(vec), max_tokens)
         gts = [span_to_cw(sp, len(s.text)) for sp in s.intervals]
         cache[s.id] = (vec, pos, gts)
     return cache
@@ -286,8 +294,8 @@ def train(split, provider: Provider, model_cfg: ModelConfig,
     opt = AdamW(params, lr=train_cfg.lr, weight_decay=train_cfg.weight_decay)
     rng = np.random.default_rng(train_cfg.seed)
 
-    cache = _prepare(split.train, provider)
-    val_cache = _prepare(split.val, provider) if split.val else {}
+    cache = _prepare(split.train, provider, model_cfg.max_tokens)
+    val_cache = _prepare(split.val, provider, model_cfg.max_tokens) if split.val else {}
 
     n = len(split.train)
     batches_per_epoch = math.ceil(n / train_cfg.batch_size)

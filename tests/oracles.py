@@ -10,22 +10,28 @@ import numpy as np
 from spandet.geometry import Interval
 
 
+def l1(a, b):
+    """Span L1 between two (c, w) pairs."""
+    return abs(a[0] - b[0]) + abs(a[1] - b[1])
+
+
+def giou(a, b):
+    """Generalized IoU between two (c, w) pairs, with the union and hull
+    taken from the endpoints."""
+    a1, a2 = a[0] - a[1] / 2, a[0] + a[1] / 2
+    b1, b2 = b[0] - b[1] / 2, b[0] + b[1] / 2
+    inter = max(0.0, min(a2, b2) - max(a1, b1))
+    union = (a2 - a1) + (b2 - b1) - inter
+    hull = max(a2, b2) - min(a1, b1)
+    return inter / union - (hull - union) / hull
+
+
+def sig(x):
+    return 1.0 / (1.0 + math.exp(-x))
+
+
 def reference_objective(pred_cw, pred_logits, dn_cw, dn_idx, gts, lw,
                         alpha=0.25, gamma=2.0):
-    def l1(a, b):
-        return abs(a[0] - b[0]) + abs(a[1] - b[1])
-
-    def giou(a, b):
-        a1, a2 = a[0] - a[1] / 2, a[0] + a[1] / 2
-        b1, b2 = b[0] - b[1] / 2, b[0] + b[1] / 2
-        inter = max(0.0, min(a2, b2) - max(a1, b1))
-        union = (a2 - a1) + (b2 - b1) - inter
-        hull = max(a2, b2) - min(a1, b1)
-        return inter / union - (hull - union) / hull
-
-    def sig(x):
-        return 1.0 / (1.0 + math.exp(-x))
-
     n, m = len(pred_cw), len(gts)
     best, best_perm = math.inf, None
     for perm in itertools.permutations(range(n), m):

@@ -6,6 +6,7 @@ import pytest
 from spandet.cli import main
 from spandet.data import (LABEL_HUMAN, AnnotatedText, load_annotations,
                           load_predictions, load_split, save_split)
+from spandet.textproc import tokenize
 
 
 def run(args):
@@ -197,6 +198,27 @@ def test_embeddings_that_do_not_fit_their_text_exit_2(tiny_pipeline, tmp_path, c
     assert main(predict + ["--dataset", str(cut)]) == 2
     err = capsys.readouterr().err
     assert f"record {victim.id}" in err and "past the end of the 21-character text" in err
+
+
+def test_records_over_max_tokens_exit_2_naming_the_record(tiny_pipeline, tmp_path, capsys):
+    _, ds, run_dir, _ = tiny_pipeline
+    split = load_split(ds)
+    n_first = len(tokenize(split.train[0].text))
+    code = main(["train", "--dataset", str(ds), "--out", str(tmp_path / "r"),
+                 "--epochs", "1", "--hidden", "16", "--heads", "4",
+                 "--max-tokens", str(n_first - 1)])
+    assert code == 2
+    assert (f"record {split.train[0].id}: {n_first} tokens exceed max_tokens {n_first - 1}"
+            in capsys.readouterr().err)
+    # the checkpoint allows 64 tokens; one test record is given 81
+    victim = split.test[1]
+    split.test[1] = AnnotatedText(victim.id, " ".join(["word"] * 80) + ".", [], LABEL_HUMAN)
+    long = tmp_path / "long"
+    save_split(long, split)
+    code = main(["predict", "--checkpoint", str(run_dir / "best.npz"),
+                 "--dataset", str(long), "--out", str(tmp_path / "p.jsonl")])
+    assert code == 2
+    assert f"record {victim.id}: 81 tokens exceed max_tokens 64" in capsys.readouterr().err
 
 
 def test_predict_missing_checkpoint(tmp_path, tiny_pipeline):

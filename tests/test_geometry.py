@@ -127,8 +127,9 @@ def test_geometry_gradients_at_non_kink_points():
         if _near_kink(a, b):
             continue
         bt = T.Tensor([b.c, b.w])
-        err_g = T.grad_check(lambda t: giou_1d_t(t, bt), T.Tensor([a.c, a.w]), 1e-5)
-        err_l = T.grad_check(lambda t: span_l1_t(t, bt), T.Tensor([a.c, a.w]), 1e-5)
+        at = T.Tensor([a.c, a.w], requires_grad=True)
+        err_g = T.grad_check(lambda: giou_1d_t(at, bt), [at], 1e-5)
+        err_l = T.grad_check(lambda: span_l1_t(at, bt), [at], 1e-5)
         assert err_g < 1e-4 and err_l < 1e-4
         checked += 1
 

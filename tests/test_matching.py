@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from spandet.geometry import Interval
+from spandet.geometry import Interval, giou_1d, span_l1
 from spandet.matching import build_match_cost, hungarian
 
 
@@ -86,26 +86,40 @@ def test_column_constant_shift_invariance():
         assert hungarian(cost) == hungarian(shifted)
 
 
+def pair_cost(pred, gt, p):
+    """One-pair cost matrix from the scalar geometry."""
+    return build_match_cost(np.array([[span_l1(pred, gt)]]),
+                            np.array([[giou_1d(pred, gt)]]), np.array([p]), (10.0, 1.0, 4.0))
+
+
 def test_match_cost_same_geometry_full_confidence():
     iv = Interval(0.5, 0.4)
-    cost = build_match_cost([(iv, 1.0)], [iv], (10.0, 1.0, 4.0))
-    assert abs(cost[0, 0] - (-5.0)) < 1e-12      # 10*0 + 1*(-1) + 4*(-1)
+    assert abs(pair_cost(iv, iv, 1.0)[0, 0] - (-5.0)) < 1e-12   # 10*0 + 1*(-1) + 4*(-1)
 
 
 def test_match_cost_zero_confidence():
     iv = Interval(0.5, 0.4)
-    cost = build_match_cost([(iv, 0.0)], [iv], (10.0, 1.0, 4.0))
-    assert abs(cost[0, 0] - (-1.0)) < 1e-12      # class term drops by 4
+    assert abs(pair_cost(iv, iv, 0.0)[0, 0] - (-1.0)) < 1e-12   # class term drops by 4
 
 
 def test_match_cost_disjoint_hand_value():
     pred = Interval(0.1, 0.2)     # [0, 0.2]
     gt = Interval(0.8, 0.4)       # [0.6, 1.0]
-    cost = build_match_cost([(pred, 1.0)], [gt], (10.0, 1.0, 4.0))
     # 10*(|0.1-0.8| + |0.2-0.4|) + 0.4 - 4 = 9 - 3.6
-    assert abs(cost[0, 0] - 5.4) < 1e-12
+    assert abs(pair_cost(pred, gt, 1.0)[0, 0] - 5.4) < 1e-12
+
+
+def test_match_cost_broadcasts_rows_and_columns():
+    l1 = np.array([[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]])
+    giou = np.array([[0.9, -0.1], [0.2, 0.0], [-0.5, 0.7]])
+    probs = np.array([0.25, 0.5, 1.0])
+    cost = build_match_cost(l1, giou, probs, (10.0, 2.0, 4.0))
+    for i in range(3):
+        for j in range(2):
+            assert cost[i, j] == 10.0 * l1[i, j] - 2.0 * giou[i, j] - 4.0 * probs[i]
 
 
 def test_match_cost_rejects_bad_probability():
-    with pytest.raises(ValueError, match="probability"):
-        build_match_cost([(Interval(0.5, 0.4), 1.5)], [Interval(0.5, 0.4)])
+    for bad in (1.5, -0.1, np.nan):
+        with pytest.raises(ValueError, match="probability"):
+            build_match_cost(np.zeros((2, 1)), np.zeros((2, 1)), np.array([0.5, bad]))

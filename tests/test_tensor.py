@@ -160,13 +160,6 @@ def test_log_clamped_at_floor():
     assert np.all(out.data == np.log(1e-12))
 
 
-def test_primitive_forward_dispatch():
-    out = T.primitive_forward("relu", T.Tensor([-1.0, 2.0]))
-    assert np.array_equal(out.data, [0.0, 2.0])
-    with pytest.raises(ValueError, match="unknown primitive"):
-        T.primitive_forward("conv2d", T.Tensor([1.0]))
-
-
 def test_concat_and_slice_roundtrip_grads():
     a = T.Tensor([1.0, 2.0], requires_grad=True)
     b = T.Tensor([3.0], requires_grad=True)
@@ -184,17 +177,32 @@ def test_primitive_gradients_match_finite_differences(name):
     fn = GRAD_CASES[name]
     for seed in range(10):
         aux = make_aux(seed)
-        err = T.grad_check(lambda t: fn(t, aux), T.Tensor(aux["x"]), 1e-5)
+        x = T.Tensor(aux["x"], requires_grad=True)
+        err = T.grad_check(lambda: fn(x, aux), [x], 1e-5)
         assert err < 1e-4, f"{name} seed {seed}: {err}"
 
 
 def test_grad_check_linear_function_is_exact():
-    assert T.grad_check(T.sum_, T.Tensor(np.random.default_rng(0).normal(size=6))) < 1e-10
+    x = T.Tensor(np.random.default_rng(0).normal(size=6), requires_grad=True)
+    assert T.grad_check(lambda: T.sum_(x), [x]) < 1e-10
 
 
 def test_grad_check_rejects_bad_eps():
+    x = T.Tensor([1.0], requires_grad=True)
     with pytest.raises(ValueError):
-        T.grad_check(T.sum_, T.Tensor([1.0]), eps=1e-2)
+        T.grad_check(lambda: T.sum_(x), [x], eps=1e-2)
+
+
+def test_grad_check_zeroes_stale_grads_and_restores_every_value():
+    rng = np.random.default_rng(1)
+    a = T.Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+    b = T.Tensor(rng.normal(size=3), requires_grad=True)
+    before = [a.data.copy(), b.data.copy()]
+    a.grad = np.full((2, 3), 99.0)  # left over from an earlier backward
+    assert T.grad_check(lambda: T.sum_(T.sin(a) * b), [a, b]) < 1e-8
+    assert np.array_equal(a.data, before[0]) and np.array_equal(b.data, before[1])
+    with pytest.raises(ValueError, match="scalar"):
+        T.grad_check(lambda: T.sin(a), [a])
 
 
 def test_float32_optional():

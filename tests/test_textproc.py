@@ -4,8 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spandet.geometry import CharSpan
-from spandet.textproc import (EmbeddingSequence, append_mean_cls,
-                              load_embeddings, load_features, read_embedding_file,
+from spandet.textproc import (append_mean_cls, load_features, read_embedding_file,
                               snap_to_token_bounds, token_positions, tokenize,
                               toy_embed, write_embedding_file)
 
@@ -57,23 +56,22 @@ def test_tokenize_idempotent_offsets():
 
 def test_token_positions_normalized():
     tk = tokenize("ab cd")
-    pos = token_positions(tk, 5)
+    pos = token_positions(tk.offsets, 5)
     assert np.allclose(pos, [0.2, 0.8])
 
 
 def test_toy_embed_deterministic():
     tk = tokenize("same same different")
     e = toy_embed(tk, 16, seed=1)
-    assert np.array_equal(e.vectors[0], e.vectors[1])
-    assert not np.array_equal(e.vectors[0], e.vectors[2])
-    again = toy_embed(tk, 16, seed=1)
-    assert np.array_equal(e.vectors, again.vectors)
+    assert e.shape == (3, 16)
+    assert np.array_equal(e[0], e[1])
+    assert not np.array_equal(e[0], e[2])
+    assert np.array_equal(e, toy_embed(tk, 16, seed=1))
 
 
 def test_toy_embed_seed_changes_table():
     tk = tokenize("word")
-    assert not np.array_equal(toy_embed(tk, 16, seed=1).vectors,
-                              toy_embed(tk, 16, seed=2).vectors)
+    assert not np.array_equal(toy_embed(tk, 16, seed=1), toy_embed(tk, 16, seed=2))
 
 
 def test_toy_embed_dim_floor():
@@ -88,7 +86,7 @@ def test_toy_embed_norms_bounded():
              for _ in range(1000)]
     tk = tokenize(" ".join(words))
     e = toy_embed(tk, 32, seed=3)
-    norms = np.linalg.norm(e.vectors, axis=1)
+    norms = np.linalg.norm(e, axis=1)
     assert norms.min() >= 0.5 and norms.max() <= 2.0
 
 
@@ -109,19 +107,9 @@ def test_embedding_file_roundtrip_bitwise(tmp_path):
     assert np.array_equal(ef.vectors, vec)
     assert ef.offsets == tk.offsets
     assert ef.provenance == "file:finetuned"
-    seq = load_embeddings(path, tk, text="a b c d e f g")
-    assert isinstance(seq, EmbeddingSequence)
-    assert np.array_equal(seq.vectors.astype(np.float32), vec)
-
-
-def test_embedding_file_count_mismatch(tmp_path):
-    vec = np.zeros((10, 8), dtype=np.float32)
-    offsets = [CharSpan(i, i + 1) for i in range(10)]
-    path = tmp_path / "x.emb"
-    write_embedding_file(path, vec, offsets)
-    nine = tokenize("a b c d e f g h i")
-    with pytest.raises(ValueError, match="file has 10.*produced 9"):
-        load_embeddings(path, nine)
+    got, pos = load_features(path, "a b c d e f g")
+    assert got.dtype == np.float64 and np.array_equal(got.astype(np.float32), vec)
+    assert np.array_equal(pos, token_positions(tk.offsets, 13))
 
 
 def test_embedding_file_truncated(tmp_path):
@@ -147,7 +135,7 @@ def test_embedding_sidecar_hash_mismatch(tmp_path):
     path = tmp_path / "x.emb"
     write_embedding_file(path, vec, [CharSpan(0, 1)], text="original")
     with pytest.raises(ValueError, match="hash mismatch"):
-        load_embeddings(path, text="tampered")
+        load_features(path, "tampered")
 
 
 def test_load_features_checks_offsets_against_the_text(tmp_path):

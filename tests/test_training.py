@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,10 +7,9 @@ import pytest
 from spandet import tensor as T
 from spandet import training
 from spandet.data import SynthSpec, synth_generate, synthetic_provider
-from spandet.geometry import Interval, giou_1d_t, span_l1_t
-from spandet.matching import build_match_cost, hungarian
+from spandet.geometry import Interval, clamp_interval, giou_1d_t, span_l1_t
+from spandet.matching import hungarian
 from spandet.model import LayerPrediction, ModelConfig, ModelOutput
-from spandet.nn import module_grad_check
 from spandet.training import (AdamW, LossWeights, NumericalError, TrainConfig,
                               clip_grad_norm, composite_loss, cosine_lr,
                               detection_loss, focal_loss, focal_loss_mean,
@@ -50,8 +50,8 @@ def test_focal_validates_parameters():
 def test_focal_gradient():
     rng = np.random.default_rng(0)
     tg = np.array([1.0, 0.0, 1.0, 0.0])
-    err = T.grad_check(lambda t: focal_loss_mean(t, tg),
-                       T.Tensor(rng.normal(size=4)), 1e-5)
+    x = T.Tensor(rng.normal(size=4), requires_grad=True)
+    err = T.grad_check(lambda: focal_loss_mean(x, tg), [x], 1e-5)
     assert err < 1e-4
 
 
@@ -83,6 +83,36 @@ def test_denoising_always_valid_intervals():
             assert c - w / 2 >= -1e-12 and c + w / 2 <= 1 + 1e-12
 
 
+def make_denoising_per_row(gts, cfg, rng):
+    """Reference: the per-row loop the vectorized draw replaced."""
+    anchors, gt_index = [], []
+    for _ in range(cfg.dn_groups):
+        for j, gt in enumerate(gts):
+            u = rng.uniform(-cfg.dn_center_noise, cfg.dn_center_noise)
+            v = rng.uniform(-cfg.dn_width_noise, cfg.dn_width_noise)
+            noisy = clamp_interval(gt.c + u * gt.w, gt.w * (1.0 + v))
+            anchors.append([noisy.c, noisy.w])
+            gt_index.append(j)
+    return np.array(anchors), np.array(gt_index, dtype=int)
+
+
+def test_denoising_bitwise_equals_per_row_reference():
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        widths = rng.uniform(0.01, 1.0, size=int(rng.integers(1, 5)))
+        gts = [Interval(rng.uniform(w / 2, 1 - w / 2), w) for w in widths]
+        # width noise above 1 drives some widths to the 1e-4 floor
+        cfg = ModelConfig(**{**vars(CFG), "dn_groups": int(rng.integers(1, 6)),
+                             "dn_center_noise": float(rng.uniform(0.0, 1.0)),
+                             "dn_width_noise": float(rng.uniform(0.0, 1.5))})
+        got_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        dnb = make_denoising(gts, cfg, got_rng)
+        anchors, gt_index = make_denoising_per_row(gts, cfg, ref_rng)
+        assert np.array_equal(dnb.anchors, anchors), f"seed {seed}"
+        assert np.array_equal(dnb.gt_index, gt_index), f"seed {seed}"
+        assert got_rng.random() == ref_rng.random()  # the stream goes on the same
+
+
 def test_denoising_empty_cases():
     assert make_denoising([], CFG, np.random.default_rng(0)) is None
     no_dn = ModelConfig(**{**vars(CFG), "dn_groups": 0})
@@ -92,6 +122,7 @@ def test_denoising_empty_cases():
 # -- composite objective ---------------------------------------------------------
 
 
+import oracles
 from oracles import random_instance, reference_objective
 
 
@@ -109,14 +140,14 @@ def test_composite_matches_independent_reference():
 
 
 def composite_loss_per_pair(layer, dn_cw, dn_gt_index, gts, weights=LossWeights()):
-    """Reference objective with one span/gIoU node per pair, summed left to
-    right: the form the gathered objective replaced."""
+    """Reference objective: the match cost from the scalar oracle geometry,
+    one per pair, and one span/gIoU node per pair, summed left to right."""
     cw, logits = layer.cw, layer.logits
-    probs = 1.0 / (1.0 + np.exp(-logits.data))
-    pred_ivs = [(Interval(float(c), float(w)), float(p)) for (c, w), p in zip(cw.data, probs)]
-    pairs = hungarian(build_match_cost(pred_ivs, gts,
-                                       (weights.span, weights.giou, weights.focal)))
     gt_cw = np.array([[g.c, g.w] for g in gts])
+    cost = np.array([[weights.span * oracles.l1(p, g) - weights.giou * oracles.giou(p, g)
+                      - weights.focal * oracles.sig(x) for g in gt_cw]
+                     for p, x in zip(cw.data, logits.data)])
+    pairs = hungarian(cost)
 
     def mean_terms(rows, targets):
         span = giou = None
@@ -138,14 +169,43 @@ def composite_loss_per_pair(layer, dn_cw, dn_gt_index, gts, weights=LossWeights(
             + T.scale(l_dn_giou, weights.dn_giou))
 
 
+def _loss_and_grads(objective, cw, logits, dn, dn_idx, gts):
+    leaves = [T.Tensor(a, requires_grad=True) for a in (cw, logits, dn)]
+    total = objective(LayerPrediction(leaves[0], leaves[1]), leaves[2], dn_idx, gts)
+    total.backward()
+    return float(total.data), [t.grad for t in leaves]
+
+
 def test_gathered_objective_bitwise_equals_per_pair_reference():
-    for seed in range(50):  # the C04 instances
-        cw, logits, dn, dn_idx, gts = random_instance(seed, n=3, m=2)
-        total, _ = composite_loss(LayerPrediction(T.Tensor(cw), T.Tensor(logits)),
-                                  T.Tensor(dn), dn_idx, gts)
-        ref = composite_loss_per_pair(LayerPrediction(T.Tensor(cw), T.Tensor(logits)),
-                                      T.Tensor(dn), dn_idx, gts)
-        assert float(total.data) == float(ref.data), f"seed {seed}"
+    rng = np.random.default_rng(5)
+    instances = [random_instance(seed, n=3, m=2) for seed in range(50)]  # the C04 ones
+    for seed in range(200):
+        n = int(rng.integers(1, 6))
+        # fewer than 8 DN rows: the gathered sums run in order only below 8
+        instances.append(random_instance(1000 + seed, n=n, m=int(rng.integers(1, n + 1)),
+                                         dn_count=int(rng.integers(1, 8))))
+    for k, inst in enumerate(instances):
+        total, grads = _loss_and_grads(lambda *a: composite_loss(*a)[0], *inst)
+        ref, ref_grads = _loss_and_grads(composite_loss_per_pair, *inst)
+        assert total == ref, f"instance {k}"
+        for name, g, want in zip(("cw", "logits", "dn"), grads, ref_grads):
+            assert np.array_equal(g, want), f"instance {k}: {name}"
+
+
+def test_match_probabilities_do_not_overflow(monkeypatch):
+    seen = {}
+    cost = training.build_match_cost
+
+    def spy(l1, giou, probs, weights):
+        seen["probs"] = probs
+        return cost(l1, giou, probs, weights)
+
+    monkeypatch.setattr(training, "build_match_cost", spy)
+    layer = LayerPrediction(T.Tensor([[0.5, 0.2], [0.3, 0.2]]), T.Tensor([-800.0, 0.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        composite_loss(layer, None, None, [Interval(0.5, 0.2)])
+    assert seen["probs"][0] == 0.0 and seen["probs"][1] == 0.5
 
 
 def test_composite_perfect_prediction_hits_focal_floor():
@@ -193,22 +253,12 @@ def test_removing_dn_leaves_learnable_terms_unchanged():
 
 def test_composite_gradient_on_two_query_instance():
     cw, logits, _, _, gts = random_instance(23, n=2, m=1, with_dn=False)
-
-    class Holder:
-        pass
-
-    holder = Holder()
-    holder_params = {"cw": T.Tensor(cw, requires_grad=True),
-                     "logits": T.Tensor(logits, requires_grad=True)}
+    cw_t, logits_t = T.Tensor(cw, requires_grad=True), T.Tensor(logits, requires_grad=True)
 
     def build_loss():
-        layer = LayerPrediction(holder_params["cw"], holder_params["logits"])
-        return composite_loss(layer, None, None, gts)[0]
+        return composite_loss(LayerPrediction(cw_t, logits_t), None, None, gts)[0]
 
-    # reuse the module checker through a minimal duck-typed module
-    holder.parameters = lambda: holder_params
-    holder.zero_grad = lambda: [p.zero_grad() for p in holder_params.values()]
-    assert module_grad_check(holder, build_loss, 1e-5) < 1e-4
+    assert T.grad_check(build_loss, [cw_t, logits_t], 1e-5) < 1e-4
 
 
 def test_weights_validated():
