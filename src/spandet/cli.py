@@ -2,6 +2,8 @@
 precomputation, training, prediction, and evaluation.
 
 Exit codes: 0 success, 2 usage or validation error, 3 numerical failure.
+`predict` names each record it cannot read or fit on stderr, skips it, writes
+every other record, and exits 2 if it skipped any.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ def _provider_for(dataset: str, embeddings: str | None):
         def provide(sample):
             try:
                 return load_features(emb_dir / f"{sample.id}.emb", sample.text)
-            except ValueError as e:
+            except (ValueError, OSError) as e:
                 raise ValueError(f"record {sample.id}: {e}") from e
 
         return provide
@@ -170,17 +172,23 @@ def cmd_predict(args) -> int:
     samples = _load_samples(args.dataset, args.split)
     provider = _provider_for(args.dataset, args.embeddings)
     records = []
+    skipped = 0
     for sample in samples:
-        vectors, positions = provider(sample)
-        check_max_tokens(sample.id, len(vectors), model.cfg.max_tokens)
+        try:
+            vectors, positions = provider(sample)
+            check_max_tokens(sample.id, len(vectors), model.cfg.max_tokens)
+        except ValueError as e:  # one bad record must not abort the run
+            print(f"error: {e} (skipped)", file=sys.stderr)
+            skipped += 1
+            continue
         pred = model.predict(vectors, positions)
         spans = [cw_to_span(iv, len(sample.text)) for iv in pred.intervals]
         records.append({"id": sample.id,
                         "intervals": [[sp.x1, sp.x2] for sp in spans],
                         "scores": [round(s, 6) for s in pred.scores]})
     D.save_predictions(out, records)
-    print(f"wrote {len(records)} prediction records to {out}")
-    return EXIT_OK
+    print(f"wrote {len(records)} prediction records to {out}; {skipped} skipped")
+    return EXIT_USAGE if skipped else EXIT_OK
 
 
 def cmd_eval(args) -> int:

@@ -2,8 +2,9 @@
 
 Centers and widths are fractions of the text length in characters; character
 spans are half-open [x1, x2). The plain-float IoU, gIoU and span L1 are the
-scalar public API; the ``*_t`` variants run on autodiff tensors and give both
-the training losses and the match cost.
+scalar public API. ``span_l1_giou`` computes the same quantities row-wise over
+numpy arrays, with their backward; the training objective takes its loss
+terms, its match cost and its gradients from it.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from . import tensor as T
+import numpy as np
 
 EDGE_TOL = 1e-9
 
@@ -101,20 +102,45 @@ def span_l1(a: Interval, b: Interval) -> float:
     return abs(a.c - b.c) + abs(a.w - b.w)
 
 
-# -- tensor variants (inputs are (..., 2) tensors of (c, w) pairs) -----------
+# -- row-wise arrays with a backward ----------------------------------------
 
 
-def span_l1_t(a: T.Tensor, b: T.Tensor) -> T.Tensor:
-    """Elementwise |c_a-c_b| + |w_a-w_b|; reduces the trailing (c,w) axis."""
-    return T.sum_(T.abs_(a - b), axis=-1)
+def span_l1_giou(a: np.ndarray, b: np.ndarray):
+    """Row-wise span L1, gIoU and IoU of (K, 2) ``(c, w)`` rows `a` against
+    constant rows `b`, and their backward: ``grad(g_l1, g_giou)`` maps (K,)
+    gradients of the L1 and the gIoU to the (K, 2) gradient of `a`.
 
-
-def giou_1d_t(a: T.Tensor, b: T.Tensor) -> T.Tensor:
-    ax1 = a[..., 0] - a[..., 1] * 0.5
-    ax2 = a[..., 0] + a[..., 1] * 0.5
-    bx1 = b[..., 0] - b[..., 1] * 0.5
-    bx2 = b[..., 0] + b[..., 1] * 0.5
-    inter = T.relu(T.minimum(ax2, bx2) - T.maximum(ax1, bx1))
+    The forward runs the float operations of the elementwise tensor chain
+    (slices, min/max, relu, divisions), and ``grad`` replays that chain's
+    backward expressions in tape order, newest consumer first, so both are
+    bitwise the chain's.
+    """
+    ax1 = a[:, 0] - a[:, 1] * 0.5
+    ax2 = a[:, 0] + a[:, 1] * 0.5
+    bx1 = b[:, 0] - b[:, 1] * 0.5
+    bx2 = b[:, 0] + b[:, 1] * 0.5
+    diff = a - b
+    l1 = np.abs(diff).sum(axis=-1)
+    d = np.minimum(ax2, bx2) - np.maximum(ax1, bx1)
+    inter = np.maximum(d, 0.0)
     union = (ax2 - ax1) + (bx2 - bx1) - inter
-    hull = T.maximum(ax2, bx2) - T.minimum(ax1, bx1)
-    return inter / union - (hull - union) / hull
+    hull = np.maximum(ax2, bx2) - np.minimum(ax1, bx1)
+    iou = inter / union
+    hu = hull - union
+    giou = iou - hu / hull
+
+    def grad(g_l1: np.ndarray, g_giou: np.ndarray) -> np.ndarray:
+        g_r2 = g_giou * -1.0  # giou = iou - r2, r2 = hu / hull
+        g_hu = g_r2 / hull
+        g_hull = -g_r2 * hu / (hull * hull) + g_hu
+        g_union = g_hu * -1.0 + -g_giou * inter / (union * union)
+        g_d = (g_giou / union + g_union * -1.0) * (d > 0)
+        # each endpoint: hull min/max first, then the union, then the intersection
+        g_ax1 = (g_hull * -1.0 * (ax1 <= bx1) + g_union * -1.0) + g_d * -1.0 * (ax1 >= bx1)
+        g_ax2 = (g_hull * (ax2 >= bx2) + g_union) + g_d * (ax2 <= bx2)
+        ga = np.empty_like(a)
+        ga[:, 0] = g_ax2 + g_ax1
+        ga[:, 1] = g_ax2 * 0.5 + g_ax1 * -1.0 * 0.5
+        return ga + g_l1[:, None] * np.sign(diff)
+
+    return l1, giou, iou, grad

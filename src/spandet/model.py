@@ -10,7 +10,9 @@ Denoising (DN) queries run through the same layers as one extra block of
 rows. In self-attention every DN row sees the learnable queries plus the rows
 of its own group; a constant block mask hides the other groups. The
 learnable queries run as their own block and never see DN rows, so their
-outputs are bitwise independent of the denoising configuration.
+outputs are bitwise independent of the denoising configuration. Each decoder
+layer projects the memory's cross-attention keys and values once; both
+blocks read them.
 """
 
 from __future__ import annotations
@@ -84,8 +86,8 @@ class EncoderLayer(Module):
 
     def __call__(self, x: T.Tensor, pe: T.Tensor) -> T.Tensor:
         qk = x + pe
-        x = self.ln1(x + self.attn(qk, qk, x))
-        return self.ln2(x + self.ffn(x))
+        x = self.ln1(x, self.attn(qk, qk, x))
+        return self.ln2(x, self.ffn(x))
 
 
 class DecoderLayer(Module):
@@ -109,12 +111,14 @@ class DecoderLayer(Module):
         else:
             k = T.concat([prefix[0], q], axis=0)
             v = T.concat([prefix[1], content], axis=0)
-        return self.ln1(content + self.self_attn(q, k, v, mask))
+        return self.ln1(content, self.self_attn(q, k, v, mask))
 
     def cross_ffn(self, content: T.Tensor, pe_anchor: T.Tensor,
-                  memory: T.Tensor, pe_mem: T.Tensor) -> T.Tensor:
-        content = self.ln2(content + self.cross_attn(content, pe_anchor, memory, pe_mem))
-        return self.ln3(content + self.ffn(content))
+                  memory_kv: tuple[T.Tensor, T.Tensor]) -> T.Tensor:
+        """Cross-attention into the memory's keys and values
+        (``cross_attn.keys_values``), then the FFN sub-layer."""
+        content = self.ln2(content, self.cross_attn(content, pe_anchor, memory_kv))
+        return self.ln3(content, self.ffn(content))
 
 
 class DetectionModel(Module):
@@ -179,13 +183,14 @@ class DetectionModel(Module):
                 content_d = dec.self_block(content_d, content_d + pe_d,
                                            (q_l, content_l), dn_mask)
             content_l = dec.self_block(content_l, q_l)
-            content_l = dec.cross_ffn(content_l, pe_l, memory, pe_mem)
+            kv = dec.cross_attn.keys_values(memory, pe_mem)  # shared with the dn rows
+            content_l = dec.cross_ffn(content_l, pe_l, kv)
             delta_l = self.span_head(content_l)
             anchor_l = anchor_l + delta_l
             layers.append(LayerPrediction(T.sigmoid(anchor_l),
                                           self.class_head(content_l)[:, 0]))
             if use_dn:
-                content_d = dec.cross_ffn(content_d, pe_d, memory, pe_mem)
+                content_d = dec.cross_ffn(content_d, pe_d, kv)
                 anchor_d = anchor_d + self.span_head(content_d)
                 dn_layers.append(T.sigmoid(anchor_d))
 

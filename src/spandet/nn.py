@@ -83,8 +83,9 @@ class LayerNorm(Module):
         self.gain = T.Tensor(np.ones(dim), requires_grad=True)
         self.bias = T.Tensor(np.zeros(dim), requires_grad=True)
 
-    def __call__(self, x: T.Tensor) -> T.Tensor:
-        return T.layer_norm(x, self.gain, self.bias)
+    def __call__(self, x: T.Tensor, residual: T.Tensor | None = None) -> T.Tensor:
+        """Layer norm of ``x``, or of ``x + residual`` when given."""
+        return T.layer_norm(x, self.gain, self.bias, residual)
 
 
 class MultiHeadAttention(Module):
@@ -109,7 +110,9 @@ class MultiHeadAttention(Module):
 
 class ConcatPosAttention(Module):
     """Cross-attention with positional and content parts concatenated per head,
-    keeping their similarity contributions separate."""
+    keeping their similarity contributions separate. The memory's keys and
+    values come from ``keys_values``, once for every query block that reads
+    the same memory."""
 
     def __init__(self, dim: int, heads: int, rng: np.random.Generator):
         if dim % heads:
@@ -122,12 +125,15 @@ class ConcatPosAttention(Module):
         self.wv = Linear(dim, dim, rng)
         self.wo = Linear(dim, dim, rng)
 
+    def keys_values(self, memory: T.Tensor, pos_k: T.Tensor) -> tuple[T.Tensor, T.Tensor]:
+        k = _concat_per_head(self.wk_content(memory), self.wk_pos(pos_k), self.heads)
+        return k, self.wv(memory)
+
     def __call__(self, content_q: T.Tensor, pos_q: T.Tensor,
-                 memory: T.Tensor, pos_k: T.Tensor) -> T.Tensor:
+                 kv: tuple[T.Tensor, T.Tensor]) -> T.Tensor:
         h = self.heads
         q = _concat_per_head(self.wq_content(content_q), self.wq_pos(pos_q), h)
-        k = _concat_per_head(self.wk_content(memory), self.wk_pos(pos_k), h)
-        return self.wo(T.attention(q, k, self.wv(memory), h))
+        return self.wo(T.attention(q, kv[0], kv[1], h))
 
 
 def _concat_per_head(content: T.Tensor, pos: T.Tensor, heads: int) -> T.Tensor:

@@ -3,17 +3,21 @@
 Every operation records itself on the tensors it produces (creation-ordered
 graph = the tape); ``backward`` replays the tape once in reverse creation
 order, accumulating gradients. A node is always created after its parents, so
-that order is topological. Double precision is the default so finite
-difference checks have headroom.
+that order is topological. A first gradient contribution is stored without
+a copy, and interior nodes drop their gradient once passed on: only leaves
+end a backward holding one, never two the same buffer. Double precision is
+the default so finite difference checks have headroom.
 
 The cost of the engine is Python per tape node, not arithmetic, so the
 layers the detector repeats most are fused primitives: one node each, with a
 hand-written backward. ``linear`` is ``x @ w + b``; ``attention`` is
 multi-head scaled-dot attention from the projected q/k/v to the merged
 context, keeping only the probabilities for backward; ``anchor_encode`` is
-the interleaved sin/cos encoding of ``(c, w)`` anchors. Each computes the
-same numpy expressions, in the same order, as the chain of elementary
-primitives it replaces.
+the interleaved sin/cos encoding of ``(c, w)`` anchors; ``layer_norm`` takes
+an optional residual that it adds first. Each computes the same numpy
+expressions, in the same order, as the chain of elementary primitives it
+replaces. ``custom`` makes a node from a value and a caller-written backward;
+the training objective is one.
 
 Inside ``with no_grad():`` operations record no parents and build no
 backward closures; results are constants. Inference uses it, since it never
@@ -117,16 +121,18 @@ class Tensor:
         order = _interior_nodes(self)
         self.grad = np.ones_like(self.data)
         for node in order:  # each interior node exactly once
-            if node.grad is not None:
-                node._backward(node.grad)
+            g, node.grad = node.grad, None  # passed on, so only leaves keep grads
+            if g is not None:
+                node._backward(g)
             node._parents = ()
             node._backward = None
             node._op = "consumed"
-        # intermediate grads stay available; leaves keep theirs for the optimizer
 
     def _accumulate(self, g: np.ndarray) -> None:
+        """Add a gradient contribution. The first one is stored as it is: the
+        caller hands over an array that no other tensor holds."""
         if self.grad is None:
-            self.grad = g.copy() if isinstance(g, np.ndarray) else np.asarray(g)
+            self.grad = g if isinstance(g, np.ndarray) else np.asarray(g)
         else:
             self.grad = self.grad + g
 
@@ -255,7 +261,8 @@ def add(a, b) -> Tensor:
             if a.requires_grad:
                 a._accumulate(_unbroadcast(g, a.shape))
             if b.requires_grad:
-                b._accumulate(_unbroadcast(g, b.shape))
+                gb = _unbroadcast(g, b.shape)
+                b._accumulate(gb.copy() if gb is a.grad else gb)
         return bwd
 
     return _result(data, (a, b), build, "add")
@@ -465,18 +472,25 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     return _result(data, (a,), build, "softmax")
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
-    """Normalize over the last axis, then apply learnable gain and bias.
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor,
+               residual: Tensor | None = None) -> Tensor:
+    """Normalize ``x`` (plus ``residual``, when given) over the last axis,
+    then apply learnable gain and bias.
 
-    eps is tiny (1e-12) so the pre-affine output really has unit variance;
-    it only guards exactly-constant rows.
+    The residual add is part of the node: both inputs receive the gradient
+    the sum would have passed on. eps is tiny (1e-12) so the pre-affine
+    output really has unit variance; it only guards exactly-constant rows.
     """
     x, gain, bias = _wrap(x), _wrap(gain), _wrap(bias)
     d = x.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
         raise ShapeError(f"layer_norm: gain/bias must be ({d},), got {gain.shape}/{bias.shape}")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    xc = x.data - mu
+    ins = (x,) if residual is None else (x, _wrap(residual))
+    if ins[-1].shape != x.shape:
+        raise ShapeError(f"layer_norm: residual {ins[-1].shape} is not x's {x.shape}")
+    xs = x.data if residual is None else x.data + ins[1].data
+    mu = xs.mean(axis=-1, keepdims=True)
+    xc = xs - mu
     var = (xc * xc).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + LAYERNORM_EPS)
     xhat = xc * inv
@@ -490,15 +504,18 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
                 gain._accumulate((g * xhat).reshape(-1, d).sum(axis=0))
             if bias.requires_grad:
                 bias._accumulate(g.reshape(-1, d).sum(axis=0))
-            if x.requires_grad:
+            if any(t.requires_grad for t in ins):
                 gxhat = g * gd
                 # d/dx of (x - mu) * inv with mu, inv functions of the row
                 term = gxhat - gxhat.mean(axis=-1, keepdims=True) \
                     - xhat * (gxhat * xhat).mean(axis=-1, keepdims=True)
-                x._accumulate(term * inv)
+                gx = term * inv
+                for t in ins:  # x, then the residual: the order the sum passed g on
+                    if t.requires_grad:
+                        t._accumulate(gx.copy() if gx is x.grad else gx)
         return bwd
 
-    return _result(data, (x, gain, bias), build, "layer_norm")
+    return _result(data, (x, gain, bias) + ins[1:], build, "layer_norm")
 
 
 def relu(a: Tensor) -> Tensor:
@@ -776,6 +793,20 @@ def anchor_encode(cw, dim: int, temperature: float = 10000.0) -> Tensor:
         return bwd
 
     return _result(data, (cw,), build, "anchor_encode")
+
+
+def custom(data, parents: Sequence[Tensor], vjp: Callable, op: str) -> Tensor:
+    """A node whose backward its caller writes: ``vjp(g)`` maps the node's
+    gradient to one array per parent (None for none), each an array that no
+    tensor holds yet."""
+    def build():
+        def bwd(g):
+            for p, gp in zip(parents, vjp(g)):
+                if p.requires_grad and gp is not None:
+                    p._accumulate(gp)
+        return bwd
+
+    return _result(np.asarray(data), parents, build, op)
 
 
 def grad_check(build_loss: Callable[[], Tensor], tensors: Sequence[Tensor],

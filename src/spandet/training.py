@@ -3,7 +3,13 @@
 The objective is a weighted sum of span L1, gIoU, and focal terms over the
 learnable queries (matched to targets by Hungarian assignment) plus L1/gIoU
 reconstruction terms over the denoising queries, repeated for every decoder
-layer's auxiliary outputs.
+layer's auxiliary outputs. Each layer's objective is one tape node: the
+forward computes every term, the match cost and the assignment in numpy, and
+the hand-written backward replays the backward of the same objective built
+from elementwise tensor ops, so totals and gradients are bitwise that chain's.
+Every ``metrics.jsonl`` record keeps the terms summed over the layers under
+``"train"`` and lists each layer's terms and mean matched IoU under
+``"train_layers"``.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from . import tensor as T
-from .geometry import Interval, giou_1d_t, span_l1_t, span_to_cw
+from .geometry import Interval, span_l1_giou, span_to_cw
 from .matching import build_match_cost, hungarian
 from .model import (ClassifierHead, DetectionModel, LayerPrediction,
                     ModelConfig, ModelOutput, save_detector)
@@ -67,33 +73,42 @@ def make_denoising(gts: list[Interval], cfg: ModelConfig,
                           np.tile(np.arange(len(gts)), cfg.dn_groups), cfg.dn_groups)
 
 
-def _focal_core(logits: T.Tensor, targets: np.ndarray,
-                alpha: float, gamma: float) -> T.Tensor:
-    """Per-element focal loss -alpha_t (1-p_t)^gamma log(p_t)."""
-    p = T.sigmoid(logits)
-    tg = targets
+def _focal(probs: np.ndarray, targets: np.ndarray, alpha: float, gamma: float):
+    """Per-element focal loss -alpha_t (1-p_t)^gamma log(p_t) from foreground
+    probabilities, and its backward: ``grad(g)`` maps per-element gradients
+    to the logits'. The float operations, forward and backward, are those of
+    the elementwise tensor chain (sigmoid, products, powc, clamped log)."""
+    p, tg = probs, targets
     pt = p * tg + (1.0 - p) * (1.0 - tg)
-    at = T.Tensor(alpha * tg + (1.0 - alpha) * (1.0 - tg))
-    return T.scale(at * T.powc(1.0 - pt, gamma) * T.log(pt), -1.0)
+    at = alpha * tg + (1.0 - alpha) * (1.0 - tg)
+    omp = 1.0 - pt
+    atpw = at * omp ** gamma
+    x = np.maximum(pt, T.LOG_EPS)
+    lg = np.log(x)
+
+    def grad(g):
+        g_prod = g * -1.0
+        g_omp = g_prod * lg * at * gamma * omp ** (gamma - 1.0)
+        g_pt = g_prod * atpw * np.where(pt > T.LOG_EPS, 1.0 / x, 0.0) + g_omp * -1.0
+        g_p = g_pt * (1.0 - tg) * -1.0 + g_pt * tg
+        return g_p * p * (1.0 - p)
+
+    return atpw * lg * -1.0, grad
 
 
-def focal_loss(logit, target: int, alpha: float = 0.25, gamma: float = 2.0):
-    """Binary focal loss on one logit; returns a Tensor for Tensor input,
-    a float otherwise. Reduces to weighted cross-entropy at gamma=0."""
+def focal_loss(logit: float, target: int, alpha: float = 0.25, gamma: float = 2.0) -> float:
+    """Binary focal loss on one logit. Reduces to weighted cross-entropy at
+    gamma=0."""
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha {alpha} outside (0, 1)")
     if gamma < 0.0:
         raise ValueError(f"gamma {gamma} must be >= 0")
-    as_tensor = isinstance(logit, T.Tensor)
-    lt = logit if as_tensor else T.Tensor(float(logit))
-    out = _focal_core(lt, np.asarray(float(target)), alpha, gamma)
-    return out if as_tensor else float(out.data)
+    loss, _ = _focal(T.expit(np.array([float(logit)])), np.array([float(target)]),
+                     alpha, float(gamma))
+    return float(loss[0])
 
 
-def focal_loss_mean(logits: T.Tensor, targets: np.ndarray,
-                    alpha: float = 0.25, gamma: float = 2.0) -> T.Tensor:
-    return T.mean(_focal_core(logits, np.asarray(targets, dtype=np.float64),
-                              alpha, gamma))
+TERMS = ("span", "giou", "focal", "dn_span", "dn_giou", "total")
 
 
 def composite_loss(layer: LayerPrediction, dn_cw: T.Tensor | None,
@@ -101,76 +116,84 @@ def composite_loss(layer: LayerPrediction, dn_cw: T.Tensor | None,
                    weights: LossWeights = LossWeights(),
                    alpha: float = 0.25, gamma: float = 2.0,
                    ) -> tuple[T.Tensor, dict[str, float]]:
-    """One decoder layer's weighted objective plus a per-term breakdown.
+    """One decoder layer's weighted objective, as one tape node, plus a
+    per-term breakdown (``TERMS``, and ``"iou"``: the mean IoU of the matched
+    pairs, NaN without targets).
 
     Matching runs over the learnable queries only; denoising queries are
-    paired with their originating targets by construction.
+    paired with their originating targets by construction. Span L1 and gIoU
+    are computed once over every (query, target) pair: the match cost reads
+    them, and the matched terms gather from them. Total and gradients are
+    bitwise those of the same objective built from elementwise tensor ops.
     """
     cw, logits = layer.cw, layer.logits
     n_queries, m = cw.shape[0], len(gts)
     gt_cw = np.array([[g.c, g.w] for g in gts])
-    if gts:
-        # every (query, target) pair once: the match cost reads the values,
-        # the matched loss terms gather from the same nodes
-        pair_cw = cw[np.repeat(np.arange(n_queries), m), :]
-        pair_gt = T.Tensor(np.tile(gt_cw, (n_queries, 1)))
-        l1, giou = span_l1_t(pair_cw, pair_gt), giou_1d_t(pair_cw, pair_gt)
-        cost = build_match_cost(l1.data.reshape(n_queries, m),
-                                giou.data.reshape(n_queries, m), T.expit(logits.data),
-                                (weights.span, weights.giou, weights.focal))
-        pairs = hungarian(cost)
-        rows, cols = np.array(pairs).T
-        matched = rows * m + cols
-        l_span, l_giou = _mean_terms(l1[matched], giou[matched])
-    else:
-        pairs = []
-        l_span = T.Tensor(0.0)
-        l_giou = T.Tensor(0.0)
-
+    probs = T.expit(logits.data)
     targets = np.zeros(n_queries)
-    for i, _ in pairs:
-        targets[i] = 1.0
-    l_focal = focal_loss_mean(logits, targets, alpha, gamma)
+    l_span = l_giou = l_dn_span = l_dn_giou = 0.0
+    mean_iou = math.nan
+    if gts:
+        pair_rows = np.repeat(np.arange(n_queries), m)
+        l1, giou, iou, pair_grad = span_l1_giou(cw.data[pair_rows], np.tile(gt_cw, (n_queries, 1)))
+        cost = build_match_cost(l1.reshape(n_queries, m), giou.reshape(n_queries, m), probs,
+                                (weights.span, weights.giou, weights.focal))
+        rows, cols = np.array(hungarian(cost)).T
+        matched = rows * m + cols
+        targets[rows] = 1.0
+        l_span, l_giou = _mean_terms(l1[matched], giou[matched])
+        mean_iou = float(iou[matched].mean())
+    focal, focal_grad = _focal(probs, targets, alpha, float(gamma))
+    l_focal = focal.mean()
+    use_dn = dn_cw is not None and len(dn_cw.data) > 0
+    if use_dn:
+        dn_l1, dn_giou, _, dn_grad = span_l1_giou(dn_cw.data, gt_cw[dn_gt_index])
+        l_dn_span, l_dn_giou = _mean_terms(dn_l1, dn_giou)
 
-    if dn_cw is not None and len(dn_cw.data):
-        dn_gt = T.Tensor(gt_cw[dn_gt_index])
-        l_dn_span, l_dn_giou = _mean_terms(span_l1_t(dn_cw, dn_gt), giou_1d_t(dn_cw, dn_gt))
-    else:
-        l_dn_span = T.Tensor(0.0)
-        l_dn_giou = T.Tensor(0.0)
+    total = (l_span * weights.span + l_giou * weights.giou + l_focal * weights.focal
+             + l_dn_span * weights.dn_span + l_dn_giou * weights.dn_giou)
 
-    total = (T.scale(l_span, weights.span) + T.scale(l_giou, weights.giou)
-             + T.scale(l_focal, weights.focal)
-             + T.scale(l_dn_span, weights.dn_span)
-             + T.scale(l_dn_giou, weights.dn_giou))
-    breakdown = {"span": float(l_span.data), "giou": float(l_giou.data),
-                 "focal": float(l_focal.data), "dn_span": float(l_dn_span.data),
-                 "dn_giou": float(l_dn_giou.data), "total": float(total.data)}
-    return total, breakdown
+    def vjp(g):
+        g_cw = g_dn = None
+        if gts:  # only the matched pairs receive a gradient
+            inv = 1.0 / len(matched)
+            g_l1, g_giou = np.zeros(len(l1)), np.zeros(len(l1))
+            g_l1[matched] = g * weights.span * inv
+            g_giou[matched] = g * weights.giou * inv * -1.0
+            g_cw = np.zeros_like(cw.data)
+            np.add.at(g_cw, pair_rows, pair_grad(g_l1, g_giou))
+        if use_dn:
+            inv = 1.0 / len(dn_l1)
+            g_dn = dn_grad(np.full(len(dn_l1), g * weights.dn_span * inv),
+                           np.full(len(dn_l1), g * weights.dn_giou * inv * -1.0))
+        return g_cw, focal_grad(g * weights.focal / n_queries), g_dn
+
+    node = T.custom(total, (cw, logits, dn_cw) if use_dn else (cw, logits), vjp, "objective")
+    values = map(float, (l_span, l_giou, l_focal, l_dn_span, l_dn_giou, total))
+    return node, dict(zip(TERMS, values), iou=mean_iou)
 
 
-def _mean_terms(l1: T.Tensor, giou: T.Tensor) -> tuple[T.Tensor, T.Tensor]:
-    """Mean span L1 and mean (1 - gIoU) over k pairs; sum-then-scale equals the
-    sequential per-pair sum bitwise for k < 8 (numpy sums those in order)."""
-    inv = 1.0 / len(l1.data)
-    return T.scale(T.sum_(l1), inv), T.scale(T.sum_(1.0 - giou), inv)
+def _mean_terms(l1: np.ndarray, giou: np.ndarray) -> tuple[float, float]:
+    """Mean span L1 and mean (1 - gIoU) over k pairs, summed then scaled."""
+    inv = 1.0 / len(l1)
+    return l1.sum() * inv, (1.0 - giou).sum() * inv
 
 
 def detection_loss(out: ModelOutput, gts: list[Interval],
                    weights: LossWeights = LossWeights(),
                    alpha: float = 0.25, gamma: float = 2.0,
-                   ) -> tuple[T.Tensor, dict[str, float]]:
-    """Sum of the composite objective over the final and auxiliary layers."""
+                   ) -> tuple[T.Tensor, list[dict[str, float]]]:
+    """Sum of the composite objective over the auxiliary and final layers,
+    and each layer's breakdown, in decoder order."""
     total = None
-    agg: dict[str, float] = {}
+    layers = []
     for li, layer in enumerate(out.layers):
         dn_cw = out.dn_layers[li] if out.dn_layers else None
         t, terms = composite_loss(layer, dn_cw, out.dn_gt_index, gts,
                                   weights, alpha, gamma)
         total = t if total is None else total + t
-        for k, v in terms.items():
-            agg[k] = agg.get(k, 0.0) + v
-    return total, agg
+        layers.append(terms)
+    return total, layers
 
 
 # -- optimizer and schedule ---------------------------------------------------
@@ -278,6 +301,15 @@ def _prepare(samples, provider, max_tokens: int) -> dict:
     return cache
 
 
+def _layer_means(terms: list[dict[str, float]]) -> dict:
+    """One decoder layer's terms averaged over the epoch's samples; "iou"
+    over the samples that had targets (None if none had)."""
+    ious = [t["iou"] for t in terms if not math.isnan(t["iou"])]
+    means = {k: sum(t[k] for t in terms) / len(terms) for k in TERMS}
+    means["iou"] = sum(ious) / len(ious) if ious else None
+    return means
+
+
 def train(split, provider: Provider, model_cfg: ModelConfig,
           train_cfg: TrainConfig = TrainConfig(),
           weights: LossWeights = LossWeights(),
@@ -319,7 +351,7 @@ def train(split, provider: Provider, model_cfg: ModelConfig,
     step = 0
     for epoch in range(1, train_cfg.epochs + 1):
         order = rng.permutation(n)
-        term_sums: dict[str, float] = {}
+        epoch_terms: list[list[dict[str, float]]] = []   # per sample, per layer
         norms: list[float] = []
         lr = train_cfg.lr
         for b in range(batches_per_epoch):
@@ -330,14 +362,13 @@ def train(split, provider: Provider, model_cfg: ModelConfig,
                 vec, pos, gts = cache[s.id]
                 dnb = make_denoising(gts, model_cfg, rng)
                 out = model.forward(vec, pos, dnb)
-                loss, terms = detection_loss(out, gts, weights,
-                                             train_cfg.focal_alpha,
-                                             train_cfg.focal_gamma)
+                loss, layer_terms = detection_loss(out, gts, weights,
+                                                   train_cfg.focal_alpha,
+                                                   train_cfg.focal_gamma)
                 if not math.isfinite(float(loss.data)):
                     raise NumericalError(f"non-finite loss at epoch {epoch}")
                 loss.backward()
-                for k, v in terms.items():
-                    term_sums[k] = term_sums.get(k, 0.0) + v
+                epoch_terms.append(layer_terms)
             inv = 1.0 / len(idxs)
             for p in params.values():
                 if p.grad is not None:
@@ -351,7 +382,11 @@ def train(split, provider: Provider, model_cfg: ModelConfig,
             opt.step(lr)
 
         record = {"epoch": epoch, "lr": lr,
-                  "train": {k: v / n for k, v in term_sums.items()},
+                  # terms summed over the decoder layers, then averaged
+                  "train": {k: sum(sum(t[k] for t in s) for s in epoch_terms) / n
+                            for k in TERMS},
+                  "train_layers": [_layer_means([s[li] for s in epoch_terms])
+                                   for li in range(model_cfg.dec_layers)],
                   # pre-clip norms of the epoch's steps; clip_frac is the
                   # share of steps that clip_grad_norm rescaled
                   "grad_norm": {"min": min(norms), "median": statistics.median(norms),

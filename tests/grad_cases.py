@@ -4,6 +4,9 @@ shared by the unit tests and the acceptance gradient sweep."""
 import numpy as np
 
 from spandet import tensor as T
+from spandet.geometry import Interval
+from spandet.model import LayerPrediction
+from spandet.training import composite_loss
 
 
 def make_aux(seed):
@@ -19,6 +22,8 @@ def make_aux(seed):
         "w32": T.Tensor(rng.normal(size=(3, 2))),
         "row": T.Tensor(rng.normal(size=(1, 4))),
         "w68": T.Tensor(rng.normal(size=(6, 8))),
+        "gts": [Interval(rng.uniform(w / 2, 1 - w / 2), w)
+                for w in rng.uniform(0.1, 0.6, size=2)],
     }
 
 
@@ -62,4 +67,10 @@ GRAD_CASES = {
                     T.concat([a["row"], t], axis=0), 2, BLOCK_MASK) * a["w"]),
     "anchor_encode": lambda t, a: T.sum_(
         T.anchor_encode(T.reshape(t, (6, 2)), 8, 100.0) * a["w68"]),
+    "layer_norm_residual": lambda t, a: T.sum_(
+        T.layer_norm(t, a["gain"], a["bias"], T.sin(t)) * a["w"]),
+    # one decoder layer's objective: 4 queries matched to 2 targets, 4 dn rows
+    "objective": lambda t, a: composite_loss(
+        LayerPrediction(T.sigmoid(T.reshape(t[0:2, :], (4, 2))), t[2, :]),
+        T.sigmoid(T.reshape(t[1:3, :] * 0.5, (4, 2))), np.array([0, 1, 0, 1]), a["gts"])[0],
 }

@@ -20,6 +20,7 @@ from grad_cases import GRAD_CASES, make_aux
 from oracles import random_instance, reference_objective
 
 from spandet import tensor as T
+from spandet import training
 from spandet.cli import main as cli_main
 from spandet.data import (SynthSpec, split_sentences, synth_generate,
                           synthetic_provider)
@@ -90,9 +91,12 @@ def test_c01_gradient_fidelity():
 
 def _min_kink_distance(fn):
     """Distance of the closest relu/abs/max/min argument from its kink during
-    one evaluation; finite differences are only meaningful away from kinks."""
+    one evaluation; finite differences are only meaningful away from kinks.
+    The objective's kinks count too: its |pred - target| coordinates, the
+    endpoint ties of gIoU's min/max, and the intersection at 0."""
     dist = [np.inf]
-    orig = {"relu": T.relu, "abs_": T.abs_, "maximum": T.maximum, "minimum": T.minimum}
+    orig = {"relu": T.relu, "abs_": T.abs_, "maximum": T.maximum, "minimum": T.minimum,
+            "pairs": training.span_l1_giou}
 
     def unary_spy(name):
         def spy(a):
@@ -107,13 +111,23 @@ def _min_kink_distance(fn):
             return orig[name](a, b)
         return spy
 
+    def pairs_spy(a, b):
+        ax1, ax2 = a[:, 0] - a[:, 1] * 0.5, a[:, 0] + a[:, 1] * 0.5
+        bx1, bx2 = b[:, 0] - b[:, 1] * 0.5, b[:, 0] + b[:, 1] * 0.5
+        inter = np.minimum(ax2, bx2) - np.maximum(ax1, bx1)
+        for gap in (a - b, ax1 - bx1, ax2 - bx2, inter):
+            dist[0] = min(dist[0], float(np.abs(gap).min()))
+        return orig["pairs"](a, b)
+
     T.relu, T.abs_ = unary_spy("relu"), unary_spy("abs_")
     T.maximum, T.minimum = binary_spy("maximum"), binary_spy("minimum")
+    training.span_l1_giou = pairs_spy
     try:
         fn()
     finally:
         T.relu, T.abs_ = orig["relu"], orig["abs_"]
         T.maximum, T.minimum = orig["maximum"], orig["minimum"]
+        training.span_l1_giou = orig["pairs"]
     return dist[0]
 
 

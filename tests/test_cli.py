@@ -193,6 +193,8 @@ def test_embeddings_that_do_not_fit_their_text_exit_2(tiny_pipeline, tmp_path, c
     assert main(predict + ["--dataset", str(cut)]) == 2
     err = capsys.readouterr().err
     assert f"record {victim.id}" in err and "hash mismatch" in err
+    written = list(load_predictions(tmp_path / "p.jsonl"))
+    assert written == [s.id for s in split.test[1:]]
     # without the hash sidecar, the offsets past the end of the text show it
     (emb / f"{victim.id}.emb.sha256").unlink()
     assert main(predict + ["--dataset", str(cut)]) == 2
@@ -219,6 +221,9 @@ def test_records_over_max_tokens_exit_2_naming_the_record(tiny_pipeline, tmp_pat
                  "--dataset", str(long), "--out", str(tmp_path / "p.jsonl")])
     assert code == 2
     assert f"record {victim.id}: 81 tokens exceed max_tokens 64" in capsys.readouterr().err
+    # the run goes on: every other record is written
+    written = list(load_predictions(tmp_path / "p.jsonl"))
+    assert written == [s.id for s in split.test if s.id != victim.id]
 
 
 def test_predict_missing_checkpoint(tmp_path, tiny_pipeline):

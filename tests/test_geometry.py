@@ -5,8 +5,9 @@ from hypothesis import strategies as st
 
 from spandet import tensor as T
 from spandet.geometry import (CharSpan, Interval, clamp_interval, cw_to_span,
-                              giou_1d, giou_1d_t, iou_1d, span_l1, span_l1_t,
-                              span_to_cw)
+                              giou_1d, iou_1d, span_l1, span_l1_giou, span_to_cw)
+
+from composed import giou_1d_t, span_l1_t
 
 
 def test_cw_to_span_examples():
@@ -144,3 +145,20 @@ def test_vectorized_tensor_geometry():
     for i, (p, q) in enumerate(pairs):
         assert abs(gi[i] - giou_1d(p, q)) < 1e-12
         assert abs(l1[i] - span_l1(p, q)) < 1e-12
+
+
+def test_row_geometry_bitwise_equals_the_tensor_chain():
+    rng = np.random.default_rng(6)
+    pairs = [(_random_interval(rng), _random_interval(rng)) for _ in range(200)]
+    pairs += [(p, p) for p, _ in pairs[:5]]  # ties at every kink
+    a = np.array([[p.c, p.w] for p, _ in pairs])
+    b = np.array([[q.c, q.w] for _, q in pairs])
+    g_l1, g_giou = rng.normal(size=(2, len(pairs)))
+    l1, giou, iou, grad = span_l1_giou(a, b)
+    at = T.Tensor(a, requires_grad=True)
+    l1_t, giou_t = span_l1_t(at, T.Tensor(b)), giou_1d_t(at, T.Tensor(b))
+    (T.sum_(l1_t * T.Tensor(g_l1)) + T.sum_(giou_t * T.Tensor(g_giou))).backward()
+    assert np.array_equal(l1, l1_t.data) and np.array_equal(giou, giou_t.data)
+    assert np.array_equal(grad(g_l1, g_giou), at.grad)
+    for (p, q), got in zip(pairs, iou):
+        assert abs(got - iou_1d(p, q)) < 1e-12

@@ -252,10 +252,10 @@ def forward_per_group(m, vectors, positions, dn):
                                              content_d[rows, :] + pe_d[rows, :], prefix)
                               for rows in groups], axis=0)
         content_l = dec.cross_ffn(dec.self_block(content_l, content_l + pe_l),
-                                  pe_l, memory, pe_mem)
+                                  pe_l, dec.cross_attn.keys_values(memory, pe_mem))
         anchor_l = anchor_l + m.span_head(content_l)
         layers.append(LayerPrediction(T.sigmoid(anchor_l), m.class_head(content_l)[:, 0]))
-        content_d = dec.cross_ffn(content_d, pe_d, memory, pe_mem)
+        content_d = dec.cross_ffn(content_d, pe_d, dec.cross_attn.keys_values(memory, pe_mem))
         anchor_d = anchor_d + m.span_head(content_d)
         dn_layers.append(T.sigmoid(anchor_d))
     return ModelOutput(layers, dn_layers, dn.gt_index)
@@ -418,7 +418,7 @@ def test_concat_pos_attention_matches_composed_reference(seed):
     attn = ConcatPosAttention(16, 4, rng)
     cq, pq, mem, pk = leaf(rng, 3, 16), leaf(rng, 3, 16), leaf(rng, 9, 16), leaf(rng, 9, 16)
     leaves = [cq, pq, mem, pk] + list(attn.parameters().values())
-    assert_fused_matches_reference(lambda: attn(cq, pq, mem, pk),
+    assert_fused_matches_reference(lambda: attn(cq, pq, attn.keys_values(mem, pk)),
                                    lambda: concat_pos_ref(attn, cq, pq, mem, pk),
                                    leaves, seed)
 
@@ -451,10 +451,10 @@ def test_tape_node_counts_at_the_c08_config():
     m = DetectionModel(cfg, seed=0)
     vec, pos = rand_input(n=60, d=32, seed=1)
     out = m.forward(vec, pos)
-    assert tape_nodes([t for layer in out.layers for t in (layer.cw, layer.logits)]) <= 320
+    assert tape_nodes([t for layer in out.layers for t in (layer.cw, layer.logits)]) <= 300
     gts = [Interval(0.6, 0.5)]
     out = m.forward(vec, pos, make_denoising(gts, cfg, np.random.default_rng(2)))
-    assert tape_nodes([detection_loss(out, gts)[0]]) <= 800
+    assert tape_nodes([detection_loss(out, gts)[0]]) <= 400
 
 
 def test_predict_builds_no_tape_and_matches_the_taped_forward():

@@ -134,6 +134,43 @@ def test_gradient_accumulates_across_backwards():
     assert x.grad == 8.0  # 4 + 4, fresh tape per forward
 
 
+def test_leaf_gradients_never_share_a_buffer():
+    rng = np.random.default_rng(3)
+    p, q, s = (T.Tensor(rng.normal(size=(2, 3)), requires_grad=True) for _ in range(3))
+    r = T.Tensor(rng.normal(size=(3, 2)), requires_grad=True)
+    w = rng.normal(size=(6, 3))
+    # add hands one gradient to two parents; reshape and concat pass views on
+    y = T.concat([p + q, T.reshape(r, (2, 3)), s], axis=0)
+    T.sum_(y * T.Tensor(w)).backward()
+    leaves = (p, q, r, s)
+    for i, a in enumerate(leaves):
+        for b in leaves[i + 1:]:
+            assert not np.shares_memory(a.grad, b.grad)
+    assert y.grad is None  # interior nodes pass their gradient on and drop it
+    p.grad[0, 0] = np.nan
+    assert np.array_equal(q.grad, w[:2])
+    assert np.array_equal(r.grad, w[2:4].reshape(3, 2))
+    assert np.array_equal(s.grad, w[4:])
+
+
+def test_layer_norm_residual_bitwise_equals_the_sum():
+    rng = np.random.default_rng(4)
+    xv, rv = rng.normal(size=(2, 5, 8)) * 3
+    gv, bv = rng.normal(size=(2, 8))
+    w = T.Tensor(rng.normal(size=(5, 8)))
+    results = []
+    for fused in (True, False):
+        x, r, g, b = (T.Tensor(v, requires_grad=True) for v in (xv, rv, gv, bv))
+        out = T.layer_norm(x, g, b, r) if fused else T.layer_norm(x + r, g, b)
+        T.sum_(out * w).backward()
+        results.append([out.data] + [t.grad for t in (x, g, b, r)])
+        assert not np.shares_memory(x.grad, r.grad)
+    for got, want in zip(*results):
+        assert np.array_equal(got, want)
+    with pytest.raises(T.ShapeError, match="residual"):
+        T.layer_norm(x, g, b, T.Tensor(np.ones((5, 4))))
+
+
 def test_softmax_rows_sum_to_one():
     rng = np.random.default_rng(1)
     out = T.softmax(T.Tensor(rng.normal(size=(5, 7)) * 10), axis=-1)

@@ -7,13 +7,14 @@ import pytest
 from spandet import tensor as T
 from spandet import training
 from spandet.data import SynthSpec, synth_generate, synthetic_provider
-from spandet.geometry import Interval, clamp_interval, giou_1d_t, span_l1_t
+from spandet.geometry import Interval, clamp_interval
 from spandet.matching import hungarian
 from spandet.model import LayerPrediction, ModelConfig, ModelOutput
 from spandet.training import (AdamW, LossWeights, NumericalError, TrainConfig,
                               clip_grad_norm, composite_loss, cosine_lr,
-                              detection_loss, focal_loss, focal_loss_mean,
-                              make_denoising, train)
+                              detection_loss, focal_loss, make_denoising, train)
+
+from composed import focal_loss_mean, giou_1d_t, span_l1_t
 
 CFG = ModelConfig(d_model=16, hidden=16, heads=4, ffn_mult=2, enc_layers=1,
                   dec_layers=1, num_queries=3, max_tokens=64,
@@ -231,6 +232,17 @@ def test_composite_no_targets_only_background_focal():
     assert abs(float(total.data) - 4.0 * want) < 1e-12
 
 
+def test_breakdown_reports_the_matched_iou():
+    gts = [Interval(0.3, 0.2), Interval(0.7, 0.2)]
+    cw = np.array([[0.3, 0.2], [0.5, 0.1], [0.75, 0.2]])
+    layer = LayerPrediction(T.Tensor(cw), T.Tensor([3.0, -3.0, 3.0]))
+    _, terms = composite_loss(layer, None, None, gts)
+    # query 0 covers target 0 exactly; query 2 overlaps target 1 on [0.65, 0.8]
+    assert terms["iou"] == pytest.approx((1.0 + 0.15 / 0.25) / 2, abs=1e-12)
+    _, terms = composite_loss(layer, None, None, [])
+    assert math.isnan(terms["iou"])
+
+
 def test_objective_linear_in_weights():
     cw, logits, dn, dn_idx, gts = random_instance(99)
     layer = LayerPrediction(T.Tensor(cw), T.Tensor(logits))
@@ -383,6 +395,33 @@ def test_log_records_preclip_gradient_norms_and_clip_fraction(monkeypatch, grad_
                                     "max": max(mine)}
         assert rec["clip_frac"] == sum(x > grad_clip for x in mine) / steps
     assert res.log[0]["clip_frac"] == (1.0 if grad_clip == 0.1 else 0.0)
+
+
+def test_log_records_each_decoder_layers_terms_and_matched_iou(monkeypatch):
+    split, prov = small_corpus(n=24)
+    seen = []
+    loss_fn = training.detection_loss
+
+    def record(out, *args):
+        result = loss_fn(out, *args)
+        if result[0].requires_grad:  # a training sample, not validation
+            seen.append(result[1])
+        return result
+
+    monkeypatch.setattr(training, "detection_loss", record)
+    res = train(split, prov, ModelConfig(**{**SMALL_MODEL, "dec_layers": 2}),
+                TrainConfig(epochs=1, batch_size=8, seed=0))
+    rec = res.log[0]
+    assert len(seen) == len(split.train) and len(rec["train_layers"]) == 2
+    for li, layer in enumerate(rec["train_layers"]):
+        for k in training.TERMS:
+            assert layer[k] == sum(s[li][k] for s in seen) / len(seen)
+        ious = [s[li]["iou"] for s in seen if not math.isnan(s[li]["iou"])]
+        assert ious and layer["iou"] == sum(ious) / len(ious)
+        assert 0.0 <= layer["iou"] <= 1.0
+    for k in training.TERMS:  # the summed "train" terms stay as they were
+        assert rec["train"][k] == sum(sum(t[k] for t in s) for s in seen) / len(seen)
+        assert abs(rec["train"][k] - sum(l[k] for l in rec["train_layers"])) < 1e-9
 
 
 def test_training_rejects_empty_dataset():
