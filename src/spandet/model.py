@@ -233,7 +233,14 @@ class ClassifierHead(Module):
         return self.lin2(T.relu(self.lin1(cls_row)))[0, :]
 
     def classify(self, vectors: np.ndarray) -> np.ndarray:
-        return T.softmax(self.logits(vectors)).data
+        with T.no_grad():
+            return softmax(self.logits(vectors).data)
+
+
+def softmax(z: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis, shifted by the maximum so exp cannot overflow."""
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 # -- checkpoints --------------------------------------------------------------

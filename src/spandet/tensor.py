@@ -8,16 +8,19 @@ a copy, and interior nodes drop their gradient once passed on: only leaves
 end a backward holding one, never two the same buffer. Double precision is
 the default so finite difference checks have headroom.
 
-The cost of the engine is Python per tape node, not arithmetic, so the
-layers the detector repeats most are fused primitives: one node each, with a
-hand-written backward. ``linear`` is ``x @ w + b``; ``attention`` is
-multi-head scaled-dot attention from the projected q/k/v to the merged
-context, keeping only the probabilities for backward; ``anchor_encode`` is
-the interleaved sin/cos encoding of ``(c, w)`` anchors; ``layer_norm`` takes
-an optional residual that it adds first. Each computes the same numpy
-expressions, in the same order, as the chain of elementary primitives it
-replaces. ``custom`` makes a node from a value and a caller-written backward;
-the training objective is one.
+The cost of the engine is Python per tape node, not arithmetic, so it holds
+only the ops the detector calls, and the layers it repeats are fused: one
+node each, with a hand-written backward. ``linear`` is ``x @ w + b``;
+``attention`` is multi-head scaled-dot attention from the projected q/k/v to
+the merged context, keeping only the probabilities for backward;
+``anchor_encode`` is the interleaved sin/cos encoding of ``(c, w)`` anchors;
+``layer_norm`` takes an optional residual that it adds first. The rest are
+``sigmoid``, ``relu``, ``add`` and the structural ``concat``, ``reshape`` and
+``slice_``. ``custom`` makes a node from a value and a caller-written
+backward; the training objective and the classifier's cross-entropy are
+one each. The elementary ops the fused ones replaced (products, matmul,
+reductions, softmax, log, ...) live in the tests as reference ops built on
+``custom``, and the fused ones are pinned to their chains there.
 
 Inside ``with no_grad():`` operations record no parents and build no
 backward closures; results are constants. Inference uses it, since it never
@@ -65,7 +68,7 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         if isinstance(data, Tensor):
-            raise TypeError("Tensor(data) does not accept a Tensor; use .clone semantics explicitly")
+            raise TypeError("Tensor(data) does not accept a Tensor; pass its .data instead")
         arr = np.asarray(data)
         if dtype is not None:
             arr = arr.astype(dtype)
@@ -95,9 +98,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data)
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy(), requires_grad=False, dtype=self.data.dtype)
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -144,41 +144,8 @@ class Tensor:
     def __radd__(self, other):
         return add(_wrap(other, self), self)
 
-    def __sub__(self, other):
-        return add(self, scale(_wrap(other, self), -1.0))
-
-    def __rsub__(self, other):
-        return add(_wrap(other, self), scale(self, -1.0))
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(_wrap(other, self), self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __getitem__(self, idx):
         return slice_(self, idx)
-
-    def sum(self, axis=None):
-        return sum_(self, axis)
-
-    def mean(self, axis=None):
-        return mean(self, axis)
-
-    def reshape(self, *shape):
-        return reshape(self, shape if len(shape) > 1 or isinstance(shape[0], int) else shape[0])
-
-    def transpose(self, axes=None):
-        return transpose(self, axes)
 
 
 def _interior_nodes(root: Tensor) -> list[Tensor]:
@@ -268,80 +235,6 @@ def add(a, b) -> Tensor:
     return _result(data, (a, b), build, "add")
 
 
-def mul(a, b) -> Tensor:
-    a, b = _wrap(a), _wrap(b, a)
-    _check_elementwise("mul", a, b)
-    data = a.data * b.data
-
-    def build():
-        ad, bd = a.data, b.data
-
-        def bwd(g):
-            if a.requires_grad:
-                a._accumulate(_unbroadcast(g * bd, a.shape))
-            if b.requires_grad:
-                b._accumulate(_unbroadcast(g * ad, b.shape))
-        return bwd
-
-    return _result(data, (a, b), build, "mul")
-
-
-def div(a, b) -> Tensor:
-    a, b = _wrap(a), _wrap(b, a)
-    _check_elementwise("div", a, b)
-    data = a.data / b.data
-
-    def build():
-        ad, bd = a.data, b.data
-
-        def bwd(g):
-            if a.requires_grad:
-                a._accumulate(_unbroadcast(g / bd, a.shape))
-            if b.requires_grad:
-                b._accumulate(_unbroadcast(-g * ad / (bd * bd), b.shape))
-        return bwd
-
-    return _result(data, (a, b), build, "div")
-
-
-def scale(a: Tensor, s: float) -> Tensor:
-    a = _wrap(a)
-    s = float(s)
-    data = a.data * s
-
-    def build():
-        def bwd(g):
-            a._accumulate(g * s)
-        return bwd
-
-    return _result(data, (a,), build, "scale")
-
-
-def matmul(a, b) -> Tensor:
-    a, b = _wrap(a), _wrap(b, a)
-    if a.ndim == 2 and b.ndim == 2:
-        if a.shape[1] != b.shape[0]:
-            raise ShapeError(f"matmul: shapes {a.shape} and {b.shape} are not compatible")
-    elif a.ndim == 3 and b.ndim == 3:
-        if a.shape[0] != b.shape[0] or a.shape[2] != b.shape[1]:
-            raise ShapeError(f"matmul: shapes {a.shape} and {b.shape} are not compatible")
-    else:
-        raise ShapeError(f"matmul: expected 2D@2D or 3D@3D, got {a.shape} @ {b.shape}")
-    data = a.data @ b.data
-
-    def build():
-        ad, bd = a.data, b.data
-
-        def bwd(g):
-            if a.requires_grad:
-                a._accumulate(g @ np.swapaxes(bd, -1, -2))
-            if b.requires_grad:
-                b._accumulate(np.swapaxes(ad, -1, -2) @ g)
-        return bwd
-
-    return _result(data, (a, b), build, "matmul")
-
-
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     tensors = [_wrap(t) for t in tensors]
     if not tensors:
@@ -392,84 +285,6 @@ def reshape(a: Tensor, shape) -> Tensor:
         return bwd
 
     return _result(data, (a,), build, "reshape")
-
-
-def transpose(a: Tensor, axes=None) -> Tensor:
-    a = _wrap(a)
-    data = np.transpose(a.data, axes)
-
-    def build():
-        inv = None if axes is None else np.argsort(axes)
-
-        def bwd(g):
-            a._accumulate(np.transpose(g, inv))
-        return bwd
-
-    return _result(data, (a,), build, "transpose")
-
-
-def sum_(a: Tensor, axis=None) -> Tensor:
-    a = _wrap(a)
-    data = np.asarray(a.data.sum(axis=axis))
-
-    def build():
-        shape = a.shape
-
-        def bwd(g):
-            a._accumulate(np.broadcast_to(_expand(g, shape, axis), shape).copy())
-        return bwd
-
-    return _result(data, (a,), build, "sum")
-
-
-def mean(a: Tensor, axis=None) -> Tensor:
-    a = _wrap(a)
-    data = np.asarray(a.data.mean(axis=axis))
-
-    def build():
-        shape = a.shape
-        n = a.size if axis is None else np.prod([shape[i] for i in _axes(axis, len(shape))])
-
-        def bwd(g):
-            a._accumulate(np.broadcast_to(_expand(g, shape, axis), shape) / n)
-        return bwd
-
-    return _result(data, (a,), build, "mean")
-
-
-def _axes(axis, ndim) -> tuple[int, ...]:
-    if axis is None:
-        return tuple(range(ndim))
-    if isinstance(axis, int):
-        return (axis % ndim,)
-    return tuple(ax % ndim for ax in axis)
-
-
-def _expand(g: np.ndarray, shape: tuple[int, ...], axis) -> np.ndarray:
-    if axis is None:
-        return np.asarray(g)
-    for ax in sorted(_axes(axis, len(shape))):
-        g = np.expand_dims(g, ax)
-    return g
-
-
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    a = _wrap(a)
-    if not -a.ndim <= axis < a.ndim:
-        raise ShapeError(f"softmax: axis {axis} out of range for shape {a.shape}")
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    data = e / e.sum(axis=axis, keepdims=True)
-
-    def build():
-        y = data
-
-        def bwd(g):
-            dot = (g * y).sum(axis=axis, keepdims=True)
-            a._accumulate((g - dot) * y)
-        return bwd
-
-    return _result(data, (a,), build, "softmax")
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor,
@@ -550,141 +365,6 @@ def sigmoid(a: Tensor) -> Tensor:
         return bwd
 
     return _result(data, (a,), build, "sigmoid")
-
-
-def inverse_sigmoid(a: Tensor) -> Tensor:
-    """Logit with input clamped to [1e-6, 1-1e-6]; clamped coords get zero grad."""
-    a = _wrap(a)
-    x = np.clip(a.data, LOGIT_EPS, 1.0 - LOGIT_EPS)
-    data = np.log(x) - np.log1p(-x)
-
-    def build():
-        interior = (a.data > LOGIT_EPS) & (a.data < 1.0 - LOGIT_EPS)
-        dydx = np.where(interior, 1.0 / (x * (1.0 - x)), 0.0)
-
-        def bwd(g):
-            a._accumulate(g * dydx)
-        return bwd
-
-    return _result(data, (a,), build, "inverse_sigmoid")
-
-
-def exp(a: Tensor) -> Tensor:
-    a = _wrap(a)
-    data = np.exp(a.data)
-
-    def build():
-        y = data
-
-        def bwd(g):
-            a._accumulate(g * y)
-        return bwd
-
-    return _result(data, (a,), build, "exp")
-
-
-def log(a: Tensor) -> Tensor:
-    """Natural log with the argument clamped at 1e-12 (zero grad below the clamp)."""
-    a = _wrap(a)
-    x = np.maximum(a.data, LOG_EPS)
-    data = np.log(x)
-
-    def build():
-        dydx = np.where(a.data > LOG_EPS, 1.0 / x, 0.0)
-
-        def bwd(g):
-            a._accumulate(g * dydx)
-        return bwd
-
-    return _result(data, (a,), build, "log")
-
-
-def sin(a: Tensor) -> Tensor:
-    a = _wrap(a)
-    data = np.sin(a.data)
-
-    def build():
-        def bwd(g):
-            a._accumulate(g * np.cos(a.data))
-        return bwd
-
-    return _result(data, (a,), build, "sin")
-
-
-def cos(a: Tensor) -> Tensor:
-    a = _wrap(a)
-    data = np.cos(a.data)
-
-    def build():
-        def bwd(g):
-            a._accumulate(-g * np.sin(a.data))
-        return bwd
-
-    return _result(data, (a,), build, "cos")
-
-
-def maximum(a, b) -> Tensor:
-    a, b = _wrap(a), _wrap(b, a)
-    _check_elementwise("maximum", a, b)
-    data = np.maximum(a.data, b.data)
-
-    def build():
-        amask = a.data >= b.data  # ties feed the first argument
-
-        def bwd(g):
-            if a.requires_grad:
-                a._accumulate(_unbroadcast(g * amask, a.shape))
-            if b.requires_grad:
-                b._accumulate(_unbroadcast(g * ~amask, b.shape))
-        return bwd
-
-    return _result(data, (a, b), build, "maximum")
-
-
-def minimum(a, b) -> Tensor:
-    a, b = _wrap(a), _wrap(b, a)
-    _check_elementwise("minimum", a, b)
-    data = np.minimum(a.data, b.data)
-
-    def build():
-        amask = a.data <= b.data
-
-        def bwd(g):
-            if a.requires_grad:
-                a._accumulate(_unbroadcast(g * amask, a.shape))
-            if b.requires_grad:
-                b._accumulate(_unbroadcast(g * ~amask, b.shape))
-        return bwd
-
-    return _result(data, (a, b), build, "minimum")
-
-
-def abs_(a: Tensor) -> Tensor:
-    a = _wrap(a)
-    data = np.abs(a.data)
-
-    def build():
-        s = np.sign(a.data)
-
-        def bwd(g):
-            a._accumulate(g * s)
-        return bwd
-
-    return _result(data, (a,), build, "abs")
-
-
-def powc(a: Tensor, p: float) -> Tensor:
-    """a**p for constant p; intended for non-negative arguments (focal loss)."""
-    a = _wrap(a)
-    p = float(p)
-    data = a.data ** p
-
-    def build():
-        def bwd(g):
-            a._accumulate(g * p * a.data ** (p - 1.0))
-        return bwd
-
-    return _result(data, (a,), build, "powc")
 
 
 # -- fused primitives -----------------------------------------------------------

@@ -27,7 +27,7 @@ from . import tensor as T
 from .geometry import Interval, span_l1_giou, span_to_cw
 from .matching import build_match_cost, hungarian
 from .model import (ClassifierHead, DetectionModel, LayerPrediction,
-                    ModelConfig, ModelOutput, save_detector)
+                    ModelConfig, ModelOutput, save_detector, softmax)
 from .textproc import append_mean_cls
 
 
@@ -424,15 +424,44 @@ def train(split, provider: Provider, model_cfg: ModelConfig,
     return TrainResult(model, log, best_epoch, best_val)
 
 
+def cross_entropy(logits: T.Tensor, label: int) -> T.Tensor:
+    """``-log softmax(logits)[label]`` as one node; the log is clamped at
+    ``LOG_EPS`` and passes no gradient below it. Forward and backward are the
+    expressions of the softmax, index, clamped log and negation chain, in
+    its order, so value and gradient are bitwise that chain's."""
+    probs = softmax(logits.data)
+    p = probs[label]
+    x = np.maximum(p, T.LOG_EPS)
+    dydx = np.where(p > T.LOG_EPS, 1.0 / x, 0.0)
+
+    def vjp(g):
+        g_probs = np.zeros_like(probs)
+        g_probs[label] += g * -1.0 * dydx
+        dot = (g_probs * probs).sum(axis=-1, keepdims=True)
+        return ((g_probs - dot) * probs,)
+
+    return T.custom(np.log(x) * -1.0, (logits,), vjp, "cross_entropy")
+
+
 def train_classifier(samples, labels: list[int], provider: Provider,
                      hidden: int = 32, n_classes: int = 2, epochs: int = 30,
                      batch_size: int = 16, lr: float = 1e-3,
                      weight_decay: float = 1e-4, seed: int = 0,
                      append_cls: bool = True) -> ClassifierHead:
     """Fit the two-layer CLS head with cross-entropy; the CLS row is the last
-    embedding row (appended by mean pooling for providers without one)."""
+    embedding row (appended by mean pooling for providers without one).
+    Every sample needs one integer label in ``[0, n_classes)``."""
     if not samples:
         raise ValueError("no training samples")
+    if len(labels) < len(samples):
+        raise ValueError(f"sample {samples[len(labels)].id}: no label ({len(labels)} "
+                         f"labels for {len(samples)} samples)")
+    if len(labels) > len(samples):
+        raise ValueError(f"{len(labels)} labels for {len(samples)} samples: "
+                         f"label {labels[len(samples)]} has no sample")
+    for s, label in zip(samples, labels):
+        if not (isinstance(label, (int, np.integer)) and 0 <= label < n_classes):
+            raise ValueError(f"sample {s.id}: label {label} is not a class in [0, {n_classes})")
     feats = []
     for s in samples:
         vec, _ = provider(s)
@@ -441,16 +470,13 @@ def train_classifier(samples, labels: list[int], provider: Provider,
     head = ClassifierHead(d_model, hidden, n_classes, seed=seed)
     opt = AdamW(head.parameters(), lr=lr, weight_decay=weight_decay)
     rng = np.random.default_rng(seed)
-    y = np.asarray(labels, dtype=int)
     for _ in range(epochs):
         order = rng.permutation(len(samples))
         for b in range(0, len(order), batch_size):
             idxs = order[b:b + batch_size]
             head.zero_grad()
             for i in idxs:
-                probs = T.softmax(head.logits(feats[i]))
-                loss = T.scale(T.log(probs[int(y[i])]), -1.0)
-                loss.backward()
+                cross_entropy(head.logits(feats[i]), int(labels[i])).backward()
             for p in head.parameters().values():
                 if p.grad is not None:
                     p.grad = p.grad / len(idxs)

@@ -78,7 +78,7 @@ def test_c01_gradient_fidelity():
             return detection_loss(model.forward(vec, pos, dnb), gts)[0]
 
         if _min_kink_distance(build_loss) < 1e-3:
-            continue  # relu/abs/max within the straddle window: redraw
+            continue  # a kink within the straddle window: redraw
         err = T.grad_check(build_loss, list(model.parameters().values()), 1e-5)
         worst_model = max(worst_model, err)
         checked += 1
@@ -90,26 +90,17 @@ def test_c01_gradient_fidelity():
 
 
 def _min_kink_distance(fn):
-    """Distance of the closest relu/abs/max/min argument from its kink during
-    one evaluation; finite differences are only meaningful away from kinks.
-    The objective's kinks count too: its |pred - target| coordinates, the
-    endpoint ties of gIoU's min/max, and the intersection at 0."""
+    """Distance of the closest kink argument from its kink during one
+    evaluation; finite differences are only meaningful away from kinks. The
+    model's kinks are its relu inputs and the objective's: its |pred - target|
+    coordinates, the endpoint ties of gIoU's min/max, and the intersection
+    at 0."""
     dist = [np.inf]
-    orig = {"relu": T.relu, "abs_": T.abs_, "maximum": T.maximum, "minimum": T.minimum,
-            "pairs": training.span_l1_giou}
+    relu, pairs = T.relu, training.span_l1_giou
 
-    def unary_spy(name):
-        def spy(a):
-            dist[0] = min(dist[0], float(np.abs(a.data).min()))
-            return orig[name](a)
-        return spy
-
-    def binary_spy(name):
-        def spy(a, b):
-            bd = b.data if isinstance(b, T.Tensor) else np.asarray(b, dtype=np.float64)
-            dist[0] = min(dist[0], float(np.abs(a.data - bd).min()))
-            return orig[name](a, b)
-        return spy
+    def relu_spy(a):
+        dist[0] = min(dist[0], float(np.abs(a.data).min()))
+        return relu(a)
 
     def pairs_spy(a, b):
         ax1, ax2 = a[:, 0] - a[:, 1] * 0.5, a[:, 0] + a[:, 1] * 0.5
@@ -117,17 +108,13 @@ def _min_kink_distance(fn):
         inter = np.minimum(ax2, bx2) - np.maximum(ax1, bx1)
         for gap in (a - b, ax1 - bx1, ax2 - bx2, inter):
             dist[0] = min(dist[0], float(np.abs(gap).min()))
-        return orig["pairs"](a, b)
+        return pairs(a, b)
 
-    T.relu, T.abs_ = unary_spy("relu"), unary_spy("abs_")
-    T.maximum, T.minimum = binary_spy("maximum"), binary_spy("minimum")
-    training.span_l1_giou = pairs_spy
+    T.relu, training.span_l1_giou = relu_spy, pairs_spy
     try:
         fn()
     finally:
-        T.relu, T.abs_ = orig["relu"], orig["abs_"]
-        T.maximum, T.minimum = orig["maximum"], orig["minimum"]
-        training.span_l1_giou = orig["pairs"]
+        T.relu, training.span_l1_giou = relu, pairs
     return dist[0]
 
 

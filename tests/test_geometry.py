@@ -7,6 +7,7 @@ from spandet import tensor as T
 from spandet.geometry import (CharSpan, Interval, clamp_interval, cw_to_span,
                               giou_1d, iou_1d, span_l1, span_l1_giou, span_to_cw)
 
+import reference_ops as R
 from composed import giou_1d_t, span_l1_t
 
 
@@ -157,7 +158,7 @@ def test_row_geometry_bitwise_equals_the_tensor_chain():
     l1, giou, iou, grad = span_l1_giou(a, b)
     at = T.Tensor(a, requires_grad=True)
     l1_t, giou_t = span_l1_t(at, T.Tensor(b)), giou_1d_t(at, T.Tensor(b))
-    (T.sum_(l1_t * T.Tensor(g_l1)) + T.sum_(giou_t * T.Tensor(g_giou))).backward()
+    (R.sum_(R.mul(l1_t, T.Tensor(g_l1))) + R.sum_(R.mul(giou_t, T.Tensor(g_giou)))).backward()
     assert np.array_equal(l1, l1_t.data) and np.array_equal(giou, giou_t.data)
     assert np.array_equal(grad(g_l1, g_giou), at.grad)
     for (p, q), got in zip(pairs, iou):

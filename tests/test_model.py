@@ -11,6 +11,8 @@ from spandet.nn import (ConcatPosAttention, Linear, MultiHeadAttention,
                         sinusoidal_encode)
 from spandet.training import detection_loss, make_denoising
 
+import reference_ops as R
+
 TINY = dict(d_model=16, hidden=16, heads=4, ffn_mult=2, enc_layers=1,
             dec_layers=2, num_queries=2, max_tokens=64)
 
@@ -172,7 +174,7 @@ def test_encoder_layer_grad_check():
     w = rng.normal(size=(3, 16))
 
     def build_loss():
-        return T.sum_(layer(T.Tensor(x), pe) * T.Tensor(w))
+        return R.sum_(R.mul(layer(T.Tensor(x), pe), T.Tensor(w)))
 
     assert T.grad_check(build_loss, list(layer.parameters().values()), 1e-5) < 1e-4
 
@@ -190,6 +192,12 @@ def test_classifier_probs_sum_to_one():
     head = ClassifierHead(16, 8, 2, seed=1)
     probs = head.classify(np.random.default_rng(2).normal(size=(4, 16)))
     assert abs(probs.sum() - 1.0) < 1e-12
+
+
+def test_classify_is_the_reference_softmax_of_the_logits():
+    head = ClassifierHead(16, 8, 3, seed=5)
+    x = np.random.default_rng(6).normal(size=(4, 16))
+    assert np.array_equal(head.classify(x), R.softmax(head.logits(x)).data)
 
 
 def test_detector_checkpoint_roundtrip(tmp_path):
@@ -241,7 +249,7 @@ def forward_per_group(m, vectors, positions, dn):
     content_l, anchor_l = m.query_content, m.query_anchors
     size = len(dn.anchors) // dn.n_groups
     content_d = T.concat([m.dn_content] * len(dn.anchors), axis=0)
-    anchor_d = T.inverse_sigmoid(T.Tensor(dn.anchors))
+    anchor_d = R.inverse_sigmoid(T.Tensor(dn.anchors))
     layers, dn_layers = [], []
     for dec in m.decoder:
         pe_l = encode_anchor_t(T.sigmoid(anchor_l), h, cfg.temperature)
@@ -306,22 +314,22 @@ def test_masked_dn_matches_per_group_reference(groups, n_targets):
 
 def split_heads(x, heads):
     n, d = x.shape
-    return T.transpose(T.reshape(x, (n, heads, d // heads)), (1, 0, 2))
+    return R.transpose(T.reshape(x, (n, heads, d // heads)), (1, 0, 2))
 
 
 def merge_heads(x):
     h, n, dh = x.shape
-    return T.reshape(T.transpose(x, (1, 0, 2)), (n, h * dh))
+    return T.reshape(R.transpose(x, (1, 0, 2)), (n, h * dh))
 
 
 def linear_ref(lin, x):
-    return T.matmul(x, lin.weight) + lin.bias
+    return R.matmul(x, lin.weight) + lin.bias
 
 
 def attend_ref(q, k, v):
     """Scaled-dot attention over already split (h, n, d) heads."""
-    scores = T.scale(T.matmul(q, T.transpose(k, (0, 2, 1))), 1.0 / np.sqrt(q.shape[-1]))
-    return T.matmul(T.softmax(scores, axis=-1), v)
+    scores = R.scale(R.matmul(q, R.transpose(k, (0, 2, 1))), 1.0 / np.sqrt(q.shape[-1]))
+    return R.matmul(R.softmax(scores, axis=-1), v)
 
 
 def mha_ref(attn, q_in, k_in, v_in, mask=None):
@@ -332,9 +340,9 @@ def mha_ref(attn, q_in, k_in, v_in, mask=None):
     if mask is None:
         ctx = attend_ref(q, k, v)
     else:
-        scores = T.scale(T.matmul(q, T.transpose(k, (0, 2, 1))), 1.0 / np.sqrt(q.shape[-1]))
+        scores = R.scale(R.matmul(q, R.transpose(k, (0, 2, 1))), 1.0 / np.sqrt(q.shape[-1]))
         scores = scores + T.Tensor(np.broadcast_to(mask, scores.shape))
-        ctx = T.matmul(T.softmax(scores, axis=-1), v)
+        ctx = R.matmul(R.softmax(scores, axis=-1), v)
     return linear_ref(attn.wo, merge_heads(ctx))
 
 
@@ -351,10 +359,10 @@ def concat_pos_ref(attn, content_q, pos_q, memory, pos_k):
 def sinusoidal_encode_t(pos, dim, temperature=10000.0):
     freqs = temperature ** (2.0 * np.arange(dim // 2) / dim)
     inv = T.Tensor((2.0 * np.pi / freqs)[None, :])
-    args = T.matmul(T.reshape(pos, (-1, 1)), inv)
+    args = R.matmul(T.reshape(pos, (-1, 1)), inv)
     n, half = args.shape
-    parts = T.concat([T.reshape(T.sin(args), (n, half, 1)),
-                      T.reshape(T.cos(args), (n, half, 1))], axis=-1)
+    parts = T.concat([T.reshape(R.sin(args), (n, half, 1)),
+                      T.reshape(R.cos(args), (n, half, 1))], axis=-1)
     return T.reshape(parts, (n, dim))
 
 
@@ -370,7 +378,7 @@ def outputs_and_grads(build, leaves, seed):
         leaf.zero_grad()
     out = build()
     w = np.random.default_rng(seed).normal(size=out.shape)
-    T.sum_(out * T.Tensor(w)).backward()
+    R.sum_(R.mul(out, T.Tensor(w))).backward()
     return out.data, [leaf.grad.copy() for leaf in leaves]
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -12,8 +13,10 @@ from spandet.matching import hungarian
 from spandet.model import LayerPrediction, ModelConfig, ModelOutput
 from spandet.training import (AdamW, LossWeights, NumericalError, TrainConfig,
                               clip_grad_norm, composite_loss, cosine_lr,
-                              detection_loss, focal_loss, make_denoising, train)
+                              cross_entropy, detection_loss, focal_loss,
+                              make_denoising, train, train_classifier)
 
+import reference_ops as R
 from composed import focal_loss_mean, giou_1d_t, span_l1_t
 
 CFG = ModelConfig(d_model=16, hidden=16, heads=4, ffn_mult=2, enc_layers=1,
@@ -154,10 +157,10 @@ def composite_loss_per_pair(layer, dn_cw, dn_gt_index, gts, weights=LossWeights(
         span = giou = None
         for r, tg in zip(rows, targets):
             s_r = span_l1_t(r, T.Tensor(tg))
-            g_r = 1.0 - giou_1d_t(r, T.Tensor(tg))
+            g_r = R.sub(1.0, giou_1d_t(r, T.Tensor(tg)))
             span = s_r if span is None else span + s_r
             giou = g_r if giou is None else giou + g_r
-        return T.scale(span, 1.0 / len(rows)), T.scale(giou, 1.0 / len(rows))
+        return R.scale(span, 1.0 / len(rows)), R.scale(giou, 1.0 / len(rows))
 
     l_span, l_giou = mean_terms([cw[i, :] for i, _ in pairs], [gt_cw[j] for _, j in pairs])
     targets = np.zeros(cw.shape[0])
@@ -165,9 +168,9 @@ def composite_loss_per_pair(layer, dn_cw, dn_gt_index, gts, weights=LossWeights(
     l_focal = focal_loss_mean(logits, targets)
     l_dn_span, l_dn_giou = mean_terms([dn_cw[q, :] for q in range(dn_cw.shape[0])],
                                       [gt_cw[j] for j in dn_gt_index])
-    return (T.scale(l_span, weights.span) + T.scale(l_giou, weights.giou)
-            + T.scale(l_focal, weights.focal) + T.scale(l_dn_span, weights.dn_span)
-            + T.scale(l_dn_giou, weights.dn_giou))
+    return (R.scale(l_span, weights.span) + R.scale(l_giou, weights.giou)
+            + R.scale(l_focal, weights.focal) + R.scale(l_dn_span, weights.dn_span)
+            + R.scale(l_dn_giou, weights.dn_giou))
 
 
 def _loss_and_grads(objective, cw, logits, dn, dn_idx, gts):
@@ -276,6 +279,42 @@ def test_composite_gradient_on_two_query_instance():
 def test_weights_validated():
     with pytest.raises(ValueError):
         LossWeights(span=-1.0)
+
+
+# -- classifier cross-entropy ------------------------------------------------------
+
+
+def test_cross_entropy_bitwise_equals_the_reference_chain():
+    rng = np.random.default_rng(7)
+    cases = [(rng.normal(size=5) * 3, int(rng.integers(5))) for _ in range(50)]
+    cases.append((np.array([0.0, 40.0, -3.0]), 0))  # p(label) ~ 4e-18: the log clamps
+    assert R.softmax(T.Tensor(cases[-1][0])).data[0] < T.LOG_EPS
+    for k, (z, y) in enumerate(cases):
+        results = []
+        for loss_fn in (lambda t: cross_entropy(t, y),
+                        lambda t: R.scale(R.log(R.softmax(t)[y]), -1.0)):
+            logits = T.Tensor(z, requires_grad=True)
+            loss = loss_fn(logits)
+            loss.backward()
+            results.append((loss.data, logits.grad))
+        (value, grad), (ref_value, ref_grad) = results
+        assert np.array_equal(value, ref_value) and np.array_equal(grad, ref_grad), k
+    assert not grad.any()  # no gradient below the clamp
+
+
+def test_train_classifier_rejects_bad_labels_naming_the_sample():
+    split, prov = small_corpus(n=10)
+    samples = split.train[:4]
+    last = samples[-1].id
+    for labels, match in (([0, 1, 0, -1], f"sample {last}: label -1"),
+                          ([0, 1, 0, 2], f"sample {last}: label 2"),
+                          ([0, 1, 0], f"sample {last}: no label"),
+                          ([0, 1, 0, 1, 1], "5 labels for 4 samples")):
+        match = re.escape(match)
+        with pytest.raises(ValueError, match=match):
+            train_classifier(samples, labels, prov, n_classes=2, epochs=1)
+    with pytest.raises(ValueError, match="label 1.0"):  # not an integer class
+        train_classifier(samples, [0, 1, 0, 1.0], prov, n_classes=2, epochs=1)
 
 
 # -- optimizer and schedule -----------------------------------------------------
