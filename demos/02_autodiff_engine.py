@@ -13,9 +13,11 @@ y = T.Tensor(5.0, requires_grad=True)
 print(f"diamond graph d/dy (y + y) = {y.grad}")
 
 
-# The engine holds only the ops the detector calls. Anything else is a custom
-# node: a value computed in numpy plus a hand-written backward that maps the
-# node's gradient to one gradient per parent.
+# The engine holds only the ops the detector calls. Each of them is a value
+# computed in numpy plus a vjp that maps the node's gradient to one gradient
+# (or None) per parent, in parent order; a custom node is the same protocol
+# with a vjp written by the caller. backward stores the gradients, and gives a
+# parent a copy when the vjp handed the same array to an earlier parent.
 def mse(pred, target):
     diff = pred.data - target
     return T.custom(np.mean(diff * diff), (pred,),

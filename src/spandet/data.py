@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import CharSpan
+from .geometry import CharSpan, merge_spans
 from .textproc import token_positions, tokenize, toy_embed
 
 LABEL_HUMAN = 0
@@ -201,13 +201,7 @@ def tribert_to_intervals(sentences: list[str], boundaries: list[int],
 def coauthor_to_intervals(text: str, machine_spans: list[tuple[int, int]],
                           text_id: str = "coauthor", domain: str | None = None) -> AnnotatedText:
     """Character-level machine spans, as logged by a writing assistant."""
-    spans = sorted(CharSpan(int(a), int(b)) for a, b in machine_spans)
-    merged: list[CharSpan] = []
-    for sp in spans:
-        if merged and sp.x1 <= merged[-1].x2:
-            merged[-1] = CharSpan(merged[-1].x1, max(merged[-1].x2, sp.x2))
-        else:
-            merged.append(sp)
+    merged = merge_spans(CharSpan(int(a), int(b)) for a, b in machine_spans)
     return AnnotatedText(text_id, text, merged,
                          derive_label(merged, len(text)),
                          domain, split_sentences(text)).validate()
@@ -288,18 +282,20 @@ def _make_vocab(rng: np.random.Generator, size: int) -> list[str]:
     return sorted(vocab)
 
 
-def _make_text(rng: np.random.Generator, vocab: list[str], spec: SynthSpec):
+def _make_sentences(rng: np.random.Generator, vocab: list[str], spec: SynthSpec) -> list[str]:
     lo, hi = spec.words_per_sentence
     sentences = []
     for _ in range(spec.n_sentences):
         k = int(rng.integers(lo, hi + 1))
         words = [vocab[int(rng.integers(0, len(vocab)))] for _ in range(k)]
         sentences.append(" ".join(words) + ".")
-    return _join_sentences(sentences)
+    return sentences
 
 
 def synth_generate(spec: SynthSpec, seed: int = 0) -> DatasetSplit:
     """Deterministic mixed-authorship corpus with exactly known ground truth.
+    Each text goes through the converter of its style: `roft_to_intervals`
+    for roft and binary, `tribert_to_intervals` for multi.
 
     The authorship signal lives in the embeddings (see
     `synthetic_provider`), not in the surface text.
@@ -308,30 +304,18 @@ def synth_generate(spec: SynthSpec, seed: int = 0) -> DatasetSplit:
     vocab = _make_vocab(rng, spec.vocab_size)
     items = []
     for i in range(spec.n_texts):
-        text, offsets = _make_text(rng, vocab, spec)
-        ns = len(offsets)
-        if spec.style == "roft":
-            boundary = int(rng.integers(0, ns))    # every text has one interval
-            intervals = [CharSpan(offsets[boundary].x1, len(text))]
-        elif spec.style == "binary":
-            if i % 2 == 0:
-                intervals = []
-            else:
-                intervals = [CharSpan(0, len(text))]
+        sentences = _make_sentences(rng, vocab, spec)
+        ns, text_id = len(sentences), f"{spec.style}-{seed}-{i:05d}"
+        if spec.style == "roft":  # every text has one interval
+            item = roft_to_intervals(sentences, int(rng.integers(0, ns)), text_id, spec.style)
+        elif spec.style == "binary":  # even texts all human, odd ones all machine
+            item = roft_to_intervals(sentences, ns if i % 2 == 0 else 0, text_id, spec.style)
         else:  # multi
             n_bounds = int(rng.integers(1, spec.max_boundaries + 1))
-            cuts = sorted(rng.choice(np.arange(1, ns), size=min(n_bounds, ns - 1),
-                                     replace=False).tolist())
-            machine = bool(rng.integers(0, 2))
-            intervals = []
-            edges = [0] + cuts + [ns]
-            for a, b in zip(edges[:-1], edges[1:]):
-                if machine:
-                    intervals.append(CharSpan(offsets[a].x1, offsets[b - 1].x2))
-                machine = not machine
-        items.append(AnnotatedText(
-            f"{spec.style}-{seed}-{i:05d}", text, intervals,
-            derive_label(intervals, len(text)), spec.style, offsets).validate())
+            cuts = rng.choice(np.arange(1, ns), size=min(n_bounds, ns - 1), replace=False)
+            first = "machine" if rng.integers(0, 2) else "human"
+            item = tribert_to_intervals(sentences, cuts.tolist(), first, text_id, spec.style)
+        items.append(item)
 
     n_train = int(spec.split_fracs[0] * spec.n_texts)
     n_val = int(spec.split_fracs[1] * spec.n_texts)

@@ -14,8 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-EDGE_TOL = 1e-9
-
 
 @dataclass(frozen=True)
 class Interval:
@@ -54,6 +52,17 @@ class CharSpan:
 
     def __len__(self) -> int:
         return self.x2 - self.x1
+
+
+def merge_spans(spans) -> list[CharSpan]:
+    """Sorted union of character spans; spans that overlap or touch merge."""
+    merged: list[CharSpan] = []
+    for sp in sorted(spans):
+        if merged and sp.x1 <= merged[-1].x2:
+            merged[-1] = CharSpan(merged[-1].x1, max(merged[-1].x2, sp.x2))
+        else:
+            merged.append(sp)
+    return merged
 
 
 def clamp_interval(c: float, w: float, min_w: float = 1e-4) -> Interval:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .data import (LABEL_HUMAN, LABEL_MACHINE, LABEL_MIXED, AnnotatedText,
                    split_sentences)
-from .geometry import CharSpan
+from .geometry import CharSpan, merge_spans
 
 
 def interval_to_sentence(t_i: int, sentences: Sequence[CharSpan]) -> int:
@@ -40,22 +40,12 @@ def interval_to_sentence(t_i: int, sentences: Sequence[CharSpan]) -> int:
     return idx + 1 if t_i >= midpoint else idx
 
 
-def _merge_spans(spans: Sequence[CharSpan]) -> list[CharSpan]:
-    merged: list[CharSpan] = []
-    for sp in sorted(spans):
-        if merged and sp.x1 <= merged[-1].x2:
-            merged[-1] = CharSpan(merged[-1].x1, max(merged[-1].x2, sp.x2))
-        else:
-            merged.append(sp)
-    return merged
-
-
 def overlap_labels(sentences: Sequence[CharSpan],
                    predicted_intervals: Sequence[CharSpan],
                    threshold: float = 0.94) -> list[int]:
     """Per-sentence authorship from the covered character fraction o:
     o > threshold -> machine, o == 0 -> human, otherwise mixed."""
-    union = _merge_spans(predicted_intervals)
+    union = merge_spans(predicted_intervals)
     labels = []
     for s in sentences:
         covered = sum(max(0, min(s.x2, p.x2) - max(s.x1, p.x1)) for p in union)
@@ -155,23 +145,26 @@ def kappa(pred_labels: Sequence[int], gt_labels: Sequence[int]) -> float:
     return (p0 - pe) / (1.0 - pe)
 
 
+def _reject_scores(s: np.ndarray, bad: np.ndarray, rule: str) -> None:
+    """Raise naming the first score flagged in `bad`."""
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"score {i} is {s[i]}: scores must {rule}")
+
+
 def auroc(scores: Sequence[float], labels: Sequence[int]) -> float:
-    """Rank-based (Mann-Whitney) AUROC; tied scores count half."""
+    """Rank-based (Mann-Whitney) AUROC; tied scores count half. Scores must
+    be finite."""
     s = np.asarray(scores, dtype=float)
     y = np.asarray(labels)
+    _reject_scores(s, ~np.isfinite(s), "be finite")
     n_pos = int((y == 1).sum())
     n_neg = int((y == 0).sum())
     if n_pos == 0 or n_neg == 0:
         raise ValueError("AUROC undefined: labels contain a single class")
-    order = np.argsort(s, kind="mergesort")
-    ranks = np.empty(len(s))
-    i = 0
-    while i < len(s):
-        j = i
-        while j + 1 < len(s) and s[order[j + 1]] == s[order[i]]:
-            j += 1
-        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0  # average rank, 1-based
-        i = j + 1
+    _, group, counts = np.unique(s, return_inverse=True, return_counts=True)
+    # a tie group's average 1-based rank: its last rank minus half its extent
+    ranks = (np.cumsum(counts) - (counts - 1) / 2.0)[group]
     u = float(ranks[y == 1].sum()) - n_pos * (n_pos + 1) / 2.0
     return u / (n_pos * n_neg)
 
@@ -182,8 +175,7 @@ def classification_suite(scores: Sequence[float], labels: Sequence[int],
     machine-probability scores against binary labels."""
     s = np.asarray(scores, dtype=float)
     y = np.asarray(labels)
-    if np.any((s < 0) | (s > 1)):
-        raise ValueError("scores must lie in [0, 1]")
+    _reject_scores(s, ~((s >= 0) & (s <= 1)), "lie in [0, 1]")  # NaN included
     pred = (s >= threshold).astype(int)
     acc = float(np.mean(pred == y))
     machine_rec = float(np.mean(pred[y == 1] == 1)) if (y == 1).any() else 0.0

@@ -1,12 +1,15 @@
 """Minimal reverse-mode autodiff engine over numpy arrays.
 
-Every operation records itself on the tensors it produces (creation-ordered
-graph = the tape); ``backward`` replays the tape once in reverse creation
-order, accumulating gradients. A node is always created after its parents, so
-that order is topological. A first gradient contribution is stored without
-a copy, and interior nodes drop their gradient once passed on: only leaves
-end a backward holding one, never two the same buffer. Double precision is
-the default so finite difference checks have headroom.
+Every operation makes its node with one ``_result(data, parents, vjp, op)``
+call: a value computed in numpy, and ``vjp(g)``, which maps the node's
+gradient to one array (or None) per parent, in parent order. The nodes, in
+creation order, are the tape; ``backward`` replays it once in reverse, which
+is topological since a node is created after its parents. ``backward`` alone
+stores gradients: it skips parents that need none, stores a first
+contribution without a copy, and copies an array an earlier parent of the
+same node already stored. Interior nodes drop their gradient once passed on,
+so only leaves end a backward holding one, never two the same buffer. Double
+precision is the default so finite difference checks have headroom.
 
 The cost of the engine is Python per tape node, not arithmetic, so it holds
 only the ops the detector calls, and the layers it repeats are fused: one
@@ -16,15 +19,17 @@ the merged context, keeping only the probabilities for backward;
 ``anchor_encode`` is the interleaved sin/cos encoding of ``(c, w)`` anchors;
 ``layer_norm`` takes an optional residual that it adds first. The rest are
 ``sigmoid``, ``relu``, ``add`` and the structural ``concat``, ``reshape`` and
-``slice_``. ``custom`` makes a node from a value and a caller-written
-backward; the training objective and the classifier's cross-entropy are
-one each. The elementary ops the fused ones replaced (products, matmul,
+``slice_``. ``custom`` is ``_result`` for callers: a value and a
+hand-written vjp; the training objective and the classifier's cross-entropy
+are one each. The elementary ops the fused ones replaced (products, matmul,
 reductions, softmax, log, ...) live in the tests as reference ops built on
 ``custom``, and the fused ones are pinned to their chains there.
 
-Inside ``with no_grad():`` operations record no parents and build no
-backward closures; results are constants. Inference uses it, since it never
-calls backward. The switch is process-wide and not thread-safe.
+Inside ``with no_grad():`` operations record no parents and keep no vjp;
+results are constants. What a backward needs beyond the arrays it captures
+is computed inside its vjp, so an untaped forward does no work for it.
+Inference runs untaped, since it never calls backward. The switch is
+process-wide and not thread-safe.
 
 Broadcasting is deliberately restricted: scalar-with-tensor and row-vector
 bias only. Anything else raises ``ShapeError``.
@@ -78,7 +83,7 @@ class Tensor:
         self.requires_grad = requires_grad
         self.grad: np.ndarray | None = None
         self._parents: tuple[Tensor, ...] = ()
-        self._backward: Callable[[np.ndarray], None] | None = None
+        self._backward: Callable[[np.ndarray], Sequence] | None = None  # the vjp
         self._op = "leaf"
         self._id = next(_ids)
 
@@ -111,7 +116,8 @@ class Tensor:
         """Accumulate gradients of this scalar into every requires_grad leaf.
 
         Nodes run in reverse creation order, so all consumers of a node are
-        done before it runs. The tape is consumed: a second backward raises.
+        done before it runs; each vjp's arrays are stored by the copy rule of
+        the module docstring. The tape is consumed: a second backward raises.
         """
         if self.size != 1:
             raise ValueError(f"backward requires a scalar loss, got shape {self.shape}")
@@ -123,14 +129,18 @@ class Tensor:
         for node in order:  # each interior node exactly once
             g, node.grad = node.grad, None  # passed on, so only leaves keep grads
             if g is not None:
-                node._backward(g)
+                held = []
+                for p, gp in zip(node._parents, node._backward(g)):
+                    if gp is not None and p.requires_grad:
+                        p._accumulate(gp.copy() if any(gp is h.grad for h in held) else gp)
+                        held.append(p)
             node._parents = ()
             node._backward = None
             node._op = "consumed"
 
     def _accumulate(self, g: np.ndarray) -> None:
-        """Add a gradient contribution. The first one is stored as it is: the
-        caller hands over an array that no other tensor holds."""
+        """Add a gradient contribution. The first one is stored as it is:
+        ``backward`` hands over an array that no other tensor holds."""
         if self.grad is None:
             self.grad = g if isinstance(g, np.ndarray) else np.asarray(g)
         else:
@@ -168,7 +178,7 @@ def _wrap(x, like: Tensor | None = None) -> Tensor:
     return Tensor(np.asarray(x, dtype=dtype))
 
 
-def _result(data: np.ndarray, parents: Sequence[Tensor], bwd_builder, op: str) -> Tensor:
+def _result(data: np.ndarray, parents: Sequence[Tensor], vjp: Callable, op: str) -> Tensor:
     out = Tensor.__new__(Tensor)
     out.data = data
     out.requires_grad = _grad_enabled and any(p.requires_grad for p in parents)
@@ -176,7 +186,7 @@ def _result(data: np.ndarray, parents: Sequence[Tensor], bwd_builder, op: str) -
     out._id = next(_ids)
     if out.requires_grad:
         out._parents = tuple(parents)
-        out._backward = bwd_builder()
+        out._backward = vjp
         out._op = op
     else:  # constants, and everything under no_grad, stay off the tape
         out._parents = ()
@@ -221,18 +231,8 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 def add(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b, a)
     _check_elementwise("add", a, b)
-    data = a.data + b.data
-
-    def build():
-        def bwd(g):
-            if a.requires_grad:
-                a._accumulate(_unbroadcast(g, a.shape))
-            if b.requires_grad:
-                gb = _unbroadcast(g, b.shape)
-                b._accumulate(gb.copy() if gb is a.grad else gb)
-        return bwd
-
-    return _result(data, (a, b), build, "add")
+    return _result(a.data + b.data, (a, b),
+                   lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)), "add")
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
@@ -241,17 +241,10 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
         raise ShapeError("concat: need at least one tensor")
     data = np.concatenate([t.data for t in tensors], axis=axis)
 
-    def build():
-        sizes = [t.shape[axis] for t in tensors]
-        splits = np.cumsum(sizes)[:-1]
+    def vjp(g):
+        return np.split(g, np.cumsum([t.shape[axis] for t in tensors])[:-1], axis=axis)
 
-        def bwd(g):
-            for t, piece in zip(tensors, np.split(g, splits, axis=axis)):
-                if t.requires_grad:
-                    t._accumulate(piece)
-        return bwd
-
-    return _result(data, tensors, build, "concat")
+    return _result(data, tensors, vjp, "concat")
 
 
 def slice_(a: Tensor, idx) -> Tensor:
@@ -260,31 +253,17 @@ def slice_(a: Tensor, idx) -> Tensor:
     if np.isscalar(data) or data.ndim == 0:
         data = np.asarray(data)
 
-    def build():
-        shape = a.shape
+    def vjp(g):
+        full = np.zeros(a.shape, dtype=a.data.dtype)
+        np.add.at(full, idx, g)
+        return (full,)
 
-        def bwd(g):
-            if a.requires_grad:
-                full = np.zeros(shape, dtype=a.data.dtype)
-                np.add.at(full, idx, g)
-                a._accumulate(full)
-        return bwd
-
-    return _result(data, (a,), build, "slice")
+    return _result(data, (a,), vjp, "slice")
 
 
 def reshape(a: Tensor, shape) -> Tensor:
     a = _wrap(a)
-    data = a.data.reshape(shape)
-
-    def build():
-        orig = a.shape
-
-        def bwd(g):
-            a._accumulate(g.reshape(orig))
-        return bwd
-
-    return _result(data, (a,), build, "reshape")
+    return _result(a.data.reshape(shape), (a,), lambda g: (g.reshape(a.shape),), "reshape")
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor,
@@ -311,40 +290,25 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor,
     xhat = xc * inv
     data = xhat * gain.data + bias.data
 
-    def build():
-        gd = gain.data
+    def vjp(g):
+        gx = None
+        if any(t.requires_grad for t in ins):
+            gxhat = g * gain.data
+            # d/dx of (x - mu) * inv with mu, inv functions of the row
+            term = gxhat - gxhat.mean(axis=-1, keepdims=True) \
+                - xhat * (gxhat * xhat).mean(axis=-1, keepdims=True)
+            gx = term * inv
+        return (gx,
+                (g * xhat).reshape(-1, d).sum(axis=0) if gain.requires_grad else None,
+                g.reshape(-1, d).sum(axis=0) if bias.requires_grad else None,
+                gx)  # the residual's, as x's: the gradient the sum passed on
 
-        def bwd(g):
-            if gain.requires_grad:
-                gain._accumulate((g * xhat).reshape(-1, d).sum(axis=0))
-            if bias.requires_grad:
-                bias._accumulate(g.reshape(-1, d).sum(axis=0))
-            if any(t.requires_grad for t in ins):
-                gxhat = g * gd
-                # d/dx of (x - mu) * inv with mu, inv functions of the row
-                term = gxhat - gxhat.mean(axis=-1, keepdims=True) \
-                    - xhat * (gxhat * xhat).mean(axis=-1, keepdims=True)
-                gx = term * inv
-                for t in ins:  # x, then the residual: the order the sum passed g on
-                    if t.requires_grad:
-                        t._accumulate(gx.copy() if gx is x.grad else gx)
-        return bwd
-
-    return _result(data, (x, gain, bias) + ins[1:], build, "layer_norm")
+    return _result(data, (x, gain, bias) + ins[1:], vjp, "layer_norm")
 
 
 def relu(a: Tensor) -> Tensor:
     a = _wrap(a)
-    data = np.maximum(a.data, 0.0)
-
-    def build():
-        mask = a.data > 0
-
-        def bwd(g):
-            a._accumulate(g * mask)
-        return bwd
-
-    return _result(data, (a,), build, "relu")
+    return _result(np.maximum(a.data, 0.0), (a,), lambda g: (g * (a.data > 0),), "relu")
 
 
 def expit(x: np.ndarray) -> np.ndarray:
@@ -355,16 +319,8 @@ def expit(x: np.ndarray) -> np.ndarray:
 
 def sigmoid(a: Tensor) -> Tensor:
     a = _wrap(a)
-    data = expit(a.data)
-
-    def build():
-        y = data
-
-        def bwd(g):
-            a._accumulate(g * y * (1.0 - y))
-        return bwd
-
-    return _result(data, (a,), build, "sigmoid")
+    y = expit(a.data)
+    return _result(y, (a,), lambda g: (g * y * (1.0 - y),), "sigmoid")
 
 
 # -- fused primitives -----------------------------------------------------------
@@ -375,21 +331,13 @@ def linear(x, w, b) -> Tensor:
     x, w, b = _wrap(x), _wrap(w), _wrap(b)
     if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0] or b.shape != w.shape[1:]:
         raise ShapeError(f"linear: shapes {x.shape} @ {w.shape} + {b.shape} are not compatible")
-    data = x.data @ w.data + b.data
+    xd, wd = x.data, w.data
 
-    def build():
-        xd, wd = x.data, w.data
+    def vjp(g):
+        return (g @ wd.T if x.requires_grad else None,
+                xd.T @ g if w.requires_grad else None, g.sum(axis=0))
 
-        def bwd(g):
-            if x.requires_grad:
-                x._accumulate(g @ wd.T)
-            if w.requires_grad:
-                w._accumulate(xd.T @ g)
-            if b.requires_grad:
-                b._accumulate(g.sum(axis=0))
-        return bwd
-
-    return _result(data, (x, w, b), build, "linear")
+    return _result(xd @ wd + b.data, (x, w, b), vjp, "linear")
 
 
 def attention(q, k, v, heads: int, mask: np.ndarray | None = None) -> Tensor:
@@ -423,24 +371,24 @@ def attention(q, k, v, heads: int, mask: np.ndarray | None = None) -> Tensor:
     p /= p.sum(axis=-1, keepdims=True)
     data = np.transpose(p @ vh, (1, 0, 2)).reshape(n, heads * dv)
 
-    def build():
-        def bwd(g):
-            gctx = np.ascontiguousarray(np.transpose(g.reshape(n, heads, dv), (1, 0, 2)))
-            if v.requires_grad:
-                gvh = np.swapaxes(p, -1, -2) @ gctx
-                v._accumulate(np.transpose(gvh, (1, 0, 2)).reshape(m, heads * dv))
-            if q.requires_grad or k.requires_grad:
-                gp = gctx @ np.swapaxes(vh, -1, -2)
-                gs = (gp - (gp * p).sum(axis=-1, keepdims=True)) * p * s
-                if q.requires_grad:
-                    gqh = gs @ np.swapaxes(kt, -1, -2)
-                    q._accumulate(np.transpose(gqh, (1, 0, 2)).reshape(n, heads * dk))
-                if k.requires_grad:
-                    gkt = np.swapaxes(qh, -1, -2) @ gs
-                    k._accumulate(np.transpose(gkt, (2, 0, 1)).reshape(m, heads * dk))
-        return bwd
+    def vjp(g):
+        gctx = np.ascontiguousarray(np.transpose(g.reshape(n, heads, dv), (1, 0, 2)))
+        gq = gk = gv = None
+        if v.requires_grad:
+            gvh = np.swapaxes(p, -1, -2) @ gctx
+            gv = np.transpose(gvh, (1, 0, 2)).reshape(m, heads * dv)
+        if q.requires_grad or k.requires_grad:
+            gp = gctx @ np.swapaxes(vh, -1, -2)
+            gs = (gp - (gp * p).sum(axis=-1, keepdims=True)) * p * s
+            if q.requires_grad:
+                gqh = gs @ np.swapaxes(kt, -1, -2)
+                gq = np.transpose(gqh, (1, 0, 2)).reshape(n, heads * dk)
+            if k.requires_grad:
+                gkt = np.swapaxes(qh, -1, -2) @ gs
+                gk = np.transpose(gkt, (2, 0, 1)).reshape(m, heads * dk)
+        return gq, gk, gv
 
-    return _result(data, (q, k, v), build, "attention")
+    return _result(data, (q, k, v), vjp, "attention")
 
 
 def anchor_encode(cw, dim: int, temperature: float = 10000.0) -> Tensor:
@@ -462,31 +410,22 @@ def anchor_encode(cw, dim: int, temperature: float = 10000.0) -> Tensor:
     out[..., 1] = cos
     data = out.reshape(n, dim)
 
-    def build():
-        def bwd(g):
-            g4 = g.reshape(n, 2, half // 2, 2)
-            grad = np.empty((n, 2))
-            for j in range(2):  # (n, dim/4) @ (dim/4, 1) per coordinate, as the chain did
-                gargs = -g4[:, j, :, 1] * sin[:, j] + g4[:, j, :, 0] * cos[:, j]
-                grad[:, j] = (gargs @ inv.T)[:, 0]
-            cw._accumulate(grad)
-        return bwd
+    def vjp(g):
+        g4 = g.reshape(n, 2, half // 2, 2)
+        grad = np.empty((n, 2))
+        for j in range(2):  # (n, dim/4) @ (dim/4, 1) per coordinate, as the chain did
+            gargs = -g4[:, j, :, 1] * sin[:, j] + g4[:, j, :, 0] * cos[:, j]
+            grad[:, j] = (gargs @ inv.T)[:, 0]
+        return (grad,)
 
-    return _result(data, (cw,), build, "anchor_encode")
+    return _result(data, (cw,), vjp, "anchor_encode")
 
 
 def custom(data, parents: Sequence[Tensor], vjp: Callable, op: str) -> Tensor:
-    """A node whose backward its caller writes: ``vjp(g)`` maps the node's
-    gradient to one array per parent (None for none), each an array that no
-    tensor holds yet."""
-    def build():
-        def bwd(g):
-            for p, gp in zip(parents, vjp(g)):
-                if p.requires_grad and gp is not None:
-                    p._accumulate(gp)
-        return bwd
-
-    return _result(np.asarray(data), parents, build, op)
+    """``_result`` for callers: a value and a hand-written ``vjp(g)`` giving one
+    array (None for none) per parent, in parent order. One array may go to
+    two parents: ``backward`` gives the later one a copy."""
+    return _result(np.asarray(data), parents, vjp, op)
 
 
 def grad_check(build_loss: Callable[[], Tensor], tensors: Sequence[Tensor],

@@ -31,6 +31,10 @@ from .model import (ClassifierHead, DetectionModel, LayerPrediction,
 from .textproc import append_mean_cls
 
 
+FOCAL_ALPHA = 0.25
+FOCAL_GAMMA = 2.0
+
+
 class NumericalError(RuntimeError):
     """Loss or gradients left the realm of finite numbers."""
 
@@ -96,7 +100,8 @@ def _focal(probs: np.ndarray, targets: np.ndarray, alpha: float, gamma: float):
     return atpw * lg * -1.0, grad
 
 
-def focal_loss(logit: float, target: int, alpha: float = 0.25, gamma: float = 2.0) -> float:
+def focal_loss(logit: float, target: int, alpha: float = FOCAL_ALPHA,
+               gamma: float = FOCAL_GAMMA) -> float:
     """Binary focal loss on one logit. Reduces to weighted cross-entropy at
     gamma=0."""
     if not 0.0 < alpha < 1.0:
@@ -114,7 +119,6 @@ TERMS = ("span", "giou", "focal", "dn_span", "dn_giou", "total")
 def composite_loss(layer: LayerPrediction, dn_cw: T.Tensor | None,
                    dn_gt_index: np.ndarray | None, gts: list[Interval],
                    weights: LossWeights = LossWeights(),
-                   alpha: float = 0.25, gamma: float = 2.0,
                    ) -> tuple[T.Tensor, dict[str, float]]:
     """One decoder layer's weighted objective, as one tape node, plus a
     per-term breakdown (``TERMS``, and ``"iou"``: the mean IoU of the matched
@@ -143,7 +147,7 @@ def composite_loss(layer: LayerPrediction, dn_cw: T.Tensor | None,
         targets[rows] = 1.0
         l_span, l_giou = _mean_terms(l1[matched], giou[matched])
         mean_iou = float(iou[matched].mean())
-    focal, focal_grad = _focal(probs, targets, alpha, float(gamma))
+    focal, focal_grad = _focal(probs, targets, FOCAL_ALPHA, FOCAL_GAMMA)
     l_focal = focal.mean()
     use_dn = dn_cw is not None and len(dn_cw.data) > 0
     if use_dn:
@@ -181,7 +185,6 @@ def _mean_terms(l1: np.ndarray, giou: np.ndarray) -> tuple[float, float]:
 
 def detection_loss(out: ModelOutput, gts: list[Interval],
                    weights: LossWeights = LossWeights(),
-                   alpha: float = 0.25, gamma: float = 2.0,
                    ) -> tuple[T.Tensor, list[dict[str, float]]]:
     """Sum of the composite objective over the auxiliary and final layers,
     and each layer's breakdown, in decoder order."""
@@ -189,8 +192,7 @@ def detection_loss(out: ModelOutput, gts: list[Interval],
     layers = []
     for li, layer in enumerate(out.layers):
         dn_cw = out.dn_layers[li] if out.dn_layers else None
-        t, terms = composite_loss(layer, dn_cw, out.dn_gt_index, gts,
-                                  weights, alpha, gamma)
+        t, terms = composite_loss(layer, dn_cw, out.dn_gt_index, gts, weights)
         total = t if total is None else total + t
         layers.append(terms)
     return total, layers
@@ -270,8 +272,6 @@ class TrainConfig:
     warmup_frac: float = 0.05
     grad_clip: float = 0.1
     seed: int = 0
-    focal_alpha: float = 0.25
-    focal_gamma: float = 2.0
 
 
 @dataclass
@@ -362,9 +362,7 @@ def train(split, provider: Provider, model_cfg: ModelConfig,
                 vec, pos, gts = cache[s.id]
                 dnb = make_denoising(gts, model_cfg, rng)
                 out = model.forward(vec, pos, dnb)
-                loss, layer_terms = detection_loss(out, gts, weights,
-                                                   train_cfg.focal_alpha,
-                                                   train_cfg.focal_gamma)
+                loss, layer_terms = detection_loss(out, gts, weights)
                 if not math.isfinite(float(loss.data)):
                     raise NumericalError(f"non-finite loss at epoch {epoch}")
                 loss.backward()
@@ -399,9 +397,7 @@ def train(split, provider: Provider, model_cfg: ModelConfig,
                 for s in split.val:
                     vec, pos, gts = val_cache[s.id]
                     out = model.forward(vec, pos, None)
-                    loss, _ = detection_loss(out, gts, weights,
-                                             train_cfg.focal_alpha,
-                                             train_cfg.focal_gamma)
+                    loss, _ = detection_loss(out, gts, weights)
                     v_sum += float(loss.data)
             record["val_loss"] = v_sum / len(split.val)
             if record["val_loss"] < best_val:
@@ -450,7 +446,9 @@ def train_classifier(samples, labels: list[int], provider: Provider,
                      append_cls: bool = True) -> ClassifierHead:
     """Fit the two-layer CLS head with cross-entropy; the CLS row is the last
     embedding row (appended by mean pooling for providers without one).
-    Every sample needs one integer label in ``[0, n_classes)``."""
+    Every sample needs one integer label in ``[0, n_classes)``. A non-finite
+    loss (naming the sample) or gradient norm (naming epoch and step) raises
+    ``NumericalError`` before the weights move."""
     if not samples:
         raise ValueError("no training samples")
     if len(labels) < len(samples):
@@ -468,17 +466,25 @@ def train_classifier(samples, labels: list[int], provider: Provider,
         feats.append(append_mean_cls(vec) if append_cls else vec)
     d_model = feats[0].shape[1]
     head = ClassifierHead(d_model, hidden, n_classes, seed=seed)
-    opt = AdamW(head.parameters(), lr=lr, weight_decay=weight_decay)
+    params = head.parameters()
+    opt = AdamW(params, lr=lr, weight_decay=weight_decay)
     rng = np.random.default_rng(seed)
-    for _ in range(epochs):
+    step = 0
+    for epoch in range(1, epochs + 1):
         order = rng.permutation(len(samples))
         for b in range(0, len(order), batch_size):
             idxs = order[b:b + batch_size]
             head.zero_grad()
             for i in idxs:
-                cross_entropy(head.logits(feats[i]), int(labels[i])).backward()
-            for p in head.parameters().values():
+                loss = cross_entropy(head.logits(feats[i]), int(labels[i]))
+                if not math.isfinite(float(loss.data)):
+                    raise NumericalError(f"non-finite loss on sample {samples[i].id}")
+                loss.backward()
+            for p in params.values():
                 if p.grad is not None:
                     p.grad = p.grad / len(idxs)
+            step += 1
+            if not math.isfinite(clip_grad_norm(params, 0.0)):  # reads, never rescales
+                raise NumericalError(f"non-finite gradient norm at epoch {epoch}, step {step}")
             opt.step()
     return head

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -215,6 +216,20 @@ def test_synth_multi_interval_counts():
     for s in split.train:
         assert 1 <= len(s.intervals) <= 2
         s.validate()
+
+
+def test_synth_output_is_pinned(tmp_path):
+    """The files of each style's split hash as they did before the generator
+    built its texts through the converters; the RNG draws kept their order."""
+    want = {"roft": "212af2cdb9011386fff9a23cb72c423b5b135993d87cfafe9cbe13c293d9f31a",
+            "binary": "f72582dcb055e066b31fed512248797422d35e1724593bc096707da069139311",
+            "multi": "0b756eba8bb7772a01e81bad523e94779546ff7f110dd0a7faecd0f3c1dcdae9"}
+    for style, digest in want.items():
+        save_split(tmp_path / style,
+                   synth_generate(SynthSpec(n_texts=30, style=style, n_sentences=5), seed=11))
+        files = ("train.jsonl", "val.jsonl", "test.jsonl", "meta.json")
+        got = hashlib.sha256(b"".join((tmp_path / style / f).read_bytes() for f in files))
+        assert got.hexdigest() == digest, style
 
 
 def test_synth_rejects_negative_signal():

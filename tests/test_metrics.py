@@ -206,6 +206,21 @@ def test_classification_rejects_out_of_range_scores():
         classification_suite([1.5], [1])
 
 
+def test_non_finite_scores_are_rejected_naming_the_score():
+    # NaN compares false with both ends of [0, 1]; it used to pass the check and
+    # rank as the highest score, giving AUROC 1.0 here
+    with pytest.raises(ValueError, match=r"score 0 is nan: scores must lie in \[0, 1\]"):
+        classification_suite([np.nan, 0.7, 0.2], [1, 1, 0])
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="score 2 is .*: scores must be finite"):
+            auroc([0.3, 0.7, bad, 0.2], [1, 1, 0, 0])
+
+
+def test_auroc_counts_every_tie_half():
+    assert auroc([0.5, 0.5, 0.5, 0.5], [1, 0, 1, 0]) == 0.5
+    assert auroc([0.0, -0.0, 1.0], [1, 0, 1]) == 0.75  # -0.0 ties with 0.0
+
+
 def test_co2_estimate():
     assert co2_estimate(1.3, 10, 400) == pytest.approx(5.2)
     assert co2_estimate(1.3, 0, 400) == 0.0

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -119,7 +122,7 @@ def test_backward_runs_in_reverse_creation_order():
 
         def run(g):
             ran.append(node)
-            bwd(g)
+            return bwd(g)
         node._backward = run
 
     for node in (a, b, c, d):
@@ -153,6 +156,15 @@ def test_leaf_gradients_never_share_a_buffer():
     assert np.array_equal(q.grad, w[:2])
     assert np.array_equal(r.grad, w[2:4].reshape(3, 2))
     assert np.array_equal(s.grad, w[4:])
+
+
+def test_custom_node_giving_one_array_to_two_parents_leaves_unshared_buffers():
+    a, b = (T.Tensor([1.0, 2.0], requires_grad=True) for _ in range(2))
+    total = T.custom((a.data + b.data).sum(), (a, b), lambda g: (np.full(2, g),) * 2, "sum")
+    total.backward()
+    assert not np.shares_memory(a.grad, b.grad)
+    a.grad[0] = np.nan
+    assert np.array_equal(b.grad, [1.0, 1.0])
 
 
 def test_layer_norm_residual_bitwise_equals_the_sum():
@@ -219,6 +231,28 @@ def test_primitive_gradients_match_finite_differences(name):
         x = T.Tensor(aux["x"], requires_grad=True)
         err = T.grad_check(lambda: fn(x, aux), [x], 1e-5)
         assert err < 1e-4, f"{name} seed {seed}: {err}"
+
+
+def test_grad_cases_build_every_engine_op(monkeypatch):
+    """Every op name that tensor.py passes to ``_result`` as a literal is built
+    by some entry of GRAD_CASES, so a new engine op needs a gradient case."""
+    tree = ast.parse(Path(T.__file__).read_text())
+    ops = {call.args[3].value for call in ast.walk(tree)
+           if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "_result"
+           and len(call.args) == 4 and isinstance(call.args[3], ast.Constant)}
+    assert {"add", "linear", "attention", "layer_norm"} <= ops  # the scan finds them
+    built = set()
+    result = T._result
+
+    def spy(data, parents, vjp, op):
+        built.add(op)
+        return result(data, parents, vjp, op)
+
+    monkeypatch.setattr(T, "_result", spy)
+    for fn in GRAD_CASES.values():
+        aux = make_aux(0)
+        fn(T.Tensor(aux["x"], requires_grad=True), aux)
+    assert not ops - built, f"engine ops without a gradient case: {sorted(ops - built)}"
 
 
 def test_grad_check_linear_function_is_exact():

@@ -317,6 +317,32 @@ def test_train_classifier_rejects_bad_labels_naming_the_sample():
         train_classifier(samples, [0, 1, 0, 1.0], prov, n_classes=2, epochs=1)
 
 
+def test_train_classifier_stops_on_non_finite_values_naming_where(monkeypatch):
+    split, prov = small_corpus(n=10)
+    samples, labels = split.train[:4], [0, 1, 0, 1]
+    bad = samples[2].id
+
+    def nan_features(s):
+        vec, pos = prov(s)
+        if s.id == bad:
+            vec = vec.copy()
+            vec[0, 0] = np.nan
+        return vec, pos
+
+    with pytest.raises(NumericalError, match=re.escape(f"non-finite loss on sample {bad}")):
+        train_classifier(samples, labels, nan_features, n_classes=2, epochs=1)
+
+    ce = training.cross_entropy
+
+    def nan_gradient(logits, label):  # a finite loss whose gradient is not
+        loss = ce(logits, label)
+        return T.custom(loss.data, (logits,), lambda g: (np.full(logits.shape, np.nan),), "ce")
+
+    monkeypatch.setattr(training, "cross_entropy", nan_gradient)
+    with pytest.raises(NumericalError, match="gradient norm at epoch 1, step 1"):
+        train_classifier(samples, labels, prov, n_classes=2, epochs=1, batch_size=2)
+
+
 # -- optimizer and schedule -----------------------------------------------------
 
 
