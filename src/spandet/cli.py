@@ -18,16 +18,11 @@ from . import metrics as M
 from .geometry import cw_to_span
 from .model import ModelConfig, load_detector
 from .textproc import load_features, tokenize, write_embedding_file
-from .training import LossWeights, NumericalError, TrainConfig, check_max_tokens, train
+from .training import LossWeights, NumericalError, TrainConfig, record_features, train
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
-
-
-def _fail(msg: str) -> int:
-    print(f"error: {msg}", file=sys.stderr)
-    return EXIT_USAGE
 
 
 def _check_out_dir(path: Path, overwrite: bool) -> None:
@@ -52,17 +47,9 @@ def _load_samples(dataset: str, split: str) -> list[D.AnnotatedText]:
 def _provider_for(dataset: str, embeddings: str | None):
     if embeddings is not None:
         emb_dir = Path(embeddings)
-
-        def provide(sample):
-            try:
-                return load_features(emb_dir / f"{sample.id}.emb", sample.text)
-            except (ValueError, OSError) as e:
-                raise ValueError(f"record {sample.id}: {e}") from e
-
-        return provide
-    p = Path(dataset)
-    meta_path = p / "meta.json" if p.is_dir() else None
-    if meta_path is None or not meta_path.exists():
+        return lambda sample: load_features(emb_dir / f"{sample.id}.emb", sample.text)
+    meta_path = Path(dataset) / "meta.json"
+    if not meta_path.is_file():
         raise ValueError("no --embeddings given and the dataset has no meta.json "
                          "describing a toy provider")
     return D.synthetic_provider(json.loads(meta_path.read_text()))
@@ -130,7 +117,7 @@ def cmd_embed(args) -> int:
     total = 0
     for split in ("train", "val", "test"):
         for sample in _load_samples(args.dataset, split):
-            vectors, _ = provider(sample)
+            vectors, _ = record_features(provider, sample)
             tk = tokenize(sample.text)
             write_embedding_file(out / f"{sample.id}.emb", vectors, tk.offsets,
                                  provenance="toy", text=sample.text)
@@ -149,7 +136,7 @@ def cmd_train(args) -> int:
     provider = _provider_for(args.dataset, args.embeddings)
     if not split.train:
         raise ValueError("dataset has no training split")
-    d_model = provider(split.train[0])[0].shape[1]
+    d_model = record_features(provider, split.train[0])[0].shape[1]
     model_cfg = ModelConfig(d_model=d_model, hidden=args.hidden,
                             enc_layers=args.enc_layers, dec_layers=args.dec_layers,
                             heads=args.heads, num_queries=args.queries,
@@ -175,8 +162,7 @@ def cmd_predict(args) -> int:
     skipped = 0
     for sample in samples:
         try:
-            vectors, positions = provider(sample)
-            check_max_tokens(sample.id, len(vectors), model.cfg.max_tokens)
+            vectors, positions = record_features(provider, sample, model.cfg.max_tokens)
         except ValueError as e:  # one bad record must not abort the run
             print(f"error: {e} (skipped)", file=sys.stderr)
             skipped += 1
@@ -221,13 +207,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="generate a synthetic corpus")
-    p.add_argument("--n", type=int, default=2000)
-    p.add_argument("--style", choices=["roft", "binary", "multi"], default="roft")
-    p.add_argument("--sentences", type=int, default=10)
-    p.add_argument("--signal", type=float, default=5.0)
-    p.add_argument("--dim", type=int, default=32)
+    p.add_argument("--n", type=int, default=D.SynthSpec.n_texts)
+    p.add_argument("--style", choices=["roft", "binary", "multi"], default=D.SynthSpec.style)
+    p.add_argument("--sentences", type=int, default=D.SynthSpec.n_sentences)
+    p.add_argument("--signal", type=float, default=D.SynthSpec.signal)
+    p.add_argument("--dim", type=int, default=D.SynthSpec.embed_dim)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--embed-seed", type=int, default=0)
+    p.add_argument("--embed-seed", type=int, default=D.SynthSpec.embed_seed)
     p.add_argument("--out", required=True)
     p.add_argument("--overwrite", action="store_true")
     p.set_defaults(func=cmd_generate)
@@ -251,17 +237,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset", required=True)
     p.add_argument("--embeddings", help="directory of precomputed .emb files")
     p.add_argument("--out", required=True, help="run directory")
-    p.add_argument("--queries", type=int, default=1)
-    p.add_argument("--epochs", type=int, default=75)
-    p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--lr", type=float, default=1e-4)
-    p.add_argument("--hidden", type=int, default=None)
-    p.add_argument("--heads", type=int, default=8)
-    p.add_argument("--enc-layers", type=int, default=3)
-    p.add_argument("--dec-layers", type=int, default=3)
-    p.add_argument("--dn-groups", type=int, default=5)
-    p.add_argument("--max-tokens", type=int, default=512)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--queries", type=int, default=ModelConfig.num_queries)
+    p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
+    p.add_argument("--lr", type=float, default=TrainConfig.lr)
+    p.add_argument("--hidden", type=int, default=ModelConfig.hidden)
+    p.add_argument("--heads", type=int, default=ModelConfig.heads)
+    p.add_argument("--enc-layers", type=int, default=ModelConfig.enc_layers)
+    p.add_argument("--dec-layers", type=int, default=ModelConfig.dec_layers)
+    p.add_argument("--dn-groups", type=int, default=ModelConfig.dn_groups)
+    p.add_argument("--max-tokens", type=int, default=ModelConfig.max_tokens)
+    p.add_argument("--seed", type=int, default=TrainConfig.seed)
     p.add_argument("--overwrite", action="store_true")
     p.set_defaults(func=cmd_train)
 
@@ -297,7 +283,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"numerical failure: {e}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (ValueError, FileNotFoundError, KeyError) as e:
-        return _fail(str(e))
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

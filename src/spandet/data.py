@@ -162,17 +162,13 @@ def _join_sentences(sentences: list[str]) -> tuple[str, list[CharSpan]]:
 def roft_to_intervals(sentences: list[str], boundary: int,
                       text_id: str = "roft", domain: str | None = None) -> AnnotatedText:
     """Boundary = index of the first generated sentence; len(sentences) means
-    the text is fully human."""
+    the text is fully human. The record is the tribert one with one cut at
+    the boundary."""
     if not 0 <= boundary <= len(sentences):
         raise ValueError(f"boundary {boundary} outside [0, {len(sentences)}]")
-    text, offsets = _join_sentences(sentences)
-    if boundary == len(sentences):
-        intervals: list[CharSpan] = []
-    else:
-        intervals = [CharSpan(offsets[boundary].x1, len(text))]
-    return AnnotatedText(text_id, text, intervals,
-                         derive_label(intervals, len(text)),
-                         domain, offsets).validate()
+    cuts = [boundary] if 0 < boundary < len(sentences) else []
+    first = "machine" if boundary == 0 < len(sentences) else "human"
+    return tribert_to_intervals(sentences, cuts, first, text_id, domain)
 
 
 def tribert_to_intervals(sentences: list[str], boundaries: list[int],
@@ -374,6 +370,9 @@ def save_predictions(path, preds: list[dict]) -> None:
 
 
 def load_predictions(path) -> dict[str, dict]:
+    """Prediction records by id, each checked: one score per interval, scores
+    are numbers in [0, 1] (not NaN), intervals are integer pairs ``[x1, x2]``
+    with ``0 <= x1 < x2``. Errors name ``path:line`` and the record."""
     out = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -382,7 +381,15 @@ def load_predictions(path) -> dict[str, dict]:
             rec = json.loads(line)
             if "id" not in rec or "intervals" not in rec or "scores" not in rec:
                 raise ValueError(f"{path}:{lineno}: prediction record missing fields")
+            where = f"{path}:{lineno}: record {rec['id']}"
             if len(rec["intervals"]) != len(rec["scores"]):
-                raise ValueError(f"{path}:{lineno}: intervals/scores length mismatch")
+                raise ValueError(f"{where}: intervals/scores length mismatch")
+            for score in rec["scores"]:
+                if not (type(score) in (int, float) and 0.0 <= score <= 1.0):  # not NaN
+                    raise ValueError(f"{where}: score {score!r} is not a number in [0, 1]")
+            for iv in rec["intervals"]:
+                if not (type(iv) is list and len(iv) == 2
+                        and all(type(x) is int for x in iv) and 0 <= iv[0] < iv[1]):
+                    raise ValueError(f"{where}: interval {iv!r} is not an int pair 0 <= x1 < x2")
             out[str(rec["id"])] = rec
     return out

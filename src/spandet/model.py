@@ -18,7 +18,7 @@ blocks read them.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -259,13 +259,21 @@ def save_checkpoint(path, model: Module, kind: str, config: dict) -> None:
     np.savez(path, __meta__=np.array(meta), **arrays)
 
 
-def _read_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
+def _read_checkpoint(path, kind: str, names) -> tuple[dict, dict[str, np.ndarray]]:
+    """A `kind` checkpoint's config, whose keys must be exactly `names`, and weights."""
     with np.load(path, allow_pickle=False) as z:
         meta = json.loads(str(z["__meta__"]))
         if meta.get("checkpoint_version") != CHECKPOINT_VERSION:
             raise ValueError(f"{path}: unsupported checkpoint version")
         state = {k[len("param/"):]: z[k] for k in z.files if k.startswith("param/")}
-    return meta, state
+    if meta["kind"] != kind:
+        raise ValueError(f"{path}: checkpoint holds a {meta['kind']!r}, not a {kind}")
+    config = meta["config"]
+    unknown, missing = sorted(set(config) - set(names)), sorted(set(names) - set(config))
+    if unknown or missing:
+        raise ValueError(f"{path}: {kind} config has unknown fields {unknown} "
+                         f"and missing fields {missing}")
+    return config, state
 
 
 def save_detector(path, model: DetectionModel) -> None:
@@ -273,10 +281,8 @@ def save_detector(path, model: DetectionModel) -> None:
 
 
 def load_detector(path) -> DetectionModel:
-    meta, state = _read_checkpoint(path)
-    if meta["kind"] != "detector":
-        raise ValueError(f"{path}: checkpoint holds a {meta['kind']!r}, not a detector")
-    model = DetectionModel(ModelConfig(**meta["config"]))
+    config, state = _read_checkpoint(path, "detector", [f.name for f in fields(ModelConfig)])
+    model = DetectionModel(ModelConfig(**config))
     model.load_state(state)
     return model
 
@@ -287,9 +293,7 @@ def save_classifier(path, head: ClassifierHead) -> None:
 
 
 def load_classifier(path) -> ClassifierHead:
-    meta, state = _read_checkpoint(path)
-    if meta["kind"] != "classifier":
-        raise ValueError(f"{path}: checkpoint holds a {meta['kind']!r}, not a classifier")
-    head = ClassifierHead(**meta["config"])
+    config, state = _read_checkpoint(path, "classifier", ("d_model", "hidden", "n_classes"))
+    head = ClassifierHead(**config)
     head.load_state(state)
     return head

@@ -187,19 +187,3 @@ def load_features(path, text: str) -> tuple[np.ndarray, np.ndarray]:
     check_against_text(path, ef.offsets, text)
     return ef.vectors.astype(np.float64), token_positions(ef.offsets, len(text))
 
-
-def snap_to_token_bounds(span: CharSpan, offsets: list[CharSpan]) -> tuple[CharSpan, int]:
-    """Snap a character span to the nearest token boundaries.
-
-    Returns the snapped span and the total character distance moved.
-    """
-    starts = [o.x1 for o in offsets]
-    ends = [o.x2 for o in offsets]
-    x1 = min(starts, key=lambda s: (abs(s - span.x1), s))
-    x2 = min(ends, key=lambda e: (abs(e - span.x2), e))
-    if x2 <= x1:  # degenerate snap: cover the token nearest the span start
-        for o in offsets:
-            if o.x2 > x1:
-                x1, x2 = o.x1, o.x2
-                break
-    return CharSpan(x1, x2), abs(x1 - span.x1) + abs(x2 - span.x2)

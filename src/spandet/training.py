@@ -129,8 +129,11 @@ def composite_loss(layer: LayerPrediction, dn_cw: T.Tensor | None,
     are computed once over every (query, target) pair: the match cost reads
     them, and the matched terms gather from them. Total and gradients are
     bitwise those of the same objective built from elementwise tensor ops.
+    Non-finite predictions raise ``NumericalError`` before matching.
     """
     cw, logits = layer.cw, layer.logits
+    if not (np.isfinite(cw.data).all() and np.isfinite(logits.data).all()):
+        raise NumericalError("non-finite predictions")
     n_queries, m = cw.shape[0], len(gts)
     gt_cw = np.array([[g.c, g.w] for g in gts])
     probs = T.expit(logits.data)
@@ -262,14 +265,15 @@ def cosine_lr(step: int, total_steps: int, base_lr: float,
 
 # -- training loop ------------------------------------------------------------
 
+WEIGHT_DECAY = 1e-4   # AdamW's decoupled decay, for both heads
+WARMUP_FRAC = 0.05    # share of the detector's steps spent in linear warmup
+
 
 @dataclass
 class TrainConfig:
     epochs: int = 75
     batch_size: int = 32
     lr: float = 1e-4
-    weight_decay: float = 1e-4
-    warmup_frac: float = 0.05
     grad_clip: float = 0.1
     seed: int = 0
 
@@ -286,19 +290,63 @@ Provider = Callable[[object], tuple[np.ndarray, np.ndarray]]
 """Maps an annotated sample to (embedding matrix, normalized token midpoints)."""
 
 
-def check_max_tokens(record_id: str, n: int, max_tokens: int) -> None:
-    if n > max_tokens:
-        raise ValueError(f"record {record_id}: {n} tokens exceed max_tokens {max_tokens}")
+def record_features(provider: Provider, sample, max_tokens: int | None = None):
+    """The provider's features for one record, checked. Raises ``ValueError``
+    naming the record on a provider ``ValueError``/``OSError``, more than
+    `max_tokens` rows, or a non-finite value."""
+    try:
+        vec, pos = provider(sample)
+    except (ValueError, OSError) as e:
+        raise ValueError(f"record {sample.id}: {e}") from e
+    if max_tokens is not None and len(vec) > max_tokens:
+        raise ValueError(f"record {sample.id}: {len(vec)} tokens exceed max_tokens {max_tokens}")
+    if not (np.isfinite(vec).all() and np.isfinite(pos).all()):
+        raise ValueError(f"record {sample.id}: non-finite feature values")
+    return vec, pos
 
 
-def _prepare(samples, provider, max_tokens: int) -> dict:
-    cache = {}
-    for s in samples:
-        vec, pos = provider(s)
-        check_max_tokens(s.id, len(vec), max_tokens)
-        gts = [span_to_cw(sp, len(s.text)) for sp in s.intervals]
-        cache[s.id] = (vec, pos, gts)
-    return cache
+def _prepare(samples, provider, max_tokens: int) -> list:
+    """(vectors, positions, target intervals) per sample, in order."""
+    return [(*record_features(provider, s, max_tokens),
+             [span_to_cw(sp, len(s.text)) for sp in s.intervals]) for s in samples]
+
+
+def _fit(params: dict[str, T.Tensor], opt: AdamW, rng: np.random.Generator,
+         ids: list[str], epochs: int, batch_size: int,
+         sample_loss: Callable[[int], T.Tensor], lr_at: Callable[[int], float],
+         max_norm: float):
+    """The mini-batch loop of both heads; yields ``(epoch, lr, pre-clip
+    norms)`` per epoch. A step averages the batch's gradients, clips them to
+    `max_norm` (0 never rescales) and steps at ``lr_at(step)``. A non-finite
+    loss or gradient norm, or a ``NumericalError`` from `sample_loss`, raises
+    ``NumericalError`` naming where, before the weights move."""
+    step = 0
+    for epoch in range(1, epochs + 1):
+        order = rng.permutation(len(ids))
+        norms: list[float] = []
+        for b in range(0, len(ids), batch_size):
+            idxs = order[b:b + batch_size]
+            opt.zero_grad()
+            for i in idxs:
+                try:
+                    loss = sample_loss(i)
+                except NumericalError as e:
+                    raise NumericalError(f"{e} on sample {ids[i]} at epoch {epoch}") from e
+                if not math.isfinite(float(loss.data)):
+                    raise NumericalError(f"non-finite loss on sample {ids[i]} at epoch {epoch}")
+                loss.backward()
+            inv = 1.0 / len(idxs)
+            for p in params.values():
+                if p.grad is not None:
+                    p.grad = p.grad * inv
+            norm = clip_grad_norm(params, max_norm)
+            norms.append(norm)
+            step += 1
+            if not math.isfinite(norm):
+                raise NumericalError(f"non-finite gradient norm at epoch {epoch}, step {step}")
+            lr = lr_at(step)
+            opt.step(lr)
+        yield epoch, lr, norms
 
 
 def _layer_means(terms: list[dict[str, float]]) -> dict:
@@ -323,16 +371,15 @@ def train(split, provider: Provider, model_cfg: ModelConfig,
         raise ValueError("training split is empty")
     model = DetectionModel(model_cfg, seed=train_cfg.seed)
     params = model.parameters()
-    opt = AdamW(params, lr=train_cfg.lr, weight_decay=train_cfg.weight_decay)
+    opt = AdamW(params, lr=train_cfg.lr, weight_decay=WEIGHT_DECAY)
     rng = np.random.default_rng(train_cfg.seed)
 
     cache = _prepare(split.train, provider, model_cfg.max_tokens)
-    val_cache = _prepare(split.val, provider, model_cfg.max_tokens) if split.val else {}
+    val_cache = _prepare(split.val, provider, model_cfg.max_tokens)
 
     n = len(split.train)
-    batches_per_epoch = math.ceil(n / train_cfg.batch_size)
-    total_steps = train_cfg.epochs * batches_per_epoch
-    warmup = round(train_cfg.warmup_frac * total_steps)
+    total_steps = train_cfg.epochs * math.ceil(n / train_cfg.batch_size)
+    warmup = round(WARMUP_FRAC * total_steps)
 
     if run_dir is not None:
         run_dir = Path(run_dir)
@@ -344,41 +391,24 @@ def train(split, provider: Provider, model_cfg: ModelConfig,
         log_path = run_dir / "metrics.jsonl"
         log_path.write_text("")
 
+    epoch_terms: list[list[dict[str, float]]] = []   # per sample, per layer
+
+    def sample_loss(idx):
+        vec, pos, gts = cache[idx]
+        dnb = make_denoising(gts, model_cfg, rng)
+        out = model.forward(vec, pos, dnb)
+        loss, layer_terms = detection_loss(out, gts, weights)
+        epoch_terms.append(layer_terms)
+        return loss
+
     log: list[dict] = []
     best_val = math.inf
     best_epoch = -1
-    best_state = model.state()
-    step = 0
-    for epoch in range(1, train_cfg.epochs + 1):
-        order = rng.permutation(n)
-        epoch_terms: list[list[dict[str, float]]] = []   # per sample, per layer
-        norms: list[float] = []
-        lr = train_cfg.lr
-        for b in range(batches_per_epoch):
-            idxs = order[b * train_cfg.batch_size:(b + 1) * train_cfg.batch_size]
-            model.zero_grad()
-            for idx in idxs:
-                s = split.train[idx]
-                vec, pos, gts = cache[s.id]
-                dnb = make_denoising(gts, model_cfg, rng)
-                out = model.forward(vec, pos, dnb)
-                loss, layer_terms = detection_loss(out, gts, weights)
-                if not math.isfinite(float(loss.data)):
-                    raise NumericalError(f"non-finite loss at epoch {epoch}")
-                loss.backward()
-                epoch_terms.append(layer_terms)
-            inv = 1.0 / len(idxs)
-            for p in params.values():
-                if p.grad is not None:
-                    p.grad = p.grad * inv
-            norm = clip_grad_norm(params, train_cfg.grad_clip)
-            norms.append(norm)
-            step += 1
-            if not math.isfinite(norm):
-                raise NumericalError(f"non-finite gradient norm at epoch {epoch}, step {step}")
-            lr = cosine_lr(step, total_steps, train_cfg.lr, warmup)
-            opt.step(lr)
-
+    best_state = None
+    for epoch, lr, norms in _fit(params, opt, rng, [s.id for s in split.train],
+                                 train_cfg.epochs, train_cfg.batch_size, sample_loss,
+                                 lambda step: cosine_lr(step, total_steps, train_cfg.lr, warmup),
+                                 train_cfg.grad_clip):
         record = {"epoch": epoch, "lr": lr,
                   # terms summed over the decoder layers, then averaged
                   "train": {k: sum(sum(t[k] for t in s) for s in epoch_terms) / n
@@ -391,13 +421,17 @@ def train(split, provider: Provider, model_cfg: ModelConfig,
                                 "max": max(norms)},
                   "clip_frac": (sum(x > train_cfg.grad_clip for x in norms) / len(norms)
                                 if train_cfg.grad_clip > 0 else 0.0)}
+        epoch_terms.clear()
         if val_cache:
             v_sum = 0.0
             with T.no_grad():
-                for s in split.val:
-                    vec, pos, gts = val_cache[s.id]
+                for s, (vec, pos, gts) in zip(split.val, val_cache):
                     out = model.forward(vec, pos, None)
-                    loss, _ = detection_loss(out, gts, weights)
+                    try:
+                        loss, _ = detection_loss(out, gts, weights)
+                    except NumericalError as e:
+                        raise NumericalError(f"{e} on validation record {s.id} "
+                                             f"at epoch {epoch}") from e
                     v_sum += float(loss.data)
             record["val_loss"] = v_sum / len(split.val)
             if record["val_loss"] < best_val:
@@ -411,10 +445,9 @@ def train(split, provider: Provider, model_cfg: ModelConfig,
             save_detector(run_dir / "last.npz", model)
 
     if best_epoch < 0:  # no validation split: keep the final weights
-        best_epoch = train_cfg.epochs
-        best_val = math.nan
-        best_state = model.state()
-    model.load_state(best_state)
+        best_epoch, best_val = train_cfg.epochs, math.nan
+    else:
+        model.load_state(best_state)
     if run_dir is not None:
         save_detector(run_dir / "best.npz", model)
     return TrainResult(model, log, best_epoch, best_val)
@@ -441,14 +474,12 @@ def cross_entropy(logits: T.Tensor, label: int) -> T.Tensor:
 
 def train_classifier(samples, labels: list[int], provider: Provider,
                      hidden: int = 32, n_classes: int = 2, epochs: int = 30,
-                     batch_size: int = 16, lr: float = 1e-3,
-                     weight_decay: float = 1e-4, seed: int = 0,
+                     batch_size: int = 16, lr: float = 1e-3, seed: int = 0,
                      append_cls: bool = True) -> ClassifierHead:
-    """Fit the two-layer CLS head with cross-entropy; the CLS row is the last
-    embedding row (appended by mean pooling for providers without one).
-    Every sample needs one integer label in ``[0, n_classes)``. A non-finite
-    loss (naming the sample) or gradient norm (naming epoch and step) raises
-    ``NumericalError`` before the weights move."""
+    """Fit the two-layer CLS head with cross-entropy through ``_fit``, at a
+    constant `lr` and without clipping; the CLS row is the last embedding row
+    (appended by mean pooling for providers without one). Every sample needs
+    one integer label in ``[0, n_classes)``."""
     if not samples:
         raise ValueError("no training samples")
     if len(labels) < len(samples):
@@ -460,31 +491,13 @@ def train_classifier(samples, labels: list[int], provider: Provider,
     for s, label in zip(samples, labels):
         if not (isinstance(label, (int, np.integer)) and 0 <= label < n_classes):
             raise ValueError(f"sample {s.id}: label {label} is not a class in [0, {n_classes})")
-    feats = []
-    for s in samples:
-        vec, _ = provider(s)
-        feats.append(append_mean_cls(vec) if append_cls else vec)
-    d_model = feats[0].shape[1]
-    head = ClassifierHead(d_model, hidden, n_classes, seed=seed)
+    feats = [record_features(provider, s)[0] for s in samples]
+    feats = [append_mean_cls(v) for v in feats] if append_cls else feats
+    head = ClassifierHead(feats[0].shape[1], hidden, n_classes, seed=seed)
     params = head.parameters()
-    opt = AdamW(params, lr=lr, weight_decay=weight_decay)
-    rng = np.random.default_rng(seed)
-    step = 0
-    for epoch in range(1, epochs + 1):
-        order = rng.permutation(len(samples))
-        for b in range(0, len(order), batch_size):
-            idxs = order[b:b + batch_size]
-            head.zero_grad()
-            for i in idxs:
-                loss = cross_entropy(head.logits(feats[i]), int(labels[i]))
-                if not math.isfinite(float(loss.data)):
-                    raise NumericalError(f"non-finite loss on sample {samples[i].id}")
-                loss.backward()
-            for p in params.values():
-                if p.grad is not None:
-                    p.grad = p.grad / len(idxs)
-            step += 1
-            if not math.isfinite(clip_grad_norm(params, 0.0)):  # reads, never rescales
-                raise NumericalError(f"non-finite gradient norm at epoch {epoch}, step {step}")
-            opt.step()
+    opt = AdamW(params, lr=lr, weight_decay=WEIGHT_DECAY)
+    for _ in _fit(params, opt, np.random.default_rng(seed), [s.id for s in samples], epochs,
+                  batch_size, lambda i: cross_entropy(head.logits(feats[i]), int(labels[i])),
+                  lambda step: lr, 0.0):
+        pass
     return head

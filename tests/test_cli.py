@@ -1,12 +1,17 @@
 import filecmp
 import json
+import warnings
+from dataclasses import fields
 
+import numpy as np
 import pytest
 
-from spandet.cli import main
-from spandet.data import (LABEL_HUMAN, AnnotatedText, load_annotations,
+from spandet.cli import build_parser, main
+from spandet.data import (LABEL_HUMAN, AnnotatedText, SynthSpec, load_annotations,
                           load_predictions, load_split, save_split)
-from spandet.textproc import tokenize
+from spandet.model import ModelConfig
+from spandet.textproc import read_embedding_file, tokenize, write_embedding_file
+from spandet.training import TrainConfig
 
 
 def run(args):
@@ -280,3 +285,92 @@ def test_numerical_failure_exits_3(tmp_path, tiny_pipeline, monkeypatch):
     code = main(["train", "--dataset", str(ds), "--out", str(tmp_path / "r"),
                  "--epochs", "1", "--hidden", "16", "--heads", "4"])
     assert code == 3
+
+
+def test_diverging_run_exits_3_naming_the_epoch(tiny_pipeline, tmp_path, capsys):
+    _, ds, _, _ = tiny_pipeline
+    with np.errstate(all="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        code = main(["train", "--dataset", str(ds), "--out", str(tmp_path / "r"),
+                     "--epochs", "5", "--batch-size", "8", "--lr", "1e12",
+                     "--hidden", "16", "--heads", "4", "--enc-layers", "1",
+                     "--dec-layers", "1", "--dn-groups", "2", "--max-tokens", "64"])
+    assert code == 3
+    assert "numerical failure: non-finite" in capsys.readouterr().err
+
+
+def test_nan_features_exit_2_naming_the_record(tiny_pipeline, tmp_path, capsys):
+    _, ds, run_dir, _ = tiny_pipeline
+    emb = tmp_path / "emb"
+    assert main(["embed", "--dataset", str(ds), "--out", str(emb)]) == 0
+    split = load_split(ds)
+    for victim in (split.train[1], split.test[0]):
+        ef = read_embedding_file(emb / f"{victim.id}.emb")
+        ef.vectors[0, 0] = np.nan
+        write_embedding_file(emb / f"{victim.id}.emb", ef.vectors, ef.offsets,
+                             ef.provenance, victim.text)
+    code = main(["train", "--dataset", str(ds), "--embeddings", str(emb),
+                 "--out", str(tmp_path / "r"), "--epochs", "1", "--hidden", "16",
+                 "--heads", "4", "--max-tokens", "64"])
+    assert code == 2
+    assert (f"record {split.train[1].id}: non-finite feature values"
+            in capsys.readouterr().err)
+    code = main(["predict", "--checkpoint", str(run_dir / "best.npz"), "--dataset", str(ds),
+                 "--embeddings", str(emb), "--out", str(tmp_path / "p.jsonl")])
+    assert code == 2
+    assert (f"record {split.test[0].id}: non-finite feature values"
+            in capsys.readouterr().err)
+    written = list(load_predictions(tmp_path / "p.jsonl"))
+    assert written == [s.id for s in split.test[1:]]
+
+
+def test_eval_with_a_nan_score_exits_2_naming_the_line_and_record(tiny_pipeline, tmp_path,
+                                                                   capsys):
+    _, ds, _, preds = tiny_pipeline
+    lines = preds.read_text().splitlines()
+    rec = json.loads(lines[1])
+    rec["scores"][0] = float("nan")
+    lines[1] = json.dumps(rec)
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n".join(lines) + "\n")
+    assert main(["eval", "--predictions", str(bad), "--dataset", str(ds)]) == 2
+    assert (f"{bad}:2: record {rec['id']}: score nan is not a number in [0, 1]"
+            in capsys.readouterr().err)
+
+
+def test_bad_checkpoint_config_exits_2_naming_the_fields(tiny_pipeline, tmp_path, capsys):
+    _, ds, run_dir, _ = tiny_pipeline
+    with np.load(run_dir / "best.npz") as z:
+        arrays = {k: z[k] for k in z.files}
+    meta = json.loads(str(arrays["__meta__"]))
+    meta["config"]["dropout"] = 0.1
+    del meta["config"]["heads"]
+    arrays["__meta__"] = np.array(json.dumps(meta))
+    np.savez(tmp_path / "bad.npz", **arrays)
+    code = main(["predict", "--checkpoint", str(tmp_path / "bad.npz"), "--dataset", str(ds),
+                 "--out", str(tmp_path / "p.jsonl")])
+    assert code == 2
+    assert ("detector config has unknown fields ['dropout'] and missing fields ['heads']"
+            in capsys.readouterr().err)
+
+
+def test_bare_train_and_generate_parse_to_the_dataclass_defaults():
+    parser = build_parser()
+    model = {f.name: f.default for f in fields(ModelConfig)}
+    trainer = {f.name: f.default for f in fields(TrainConfig)}
+    spec = {f.name: f.default for f in fields(SynthSpec)}
+    args = vars(parser.parse_args(["train", "--dataset", "d", "--out", "o"]))
+    for flag, default in [("queries", model["num_queries"]), ("hidden", model["hidden"]),
+                          ("heads", model["heads"]), ("enc_layers", model["enc_layers"]),
+                          ("dec_layers", model["dec_layers"]),
+                          ("dn_groups", model["dn_groups"]),
+                          ("max_tokens", model["max_tokens"]),
+                          ("epochs", trainer["epochs"]),
+                          ("batch_size", trainer["batch_size"]),
+                          ("lr", trainer["lr"]), ("seed", trainer["seed"])]:
+        assert args[flag] == default, flag
+    args = vars(parser.parse_args(["generate", "--out", "o"]))
+    for flag, default in [("n", spec["n_texts"]), ("style", spec["style"]),
+                          ("sentences", spec["n_sentences"]), ("signal", spec["signal"]),
+                          ("dim", spec["embed_dim"]), ("embed_seed", spec["embed_seed"])]:
+        assert args[flag] == default, flag

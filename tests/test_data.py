@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -7,8 +8,8 @@ import pytest
 from spandet.data import (LABEL_HUMAN, LABEL_MACHINE, LABEL_MIXED,
                           AnnotatedText, DatasetSplit, SynthSpec,
                           coauthor_to_intervals, derive_label,
-                          embed_with_signal, load_annotations, load_split,
-                          roft_to_intervals, save_annotations, save_split,
+                          embed_with_signal, load_annotations, load_predictions,
+                          load_split, roft_to_intervals, save_annotations, save_split,
                           signal_direction, split_sentences, synth_generate,
                           synthetic_provider, tribert_to_intervals)
 from spandet.geometry import CharSpan
@@ -282,3 +283,25 @@ def test_gt_intervals_align_with_token_boundaries():
         ends = {o.x2 for o in tk.offsets}
         for sp in s.intervals:
             assert sp.x1 in starts and sp.x2 in ends
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("scores", [float("nan")], "score nan is not a number in [0, 1]"),
+    ("scores", [1.5], "score 1.5 is not a number in [0, 1]"),
+    ("scores", ["0.5"], "score '0.5' is not a number in [0, 1]"),
+    ("scores", [True], "score True is not a number in [0, 1]"),
+    ("intervals", [[3, 3]], "interval [3, 3] is not an int pair 0 <= x1 < x2"),
+    ("intervals", [[-1, 2]], "interval [-1, 2] is not an int pair 0 <= x1 < x2"),
+    ("intervals", [[1.5, 4]], "interval [1.5, 4] is not an int pair 0 <= x1 < x2"),
+    ("intervals", [[1, 2, 3]], "interval [1, 2, 3] is not an int pair 0 <= x1 < x2"),
+])
+def test_load_predictions_checks_each_record_naming_line_and_id(tmp_path, field, value,
+                                                                message):
+    good = {"id": "a", "intervals": [[0, 4]], "scores": [0.25]}
+    path = tmp_path / "preds.jsonl"
+    path.write_text(json.dumps(good) + "\n" + json.dumps({**good, "id": "b", field: value})
+                    + "\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}:2: record b: {message}")):
+        load_predictions(path)
+    path.write_text(json.dumps(good) + "\n")
+    assert load_predictions(path) == {"a": good}

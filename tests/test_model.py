@@ -1,3 +1,6 @@
+import re
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -5,8 +8,8 @@ from spandet import tensor as T
 from spandet.geometry import Interval
 from spandet.model import (ClassifierHead, DetectionModel, LayerPrediction,
                            ModelConfig, ModelOutput, dn_attention_mask,
-                           load_classifier, load_detector, save_classifier,
-                           save_detector)
+                           load_classifier, load_detector, save_checkpoint,
+                           save_classifier, save_detector)
 from spandet.nn import (ConcatPosAttention, Linear, MultiHeadAttention,
                         sinusoidal_encode)
 from spandet.training import detection_loss, make_denoising
@@ -227,6 +230,20 @@ def test_checkpoint_kind_mismatch(tmp_path):
     path = tmp_path / "head.npz"
     save_classifier(path, head)
     with pytest.raises(ValueError, match="classifier"):
+        load_detector(path)
+
+
+def test_checkpoint_config_with_unknown_or_missing_fields_names_them(tmp_path):
+    path = tmp_path / "head.npz"
+    save_checkpoint(path, ClassifierHead(16, 8, 2), "classifier",
+                    {"d_model": 16, "hidden": 8, "classes": 2})
+    with pytest.raises(ValueError, match=re.escape(
+            "classifier config has unknown fields ['classes'] and missing fields ['n_classes']")):
+        load_classifier(path)
+    m = tiny_model(seed=1)
+    save_checkpoint(path, m, "detector", {**asdict(m.cfg), "depth": 2, "width": 3})
+    with pytest.raises(ValueError, match=re.escape(
+            "detector config has unknown fields ['depth', 'width'] and missing fields []")):
         load_detector(path)
 
 

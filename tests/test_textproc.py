@@ -5,8 +5,7 @@ from hypothesis import strategies as st
 
 from spandet.geometry import CharSpan
 from spandet.textproc import (append_mean_cls, load_features, read_embedding_file,
-                              snap_to_token_bounds, token_positions, tokenize,
-                              toy_embed, write_embedding_file)
+                              token_positions, tokenize, toy_embed, write_embedding_file)
 
 
 def test_tokenize_example():
@@ -158,11 +157,3 @@ def test_large_dim_file_accepted(tmp_path):
     write_embedding_file(path, vec, [CharSpan(0, 5)], "file:pretrained")
     ef = read_embedding_file(path)
     assert ef.vectors.shape == (1, 4096)
-
-
-def test_snap_to_token_bounds():
-    tk = tokenize("alpha beta gamma")
-    snapped, dist = snap_to_token_bounds(CharSpan(6, 10), tk.offsets)
-    assert snapped == CharSpan(6, 10) and dist == 0
-    snapped, dist = snap_to_token_bounds(CharSpan(7, 9), tk.offsets)
-    assert snapped == CharSpan(6, 10) and dist == 2

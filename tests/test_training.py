@@ -8,7 +8,7 @@ import pytest
 from spandet import tensor as T
 from spandet import training
 from spandet.data import SynthSpec, synth_generate, synthetic_provider
-from spandet.geometry import Interval, clamp_interval
+from spandet.geometry import Interval, clamp_interval, span_to_cw
 from spandet.matching import hungarian
 from spandet.model import LayerPrediction, ModelConfig, ModelOutput
 from spandet.training import (AdamW, LossWeights, NumericalError, TrainConfig,
@@ -329,10 +329,19 @@ def test_train_classifier_stops_on_non_finite_values_naming_where(monkeypatch):
             vec[0, 0] = np.nan
         return vec, pos
 
-    with pytest.raises(NumericalError, match=re.escape(f"non-finite loss on sample {bad}")):
+    with pytest.raises(ValueError, match=re.escape(f"record {bad}: non-finite feature values")):
         train_classifier(samples, labels, nan_features, n_classes=2, epochs=1)
 
     ce = training.cross_entropy
+
+    def nan_loss(logits, label):
+        return T.custom(np.nan, (logits,), lambda g: (np.zeros(logits.shape),), "ce")
+
+    monkeypatch.setattr(training, "cross_entropy", nan_loss)
+    first = samples[np.random.default_rng(0).permutation(4)[0]].id
+    with pytest.raises(NumericalError,
+                       match=re.escape(f"non-finite loss on sample {first} at epoch 1")):
+        train_classifier(samples, labels, prov, n_classes=2, epochs=1)
 
     def nan_gradient(logits, label):  # a finite loss whose gradient is not
         loss = ce(logits, label)
@@ -341,6 +350,31 @@ def test_train_classifier_stops_on_non_finite_values_naming_where(monkeypatch):
     monkeypatch.setattr(training, "cross_entropy", nan_gradient)
     with pytest.raises(NumericalError, match="gradient norm at epoch 1, step 1"):
         train_classifier(samples, labels, prov, n_classes=2, epochs=1, batch_size=2)
+
+
+
+def test_record_features_names_the_record_for_every_failure():
+    split, prov = small_corpus(n=10)
+    s = split.train[0]
+    vec, pos = training.record_features(prov, s, max_tokens=len(prov(s)[0]))
+    assert np.array_equal(vec, prov(s)[0]) and np.array_equal(pos, prov(s)[1])
+
+    def failing(exc):
+        def provide(sample):
+            raise exc
+        return provide
+
+    for exc in (ValueError("bad header"), OSError("no such file")):
+        with pytest.raises(ValueError, match=re.escape(f"record {s.id}: {exc}")):
+            training.record_features(failing(exc), s)
+    n = len(vec)
+    with pytest.raises(ValueError, match=f"record {s.id}: {n} tokens exceed max_tokens {n - 1}"):
+        training.record_features(prov, s, max_tokens=n - 1)
+    for bad in (np.nan, np.inf):
+        planted = vec.copy()
+        planted[-1, 3] = bad
+        with pytest.raises(ValueError, match=f"record {s.id}: non-finite feature values"):
+            training.record_features(lambda _: (planted, pos), s)
 
 
 # -- optimizer and schedule -----------------------------------------------------
@@ -438,6 +472,59 @@ def test_non_finite_gradient_stops_training_before_the_weights_move(monkeypatch)
               TrainConfig(epochs=1, batch_size=8, seed=0))
     for k, p in seen["params"].items():
         assert np.array_equal(p.data, seen["before"][k]), k
+
+
+
+def test_planted_nan_detector_loss_names_the_sample_and_the_epoch(monkeypatch):
+    split, prov = small_corpus(n=24)
+    loss_fn = training.detection_loss
+    calls = []
+
+    def nan_on_the_second_epoch(out, gts, weights):
+        loss, terms = loss_fn(out, gts, weights)
+        calls.append(1)
+        if len(calls) > len(split.train):  # the first sample of epoch 2
+            loss = T.custom(np.nan, (loss,), lambda g: (g,), "nan")
+        return loss, terms
+
+    monkeypatch.setattr(training, "detection_loss", nan_on_the_second_epoch)
+    # the permutations are the only other draws besides the DN noise, so the
+    # second epoch's order is read from a replay of the same stream
+    rng = np.random.default_rng(0)
+    cfg = ModelConfig(**SMALL_MODEL)
+    rng.permutation(len(split.train))
+    for s in split.train:
+        make_denoising([span_to_cw(sp, len(s.text)) for sp in s.intervals], cfg, rng)
+    first = split.train[rng.permutation(len(split.train))[0]].id
+    with pytest.raises(NumericalError,
+                       match=re.escape(f"non-finite loss on sample {first} at epoch 2")):
+        train(split, prov, cfg, TrainConfig(epochs=2, batch_size=8, seed=0))
+
+
+def test_diverging_run_raises_numerical_error_naming_sample_and_epoch():
+    split, prov = small_corpus()
+    with np.errstate(all="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with pytest.raises(NumericalError,
+                           match=r"non-finite predictions on sample \S+ at epoch \d+$"):
+            train(split, prov, ModelConfig(**SMALL_MODEL),
+                  TrainConfig(epochs=5, batch_size=8, lr=1e12, seed=0))
+
+
+def test_nan_weight_stops_validation_naming_the_record_and_epoch(monkeypatch):
+    split, prov = small_corpus(n=24)
+    step = training.AdamW.step
+
+    def plant_after_the_last_step(self, lr=None):
+        step(self, lr)
+        if self.t == 2:  # 16 training samples in batches of 8
+            self.params["class_head.bias"].data[0] = np.nan
+
+    monkeypatch.setattr(training.AdamW, "step", plant_after_the_last_step)
+    with pytest.raises(NumericalError, match=re.escape(
+            f"non-finite predictions on validation record {split.val[0].id} at epoch 1")):
+        train(split, prov, ModelConfig(**SMALL_MODEL),
+              TrainConfig(epochs=1, batch_size=8, seed=0))
 
 
 @pytest.mark.parametrize("grad_clip", [0.1, 1e9])
