@@ -81,7 +81,7 @@ def cmd_convert(args) -> int:
             if not line.strip():
                 continue
             try:
-                rec = json.loads(line)
+                rec = D.json_object(line)
                 text_id = str(rec.get("id", f"{args.format}-{lineno:06d}"))
                 if args.format == "roft":
                     item = D.roft_to_intervals(rec["sentences"], int(rec["boundary"]),
@@ -162,7 +162,7 @@ def cmd_predict(args) -> int:
     skipped = 0
     for sample in samples:
         try:
-            vectors, positions = record_features(provider, sample, model.cfg.max_tokens)
+            vectors, positions = record_features(provider, sample, model.cfg)
         except ValueError as e:  # one bad record must not abort the run
             print(f"error: {e} (skipped)", file=sys.stderr)
             skipped += 1

@@ -99,6 +99,14 @@ def _from_record(rec: dict) -> AnnotatedText:
                          rec.get("domain"), sents).validate()
 
 
+def json_object(line: str) -> dict:
+    """One JSONL line's record; ``ValueError`` unless it is a JSON object."""
+    rec = json.loads(line)
+    if not isinstance(rec, dict):
+        raise ValueError(f"expected a JSON object, got {type(rec).__name__}")
+    return rec
+
+
 def save_annotations(path, items: list[AnnotatedText]) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -114,7 +122,7 @@ def load_annotations(path) -> list[AnnotatedText]:
             if not line.strip():
                 continue
             try:
-                items.append(_from_record(json.loads(line)))
+                items.append(_from_record(json_object(line)))
             except (KeyError, TypeError, ValueError) as e:
                 raise ValueError(f"{path}:{lineno}: invalid record: {e}") from e
     return items
@@ -370,15 +378,18 @@ def save_predictions(path, preds: list[dict]) -> None:
 
 
 def load_predictions(path) -> dict[str, dict]:
-    """Prediction records by id, each checked: one score per interval, scores
-    are numbers in [0, 1] (not NaN), intervals are integer pairs ``[x1, x2]``
-    with ``0 <= x1 < x2``. Errors name ``path:line`` and the record."""
+    """Prediction records by id, each checked: a JSON object, one score per
+    interval, scores numbers in [0, 1] (not NaN), intervals integer pairs
+    ``[x1, x2]`` with ``0 <= x1 < x2``. Errors name ``path:line`` (and the record)."""
     out = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
-            rec = json.loads(line)
+            try:
+                rec = json_object(line)
+            except ValueError as e:
+                raise ValueError(f"{path}:{lineno}: {e}") from e
             if "id" not in rec or "intervals" not in rec or "scores" not in rec:
                 raise ValueError(f"{path}:{lineno}: prediction record missing fields")
             where = f"{path}:{lineno}: record {rec['id']}"

@@ -24,8 +24,7 @@ import numpy as np
 
 from . import tensor as T
 from .geometry import Interval
-from .nn import (ConcatPosAttention, Linear, MLP, Module, MultiHeadAttention,
-                 LayerNorm, sinusoidal_encode)
+from .nn import ConcatPosAttention, LayerNorm, Linear, MLP, Module, MultiHeadAttention
 
 
 @dataclass
@@ -99,18 +98,11 @@ class DecoderLayer(Module):
         self.ffn = MLP([hidden, hidden * ffn_mult, hidden], rng)
         self.ln3 = LayerNorm(hidden)
 
-    def self_block(self, content: T.Tensor, q: T.Tensor,
-                   prefix: tuple[T.Tensor, T.Tensor] | None = None,
+    def self_block(self, content: T.Tensor, q: T.Tensor, k: T.Tensor, v: T.Tensor,
                    mask: np.ndarray | None = None) -> T.Tensor:
-        """Self-attention sub-layer; `q` is `content` plus its anchor encoding.
-        `prefix` prepends extra key/value rows (the learnable queries, seen by
-        the DN rows); `mask` is a constant (rows, prefix + rows) additive
-        score mask (the DN group blocks)."""
-        if prefix is None:
-            k, v = q, content
-        else:
-            k = T.concat([prefix[0], q], axis=0)
-            v = T.concat([prefix[1], content], axis=0)
+        """Self-attention sub-layer of `content`: queries `q` (content plus its
+        anchor encoding) over keys `k` and values `v`, with an optional constant
+        (rows, keys) additive score `mask` (the DN group blocks)."""
         return self.ln1(content, self.self_attn(q, k, v, mask))
 
     def cross_ffn(self, content: T.Tensor, pe_anchor: T.Tensor,
@@ -158,7 +150,7 @@ class DetectionModel(Module):
             raise ValueError(f"sequence length {n} exceeds max_tokens {cfg.max_tokens}")
 
         memory = self.proj(T.Tensor(vectors))
-        pe_mem = T.Tensor(sinusoidal_encode(positions, h, cfg.temperature))
+        pe_mem = T.Tensor(T.sinusoidal_encode(positions, h, cfg.temperature))
         for enc in self.encoder:
             memory = enc(memory, pe_mem)
 
@@ -178,11 +170,12 @@ class DetectionModel(Module):
             pe_l = T.anchor_encode(T.sigmoid(anchor_l), h, cfg.temperature)
             q_l = content_l + pe_l
             if use_dn:
-                # the learnable queries' q is also the dn rows' prefix keys
+                # the learnable rows lead the dn rows' keys and values
                 pe_d = T.anchor_encode(T.sigmoid(anchor_d), h, cfg.temperature)
-                content_d = dec.self_block(content_d, content_d + pe_d,
-                                           (q_l, content_l), dn_mask)
-            content_l = dec.self_block(content_l, q_l)
+                q_d = content_d + pe_d
+                content_d = dec.self_block(content_d, q_d, T.concat([q_l, q_d], axis=0),
+                                           T.concat([content_l, content_d], axis=0), dn_mask)
+            content_l = dec.self_block(content_l, q_l, q_l, content_l)
             kv = dec.cross_attn.keys_values(memory, pe_mem)  # shared with the dn rows
             content_l = dec.cross_ffn(content_l, pe_l, kv)
             delta_l = self.span_head(content_l)

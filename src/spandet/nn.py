@@ -1,9 +1,9 @@
-"""Layers for the detection transformer: linear maps, layer norm, multi-head
-attention, and sinusoidal position encoding.
+"""Layers for the detection transformer: linear maps, layer norm and
+multi-head attention.
 
 Linear maps and attention run on the fused ``tensor.linear`` and
-``tensor.attention`` primitives, one tape node each; the differentiable
-anchor encoding is ``tensor.anchor_encode``.
+``tensor.attention`` primitives, one tape node each. Position encodings are
+``tensor.sinusoidal_encode`` (tokens) and ``tensor.anchor_encode`` (anchors).
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ class Module:
         for k, p in params.items():
             if p.data.shape != state[k].shape:
                 raise ValueError(f"{k}: shape {state[k].shape} != expected {p.data.shape}")
-            p.data = state[k].astype(p.data.dtype).copy()
+            p.data = np.array(state[k], dtype=np.float64)
 
     def state(self) -> dict[str, np.ndarray]:
         return {k: p.data.copy() for k, p in self.parameters().items()}
@@ -83,8 +83,8 @@ class LayerNorm(Module):
         self.gain = T.Tensor(np.ones(dim), requires_grad=True)
         self.bias = T.Tensor(np.zeros(dim), requires_grad=True)
 
-    def __call__(self, x: T.Tensor, residual: T.Tensor | None = None) -> T.Tensor:
-        """Layer norm of ``x``, or of ``x + residual`` when given."""
+    def __call__(self, x: T.Tensor, residual: T.Tensor) -> T.Tensor:
+        """Layer norm of ``x + residual``."""
         return T.layer_norm(x, self.gain, self.bias, residual)
 
 
@@ -142,19 +142,3 @@ def _concat_per_head(content: T.Tensor, pos: T.Tensor, heads: int) -> T.Tensor:
     parts = [T.reshape(t, (n, heads, d // heads)) for t in (content, pos)]
     return T.reshape(T.concat(parts, axis=-1), (n, 2 * d))
 
-
-def sinusoidal_encode(pos, dim: int, temperature: float = 10000.0) -> np.ndarray:
-    """Interleaved sin/cos over a geometric frequency ladder; pos in [0, 1].
-
-    Accepts a scalar or a 1D array; returns (dim,) or (n, dim).
-    """
-    if dim % 2:
-        raise ValueError(f"sinusoidal dim must be even, got {dim}")
-    scalar = np.isscalar(pos)
-    p = np.atleast_1d(np.asarray(pos, dtype=np.float64))
-    freqs = temperature ** (2.0 * np.arange(dim // 2) / dim)
-    args = 2.0 * np.pi * p[:, None] / freqs[None, :]
-    out = np.empty((len(p), dim))
-    out[:, 0::2] = np.sin(args)
-    out[:, 1::2] = np.cos(args)
-    return out[0] if scalar else out

@@ -8,22 +8,23 @@ is topological since a node is created after its parents. ``backward`` alone
 stores gradients: it skips parents that need none, stores a first
 contribution without a copy, and copies an array an earlier parent of the
 same node already stored. Interior nodes drop their gradient once passed on,
-so only leaves end a backward holding one, never two the same buffer. Double
-precision is the default so finite difference checks have headroom.
+so only leaves end a backward holding one, never two the same buffer. Every
+tensor holds double precision, so finite difference checks have headroom.
 
 The cost of the engine is Python per tape node, not arithmetic, so it holds
 only the ops the detector calls, and the layers it repeats are fused: one
 node each, with a hand-written backward. ``linear`` is ``x @ w + b``;
 ``attention`` is multi-head scaled-dot attention from the projected q/k/v to
 the merged context, keeping only the probabilities for backward;
-``anchor_encode`` is the interleaved sin/cos encoding of ``(c, w)`` anchors;
-``layer_norm`` takes an optional residual that it adds first. The rest are
-``sigmoid``, ``relu``, ``add`` and the structural ``concat``, ``reshape`` and
-``slice_``. ``custom`` is ``_result`` for callers: a value and a
-hand-written vjp; the training objective and the classifier's cross-entropy
-are one each. The elementary ops the fused ones replaced (products, matmul,
-reductions, softmax, log, ...) live in the tests as reference ops built on
-``custom``, and the fused ones are pinned to their chains there.
+``anchor_encode`` is ``sinusoidal_encode``, the interleaved sin/cos encoding
+of token positions, applied to ``(c, w)`` anchors; ``layer_norm`` takes an
+optional residual that it adds first. The rest are ``sigmoid``, ``relu``,
+``add`` and the structural ``concat``, ``reshape`` and ``slice_``.
+``custom`` is ``_result`` for callers: a value and a hand-written vjp; the
+training objective and the classifier's cross-entropy are one each. The
+elementary ops the fused ones replaced (products, matmul, reductions,
+softmax, log, ...) live in the tests as reference ops built on ``custom``,
+and the fused ones are pinned to their chains there.
 
 Inside ``with no_grad():`` operations record no parents and keep no vjp;
 results are constants. What a backward needs beyond the arrays it captures
@@ -71,15 +72,10 @@ def no_grad() -> Iterator[None]:
 class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "_op", "_id")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
+    def __init__(self, data, requires_grad: bool = False):
         if isinstance(data, Tensor):
             raise TypeError("Tensor(data) does not accept a Tensor; pass its .data instead")
-        arr = np.asarray(data)
-        if dtype is not None:
-            arr = arr.astype(dtype)
-        elif arr.dtype != np.float32:
-            arr = arr.astype(np.float64)
-        self.data = arr
+        self.data = np.array(data, dtype=np.float64)
         self.requires_grad = requires_grad
         self.grad: np.ndarray | None = None
         self._parents: tuple[Tensor, ...] = ()
@@ -152,7 +148,7 @@ class Tensor:
         return add(self, other)
 
     def __radd__(self, other):
-        return add(_wrap(other, self), self)
+        return add(_wrap(other), self)
 
     def __getitem__(self, idx):
         return slice_(self, idx)
@@ -171,11 +167,8 @@ def _interior_nodes(root: Tensor) -> list[Tensor]:
     return sorted(nodes.values(), key=lambda t: t._id, reverse=True)
 
 
-def _wrap(x, like: Tensor | None = None) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    dtype = like.data.dtype if like is not None else np.float64
-    return Tensor(np.asarray(x, dtype=dtype))
+def _wrap(x) -> Tensor:
+    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 def _result(data: np.ndarray, parents: Sequence[Tensor], vjp: Callable, op: str) -> Tensor:
@@ -229,7 +222,7 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def add(a, b) -> Tensor:
-    a, b = _wrap(a), _wrap(b, a)
+    a, b = _wrap(a), _wrap(b)
     _check_elementwise("add", a, b)
     return _result(a.data + b.data, (a, b),
                    lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)), "add")
@@ -249,12 +242,10 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
 
 def slice_(a: Tensor, idx) -> Tensor:
     a = _wrap(a)
-    data = a.data[idx]
-    if np.isscalar(data) or data.ndim == 0:
-        data = np.asarray(data)
+    data = np.asarray(a.data[idx])
 
     def vjp(g):
-        full = np.zeros(a.shape, dtype=a.data.dtype)
+        full = np.zeros(a.shape)
         np.add.at(full, idx, g)
         return (full,)
 
@@ -391,31 +382,43 @@ def attention(q, k, v, heads: int, mask: np.ndarray | None = None) -> Tensor:
     return _result(data, (q, k, v), vjp, "attention")
 
 
+def _ladder(dim: int, temperature: float) -> np.ndarray:
+    """Angular frequencies ``2 pi / temperature**(2k/dim)`` for k < dim/2."""
+    return 2.0 * np.pi / temperature ** (2.0 * np.arange(dim // 2) / dim)
+
+
+def sinusoidal_encode(pos, dim: int, temperature: float = 10000.0) -> np.ndarray:
+    """Sin and cos of ``pos`` times each frequency of the ladder, interleaved:
+    column 2k is sin, 2k+1 cos. A scalar gives (dim,); an array of shape s
+    gives s + (dim,). Positions are normalized to [0, 1]."""
+    if dim % 2:
+        raise ValueError(f"sinusoidal dim must be even, got {dim}")
+    args = np.asarray(pos, dtype=np.float64)[..., None] * _ladder(dim, temperature)
+    out = np.empty(args.shape + (2,))
+    out[..., 0] = np.sin(args)
+    out[..., 1] = np.cos(args)
+    return out.reshape(args.shape[:-1] + (dim,))
+
+
 def anchor_encode(cw, dim: int, temperature: float = 10000.0) -> Tensor:
-    """Encode (n, 2) anchors (c, w) as (n, dim): each coordinate fills dim/2
-    columns with sin/cos interleaved over a geometric frequency ladder (the
-    layout of ``nn.sinusoidal_encode``), c first, then w. One node."""
+    """Encode (n, 2) anchors (c, w) as (n, dim): ``sinusoidal_encode`` of each
+    coordinate at dim/2, c's columns first, then w's. One node; its backward
+    reads sin and cos back from the output."""
     cw = _wrap(cw)
     if dim % 4:
         raise ValueError(f"anchor encoding needs dim divisible by 4, got {dim}")
     if cw.ndim != 2 or cw.shape[1] != 2:
         raise ShapeError(f"anchor_encode: expected (n, 2) anchors, got {cw.shape}")
     n, half = cw.shape[0], dim // 2
-    freqs = temperature ** (2.0 * np.arange(half // 2) / half)
-    inv = (2.0 * np.pi / freqs)[None, :]                    # (1, dim/4)
-    args = cw.data[:, :, None] * inv                        # (n, 2, dim/4)
-    sin, cos = np.sin(args), np.cos(args)
-    out = np.empty((n, 2, half // 2, 2))
-    out[..., 0] = sin
-    out[..., 1] = cos
-    data = out.reshape(n, dim)
+    data = sinusoidal_encode(cw.data, half, temperature).reshape(n, dim)
 
     def vjp(g):
-        g4 = g.reshape(n, 2, half // 2, 2)
+        g4, sc = g.reshape(n, 2, half // 2, 2), data.reshape(n, 2, half // 2, 2)
+        ladder = _ladder(half, temperature)[:, None]          # (dim/4, 1)
         grad = np.empty((n, 2))
         for j in range(2):  # (n, dim/4) @ (dim/4, 1) per coordinate, as the chain did
-            gargs = -g4[:, j, :, 1] * sin[:, j] + g4[:, j, :, 0] * cos[:, j]
-            grad[:, j] = (gargs @ inv.T)[:, 0]
+            gargs = -g4[:, j, :, 1] * sc[:, j, :, 0] + g4[:, j, :, 0] * sc[:, j, :, 1]
+            grad[:, j] = (gargs @ ladder)[:, 0]
         return (grad,)
 
     return _result(data, (cw,), vjp, "anchor_encode")

@@ -204,24 +204,23 @@ def detection_loss(out: ModelOutput, gts: list[Interval],
 # -- optimizer and schedule ---------------------------------------------------
 
 
-class AdamW:
-    """Adam with decoupled weight decay and bias correction."""
+ADAM_BETAS = (0.9, 0.999)
+ADAM_EPS = 1e-8
+WEIGHT_DECAY = 1e-4   # AdamW's decoupled decay, for both heads
 
-    def __init__(self, params: dict[str, T.Tensor], lr: float = 1e-4,
-                 betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8,
-                 weight_decay: float = 0.0):
+
+class AdamW:
+    """Adam with bias correction and decoupled weight decay, at ``ADAM_BETAS``,
+    ``ADAM_EPS`` and ``WEIGHT_DECAY``; each step takes its learning rate."""
+
+    def __init__(self, params: dict[str, T.Tensor]):
         self.params = params
-        self.lr = lr
-        self.betas = betas
-        self.eps = eps
-        self.weight_decay = weight_decay
         self.t = 0
         self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
 
-    def step(self, lr: float | None = None) -> None:
-        lr = self.lr if lr is None else lr
-        b1, b2 = self.betas
+    def step(self, lr: float) -> None:
+        b1, b2 = ADAM_BETAS
         self.t += 1
         bc1 = 1.0 - b1 ** self.t
         bc2 = 1.0 - b2 ** self.t
@@ -229,11 +228,10 @@ class AdamW:
             g = p.grad
             if g is None:
                 continue
-            if self.weight_decay:
-                p.data *= 1.0 - lr * self.weight_decay
+            p.data *= 1.0 - lr * WEIGHT_DECAY
             self.m[k] = b1 * self.m[k] + (1.0 - b1) * g
             self.v[k] = b2 * self.v[k] + (1.0 - b2) * g * g
-            p.data -= lr * (self.m[k] / bc1) / (np.sqrt(self.v[k] / bc2) + self.eps)
+            p.data -= lr * (self.m[k] / bc1) / (np.sqrt(self.v[k] / bc2) + ADAM_EPS)
 
     def zero_grad(self) -> None:
         for p in self.params.values():
@@ -265,7 +263,6 @@ def cosine_lr(step: int, total_steps: int, base_lr: float,
 
 # -- training loop ------------------------------------------------------------
 
-WEIGHT_DECAY = 1e-4   # AdamW's decoupled decay, for both heads
 WARMUP_FRAC = 0.05    # share of the detector's steps spent in linear warmup
 
 
@@ -290,24 +287,35 @@ Provider = Callable[[object], tuple[np.ndarray, np.ndarray]]
 """Maps an annotated sample to (embedding matrix, normalized token midpoints)."""
 
 
-def record_features(provider: Provider, sample, max_tokens: int | None = None):
+def record_features(provider: Provider, sample, cfg: ModelConfig | None = None):
     """The provider's features for one record, checked. Raises ``ValueError``
-    naming the record on a provider ``ValueError``/``OSError``, more than
-    `max_tokens` rows, or a non-finite value."""
+    naming the record on a provider ``ValueError``/``OSError``, a non-finite
+    value, or, given the detector's `cfg`, features it cannot take: no rows,
+    a width other than ``cfg.d_model``, or more than ``cfg.max_tokens`` rows."""
     try:
         vec, pos = provider(sample)
     except (ValueError, OSError) as e:
         raise ValueError(f"record {sample.id}: {e}") from e
-    if max_tokens is not None and len(vec) > max_tokens:
-        raise ValueError(f"record {sample.id}: {len(vec)} tokens exceed max_tokens {max_tokens}")
-    if not (np.isfinite(vec).all() and np.isfinite(pos).all()):
-        raise ValueError(f"record {sample.id}: non-finite feature values")
+    n, d = vec.shape
+    finite = np.isfinite(vec).all() and np.isfinite(pos).all()
+    checks = [] if cfg is None else [
+        (n == 0, "empty token sequence"),
+        (d != cfg.d_model, f"embedding dim {d} != configured d_model {cfg.d_model}"),
+        (n > cfg.max_tokens, f"{n} tokens exceed max_tokens {cfg.max_tokens}")]
+    for failed, message in checks + [(not finite, "non-finite feature values")]:
+        if failed:
+            raise ValueError(f"record {sample.id}: {message}")
     return vec, pos
 
 
-def _prepare(samples, provider, max_tokens: int) -> list:
-    """(vectors, positions, target intervals) per sample, in order."""
-    return [(*record_features(provider, s, max_tokens),
+def _prepare(samples, provider, cfg: ModelConfig) -> list:
+    """(vectors, positions, target intervals) per sample, in order; matching
+    needs a query per target, so more intervals than queries is an error."""
+    for s in samples:
+        if len(s.intervals) > cfg.num_queries:
+            raise ValueError(f"record {s.id}: {len(s.intervals)} intervals exceed "
+                             f"num_queries {cfg.num_queries}")
+    return [(*record_features(provider, s, cfg),
              [span_to_cw(sp, len(s.text)) for sp in s.intervals]) for s in samples]
 
 
@@ -371,11 +379,11 @@ def train(split, provider: Provider, model_cfg: ModelConfig,
         raise ValueError("training split is empty")
     model = DetectionModel(model_cfg, seed=train_cfg.seed)
     params = model.parameters()
-    opt = AdamW(params, lr=train_cfg.lr, weight_decay=WEIGHT_DECAY)
+    opt = AdamW(params)
     rng = np.random.default_rng(train_cfg.seed)
 
-    cache = _prepare(split.train, provider, model_cfg.max_tokens)
-    val_cache = _prepare(split.val, provider, model_cfg.max_tokens)
+    cache = _prepare(split.train, provider, model_cfg)
+    val_cache = _prepare(split.val, provider, model_cfg)
 
     n = len(split.train)
     total_steps = train_cfg.epochs * math.ceil(n / train_cfg.batch_size)
@@ -495,7 +503,7 @@ def train_classifier(samples, labels: list[int], provider: Provider,
     feats = [append_mean_cls(v) for v in feats] if append_cls else feats
     head = ClassifierHead(feats[0].shape[1], hidden, n_classes, seed=seed)
     params = head.parameters()
-    opt = AdamW(params, lr=lr, weight_decay=WEIGHT_DECAY)
+    opt = AdamW(params)
     for _ in _fit(params, opt, np.random.default_rng(seed), [s.id for s in samples], epochs,
                   batch_size, lambda i: cross_entropy(head.logits(feats[i]), int(labels[i])),
                   lambda step: lr, 0.0):

@@ -5,7 +5,7 @@ Each op computes the numpy forward and backward expressions the engine once
 had for it, with gradients in parent order, so chains built from them (the
 composed attention, anchor encoding and objective) are bitwise what they
 were. Tests call them as functions: ``R.mul(a, b)``, ``R.sub(a, b)``. A plain
-number beside a tensor becomes a constant of that tensor's dtype; shapes
+number beside a tensor becomes a double-precision constant; shapes
 follow the engine's elementwise policy (scalar or row-vector bias).
 """
 
@@ -15,9 +15,7 @@ from spandet import tensor as T
 
 
 def _pair(op, a, b):
-    if not isinstance(a, T.Tensor):
-        a = T._wrap(a, b if isinstance(b, T.Tensor) else None)
-    b = T._wrap(b, a)
+    a, b = T._wrap(a), T._wrap(b)
     T._check_elementwise(op, a, b)
     return a, b
 
@@ -55,7 +53,7 @@ def div(a, b):
 
 def matmul(a, b):
     a = T._wrap(a)
-    b = T._wrap(b, a)
+    b = T._wrap(b)
     if a.ndim == 2 and b.ndim == 2:
         if a.shape[1] != b.shape[0]:
             raise T.ShapeError(f"matmul: shapes {a.shape} and {b.shape} are not compatible")

@@ -374,3 +374,70 @@ def test_bare_train_and_generate_parse_to_the_dataclass_defaults():
                           ("sentences", spec["n_sentences"]), ("signal", spec["signal"]),
                           ("dim", spec["embed_dim"]), ("embed_seed", spec["embed_seed"])]:
         assert args[flag] == default, flag
+
+
+def test_features_that_do_not_fit_the_model_exit_2_naming_the_record(tiny_pipeline, tmp_path,
+                                                                     capsys):
+    _, ds, run_dir, _ = tiny_pipeline
+    emb = tmp_path / "emb"
+    assert main(["embed", "--dataset", str(ds), "--out", str(emb)]) == 0
+    split = load_split(ds)
+    wide, empty, wide_train = split.test[0], split.test[2], split.train[2]
+    for victim in (wide, wide_train):
+        ef = read_embedding_file(emb / f"{victim.id}.emb")
+        write_embedding_file(emb / f"{victim.id}.emb", np.hstack([ef.vectors, ef.vectors]),
+                             ef.offsets, ef.provenance, victim.text)
+    write_embedding_file(emb / f"{empty.id}.emb", np.zeros((0, 16)), [], "toy", empty.text)
+    code = main(["predict", "--checkpoint", str(run_dir / "best.npz"), "--dataset", str(ds),
+                 "--embeddings", str(emb), "--out", str(tmp_path / "p.jsonl")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"record {wide.id}: embedding dim 32 != configured d_model 16" in err
+    assert f"record {empty.id}: empty token sequence" in err
+    written = list(load_predictions(tmp_path / "p.jsonl"))
+    assert written == [s.id for s in split.test if s.id not in (wide.id, empty.id)]
+    run = tmp_path / "r"
+    code = main(["train", "--dataset", str(ds), "--embeddings", str(emb), "--out", str(run),
+                 "--epochs", "1", "--hidden", "16", "--heads", "4", "--max-tokens", "64"])
+    assert code == 2
+    assert (f"record {wide_train.id}: embedding dim 32 != configured d_model 16"
+            in capsys.readouterr().err)
+    assert not (run / "last.npz").exists()   # stopped before the first step
+
+
+def test_more_intervals_than_queries_exit_2_naming_the_record(tmp_path, capsys):
+    ds = tmp_path / "multi"
+    assert main(["generate", "--n", "20", "--sentences", "4", "--style", "multi",
+                 "--dim", "16", "--out", str(ds)]) == 0
+    split = load_split(ds)
+    over = next(s for s in split.train + split.val if len(s.intervals) > 1)
+    code = main(["train", "--dataset", str(ds), "--out", str(tmp_path / "r"),
+                 "--epochs", "1", "--hidden", "16", "--heads", "4", "--queries", "1"])
+    assert code == 2
+    assert (f"record {over.id}: {len(over.intervals)} intervals exceed num_queries 1"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "r" / "last.npz").exists()
+
+
+def test_lines_that_are_not_json_objects_name_the_path_and_line(tiny_pipeline, tmp_path,
+                                                                capsys):
+    _, ds, _, preds = tiny_pipeline
+    lines = preds.read_text().splitlines()
+    bad = tmp_path / "bad.jsonl"
+    for line, message in (("5", "expected a JSON object, got int"),
+                          ('{"id": ', "Expecting value")):
+        bad.write_text("\n".join([lines[0], line] + lines[2:]) + "\n")
+        assert main(["eval", "--predictions", str(bad), "--dataset", str(ds)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {bad}:2: " in err and message in err
+    src = tmp_path / "roft.jsonl"
+    good = json.dumps({"sentences": ["a b.", "c d."], "boundary": 1})
+    src.write_text("\n".join([good, "5", good]) + "\n")
+    out = tmp_path / "o.jsonl"
+    assert main(["convert", "--format", "roft", "--input", str(src), "--out", str(out)]) == 0
+    assert (f"warning: {src}:2: skipped (expected a JSON object, got int)"
+            in capsys.readouterr().err)
+    assert len(load_annotations(out)) == 2
+    assert main(["convert", "--format", "roft", "--input", str(src), "--out", str(out),
+                 "--overwrite", "--strict"]) == 2
+    assert f"error: {src}:2: expected a JSON object, got int" in capsys.readouterr().err

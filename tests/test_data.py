@@ -69,6 +69,18 @@ def test_load_reports_line_numbers(tmp_path):
         load_annotations(path)
 
 
+def test_load_names_the_line_that_is_not_a_json_object(tmp_path):
+    path = tmp_path / "bad.jsonl"
+    good = json.dumps({"id": "a", "text": "hi there", "intervals": [], "label": 0})
+    for line in ("5", '["a"]', good[:9]):
+        path.write_text(good + "\n" + line + "\n")
+        with pytest.raises(ValueError, match="bad.jsonl:2: invalid record"):
+            load_annotations(path)
+    path.write_text(good + "\n5\n")
+    with pytest.raises(ValueError, match="expected a JSON object, got int"):
+        load_annotations(path)
+
+
 def test_split_disjoint_ids(tmp_path):
     a = AnnotatedText("dup", "one two.", [], LABEL_HUMAN)
     split = DatasetSplit(train=[a], val=[a])

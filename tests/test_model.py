@@ -10,8 +10,8 @@ from spandet.model import (ClassifierHead, DetectionModel, LayerPrediction,
                            ModelConfig, ModelOutput, dn_attention_mask,
                            load_classifier, load_detector, save_checkpoint,
                            save_classifier, save_detector)
-from spandet.nn import (ConcatPosAttention, Linear, MultiHeadAttention,
-                        sinusoidal_encode)
+from spandet.nn import ConcatPosAttention, Linear, MultiHeadAttention
+from spandet.tensor import sinusoidal_encode
 from spandet.training import detection_loss, make_denoising
 
 import reference_ops as R
@@ -83,6 +83,34 @@ def test_anchor_encoding_is_concat_of_halves():
     assert np.allclose(enc, np.concatenate([half, half]), atol=1e-12)
 
 
+def division_sinusoidal_encode(pos, dim, temperature=10000.0):
+    """Reference token encoding by the division formula, ``2 pi pos / freq``;
+    ``sinusoidal_encode`` multiplies by ``2 pi / freq`` instead."""
+    scalar = np.isscalar(pos)
+    p = np.atleast_1d(np.asarray(pos, dtype=np.float64))
+    freqs = temperature ** (2.0 * np.arange(dim // 2) / dim)
+    args = 2.0 * np.pi * p[:, None] / freqs[None, :]
+    out = np.empty((len(p), dim))
+    out[:, 0::2] = np.sin(args)
+    out[:, 1::2] = np.cos(args)
+    return out[0] if scalar else out
+
+
+def test_sinusoidal_encode_matches_the_division_formula():
+    pos = np.random.default_rng(3).uniform(0.0, 1.0, size=50)
+    for dim, temperature in ((16, 10000.0), (32, 10000.0), (12, 100.0)):
+        got = sinusoidal_encode(pos, dim, temperature)
+        assert got.shape == (50, dim)
+        assert np.abs(got - division_sinusoidal_encode(pos, dim, temperature)).max() <= 1e-15
+        for p in (0.0, 0.37, 1.0):
+            one = sinusoidal_encode(p, dim, temperature)
+            assert one.shape == (dim,)
+            assert np.abs(one - division_sinusoidal_encode(p, dim, temperature)).max() <= 1e-15
+    grid = pos[:12].reshape(3, 4)
+    assert np.array_equal(sinusoidal_encode(grid, 8),
+                          sinusoidal_encode(pos[:12], 8).reshape(3, 4, 8))
+
+
 def test_sinusoidal_distinct_positions_not_parallel():
     a = sinusoidal_encode(0.3, 32)
     b = sinusoidal_encode(0.7, 32)
@@ -95,7 +123,7 @@ def test_anchor_encode_matches_numpy():
     got = T.anchor_encode(T.Tensor(cw), 24).data
     want = np.concatenate([sinusoidal_encode(cw[:, 0], 12),
                            sinusoidal_encode(cw[:, 1], 12)], axis=1)
-    assert np.allclose(got, want, atol=1e-12)
+    assert np.array_equal(got, want)
 
 
 def test_encoder_permutation_equivariance():
@@ -270,13 +298,16 @@ def forward_per_group(m, vectors, positions, dn):
     layers, dn_layers = [], []
     for dec in m.decoder:
         pe_l = encode_anchor_t(T.sigmoid(anchor_l), h, cfg.temperature)
-        prefix = (content_l + pe_l, content_l)
+        q_l = content_l + pe_l
         pe_d = encode_anchor_t(T.sigmoid(anchor_d), h, cfg.temperature)
         groups = [slice(g * size, (g + 1) * size) for g in range(dn.n_groups)]
-        content_d = T.concat([dec.self_block(content_d[rows, :],
-                                             content_d[rows, :] + pe_d[rows, :], prefix)
-                              for rows in groups], axis=0)
-        content_l = dec.cross_ffn(dec.self_block(content_l, content_l + pe_l),
+        blocks = []
+        for rows in groups:
+            c, q = content_d[rows, :], content_d[rows, :] + pe_d[rows, :]
+            blocks.append(dec.self_block(c, q, T.concat([q_l, q], axis=0),
+                                         T.concat([content_l, c], axis=0)))
+        content_d = T.concat(blocks, axis=0)
+        content_l = dec.cross_ffn(dec.self_block(content_l, q_l, q_l, content_l),
                                   pe_l, dec.cross_attn.keys_values(memory, pe_mem))
         anchor_l = anchor_l + m.span_head(content_l)
         layers.append(LayerPrediction(T.sigmoid(anchor_l), m.class_head(content_l)[:, 0]))

@@ -278,9 +278,10 @@ def test_grad_check_zeroes_stale_grads_and_restores_every_value():
         T.grad_check(lambda: R.sin(a), [a])
 
 
-def test_float32_optional():
-    x = T.Tensor(np.ones(3, dtype=np.float32))
-    assert x.data.dtype == np.float32
+def test_float32_input_is_stored_as_float64():
+    x = T.Tensor(np.full(3, 0.1, dtype=np.float32))
+    assert x.data.dtype == np.float64
+    assert np.array_equal(x.data, np.full(3, 0.1, dtype=np.float32).astype(np.float64))
     assert T.Tensor([1.0, 2.0]).data.dtype == np.float64
 
 

@@ -1,6 +1,7 @@
 import math
 import re
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,8 +12,8 @@ from spandet.data import SynthSpec, synth_generate, synthetic_provider
 from spandet.geometry import Interval, clamp_interval, span_to_cw
 from spandet.matching import hungarian
 from spandet.model import LayerPrediction, ModelConfig, ModelOutput
-from spandet.training import (AdamW, LossWeights, NumericalError, TrainConfig,
-                              clip_grad_norm, composite_loss, cosine_lr,
+from spandet.training import (ADAM_EPS, WEIGHT_DECAY, AdamW, LossWeights, NumericalError,
+                              TrainConfig, clip_grad_norm, composite_loss, cosine_lr,
                               cross_entropy, detection_loss, focal_loss,
                               make_denoising, train, train_classifier)
 
@@ -356,7 +357,7 @@ def test_train_classifier_stops_on_non_finite_values_naming_where(monkeypatch):
 def test_record_features_names_the_record_for_every_failure():
     split, prov = small_corpus(n=10)
     s = split.train[0]
-    vec, pos = training.record_features(prov, s, max_tokens=len(prov(s)[0]))
+    vec, pos = training.record_features(prov, s, replace(CFG, max_tokens=len(prov(s)[0])))
     assert np.array_equal(vec, prov(s)[0]) and np.array_equal(pos, prov(s)[1])
 
     def failing(exc):
@@ -369,40 +370,61 @@ def test_record_features_names_the_record_for_every_failure():
             training.record_features(failing(exc), s)
     n = len(vec)
     with pytest.raises(ValueError, match=f"record {s.id}: {n} tokens exceed max_tokens {n - 1}"):
-        training.record_features(prov, s, max_tokens=n - 1)
+        training.record_features(prov, s, replace(CFG, max_tokens=n - 1))
     for bad in (np.nan, np.inf):
         planted = vec.copy()
         planted[-1, 3] = bad
         with pytest.raises(ValueError, match=f"record {s.id}: non-finite feature values"):
             training.record_features(lambda _: (planted, pos), s)
+    wide = lambda _: (np.ones((n, 32)), pos)
+    with pytest.raises(ValueError, match=f"record {s.id}: embedding dim 32 != configured "
+                                         "d_model 16"):
+        training.record_features(wide, s, CFG)
+    assert training.record_features(wide, s)[0].shape == (n, 32)  # no config: values only
+    with pytest.raises(ValueError, match=f"record {s.id}: empty token sequence"):
+        training.record_features(lambda _: (np.ones((0, 16)), np.ones(0)), s, CFG)
+
+
+def test_more_intervals_than_queries_are_rejected_before_the_first_step(monkeypatch):
+    spec = SynthSpec(n_texts=20, style="multi", n_sentences=4, words_per_sentence=(2, 4),
+                     embed_dim=16)
+    split = synth_generate(spec, seed=1)
+    over = next(s for s in split.train + split.val if len(s.intervals) > 1)
+    steps = []
+    monkeypatch.setattr(training.AdamW, "step", lambda self, lr: steps.append(lr))
+    with pytest.raises(ValueError, match=f"record {over.id}: {len(over.intervals)} intervals "
+                                         "exceed num_queries 1"):
+        train(split, synthetic_provider(split.meta), ModelConfig(**SMALL_MODEL),
+              TrainConfig(epochs=1, batch_size=4))
+    assert steps == []
 
 
 # -- optimizer and schedule -----------------------------------------------------
 
 
-def test_adamw_zero_gradient_zero_decay_is_noop():
+def test_adamw_zero_gradient_moves_p_by_the_decay_alone():
     p = T.Tensor(np.array([1.0, -2.0]), requires_grad=True)
     p.grad = np.zeros(2)
-    opt = AdamW({"p": p}, lr=0.1)
-    opt.step()
-    assert np.array_equal(p.data, [1.0, -2.0])
+    AdamW({"p": p}).step(0.1)
+    assert np.array_equal(p.data, np.array([1.0, -2.0]) * (1.0 - 0.1 * WEIGHT_DECAY))
 
 
 def test_adamw_first_step_magnitude_is_lr():
     p = T.Tensor(np.array([0.0]), requires_grad=True)
     p.grad = np.array([3.7])
-    opt = AdamW({"p": p}, lr=0.01)
-    opt.step()
+    opt = AdamW({"p": p})
+    opt.step(0.01)
     assert abs(abs(p.data[0]) - 0.01) < 1e-6   # bias-corrected sign step
     assert p.data[0] < 0
 
 
 def test_adamw_decoupled_decay():
+    # the decay scales p and stays out of the moments, which see the raw gradient
     p = T.Tensor(np.array([2.0]), requires_grad=True)
-    p.grad = np.array([0.0])
-    opt = AdamW({"p": p}, lr=0.1, weight_decay=0.5)
-    opt.step()
-    assert abs(p.data[0] - 2.0 * (1 - 0.1 * 0.5)) < 1e-12
+    p.grad = np.array([3.7])
+    opt = AdamW({"p": p})
+    opt.step(0.1)
+    assert abs(p.data[0] - (2.0 * (1 - 0.1 * WEIGHT_DECAY) - 0.1 * 3.7 / (3.7 + ADAM_EPS))) < 1e-12
 
 
 def test_clip_grad_norm():
