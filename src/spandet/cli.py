@@ -17,6 +17,7 @@ from . import data as D
 from . import metrics as M
 from .geometry import cw_to_span
 from .model import ModelConfig, load_detector
+from .tensor import ShapeError
 from .textproc import load_features, tokenize, write_embedding_file
 from .training import LossWeights, NumericalError, TrainConfig, record_features, train
 
@@ -136,14 +137,20 @@ def cmd_train(args) -> int:
     provider = _provider_for(args.dataset, args.embeddings)
     if not split.train:
         raise ValueError("dataset has no training split")
-    d_model = record_features(provider, split.train[0])[0].shape[1]
+    first = split.train[0]
+    d_model = record_features(provider, first)[0].shape[1]
     model_cfg = ModelConfig(d_model=d_model, hidden=args.hidden,
                             enc_layers=args.enc_layers, dec_layers=args.dec_layers,
                             heads=args.heads, num_queries=args.queries,
                             max_tokens=args.max_tokens, dn_groups=args.dn_groups)
     train_cfg = TrainConfig(epochs=args.epochs, batch_size=args.batch_size,
                             lr=args.lr, seed=args.seed)
-    result = train(split, provider, model_cfg, train_cfg, LossWeights(), run_dir)
+    try:
+        result = train(split, provider, model_cfg, train_cfg, LossWeights(), run_dir)
+    except ValueError as e:
+        if isinstance(e.__cause__, ShapeError):  # a record narrower or wider than d_model
+            raise ValueError(f"{e}, the width of the first training record {first.id}") from e
+        raise
     last = result.log[-1]
     print(f"trained {args.epochs} epochs; best val loss "
           f"{result.best_val:.4f} at epoch {result.best_epoch}; "

@@ -209,7 +209,8 @@ def evaluate_detection(samples: list[AnnotatedText], preds: dict[str, dict],
     `preds` maps text id to a record with "intervals" (char pairs) and
     "scores". Produces F1@K (overall and grouped by ground-truth boundary
     count), sentence-label kappa, classification metrics, and, when every
-    text carries at most one interval, the boundary regression suite.
+    text carries at most one interval, the boundary regression suite. An
+    interval that ends past its text raises ``ValueError`` naming the record.
     """
     single_boundary = all(len(s.intervals) <= 1 for s in samples)
     gt_bounds_per_text: list[int] = []
@@ -229,6 +230,10 @@ def evaluate_detection(samples: list[AnnotatedText], preds: dict[str, dict],
             missing += 1
             spans_scores: list[tuple[CharSpan, float]] = []
         else:
+            for a, b in rec["intervals"]:
+                if b > len(s.text):
+                    raise ValueError(f"record {s.id}: interval [{a}, {b}] ends past the "
+                                     f"{len(s.text)}-character text")
             spans_scores = [(CharSpan(int(a), int(b)), float(sc))
                             for (a, b), sc in zip(rec["intervals"], rec["scores"])]
         kept = [sp for sp, sc in spans_scores if sc >= score_threshold]
@@ -245,12 +250,8 @@ def evaluate_detection(samples: list[AnnotatedText], preds: dict[str, dict],
             pred_bounds_per_text.append(pred_b)
 
         gt_snap = snap_boundaries(s.intervals, sentences, len(s.text))
-        candidates = []
-        for sp, sc in spans_scores:
-            for endpoint in (sp.x1, sp.x2):
-                b = snap_endpoint(endpoint, sentences, len(s.text))
-                if b is not None:
-                    candidates.append((b, sc))
+        candidates = [(b, sc) for sp, sc in spans_scores
+                      for b in snap_boundaries([sp], sentences, len(s.text))]
         f1 = f1_at_k(candidates, gt_snap, k)
         f1_scores.append(f1)
         f1_by_group.setdefault(len(gt_snap), []).append(f1)

@@ -76,6 +76,18 @@ class Prediction:
     scores: list[float]
 
 
+def check_features(vectors: np.ndarray, cfg: ModelConfig | None = None) -> None:
+    """The one rule for features a head can read: some rows and, given the
+    detector's `cfg`, ``cfg.d_model`` columns and at most ``cfg.max_tokens`` rows."""
+    n, d = vectors.shape
+    if n == 0:
+        raise ValueError("empty token sequence")
+    if cfg is not None and d != cfg.d_model:
+        raise T.ShapeError(f"embedding dim {d} != configured d_model {cfg.d_model}")
+    if cfg is not None and n > cfg.max_tokens:
+        raise ValueError(f"{n} tokens exceed max_tokens {cfg.max_tokens}")
+
+
 class EncoderLayer(Module):
     def __init__(self, hidden: int, heads: int, ffn_mult: int, rng):
         self.attn = MultiHeadAttention(hidden, heads, rng)
@@ -140,15 +152,7 @@ class DetectionModel(Module):
         """
         cfg = self.cfg
         h = cfg.hidden
-        n = vectors.shape[0]
-        if n == 0:
-            raise ValueError("empty token sequence")
-        if vectors.shape[1] != cfg.d_model:
-            raise T.ShapeError(f"project: embedding dim {vectors.shape[1]} != "
-                               f"configured d_model {cfg.d_model}")
-        if n > cfg.max_tokens:
-            raise ValueError(f"sequence length {n} exceeds max_tokens {cfg.max_tokens}")
-
+        check_features(vectors, cfg)
         memory = self.proj(T.Tensor(vectors))
         pe_mem = T.Tensor(T.sinusoidal_encode(positions, h, cfg.temperature))
         for enc in self.encoder:

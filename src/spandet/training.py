@@ -26,8 +26,8 @@ import numpy as np
 from . import tensor as T
 from .geometry import Interval, span_l1_giou, span_to_cw
 from .matching import build_match_cost, hungarian
-from .model import (ClassifierHead, DetectionModel, LayerPrediction,
-                    ModelConfig, ModelOutput, save_detector, softmax)
+from .model import (ClassifierHead, DetectionModel, LayerPrediction, ModelConfig,
+                    ModelOutput, check_features, save_detector, softmax)
 from .textproc import append_mean_cls
 
 
@@ -289,22 +289,16 @@ Provider = Callable[[object], tuple[np.ndarray, np.ndarray]]
 
 def record_features(provider: Provider, sample, cfg: ModelConfig | None = None):
     """The provider's features for one record, checked. Raises ``ValueError``
-    naming the record on a provider ``ValueError``/``OSError``, a non-finite
-    value, or, given the detector's `cfg`, features it cannot take: no rows,
-    a width other than ``cfg.d_model``, or more than ``cfg.max_tokens`` rows."""
+    naming the record on a provider ``ValueError``/``OSError``, on features
+    that break ``model.check_features`` (given the detector's `cfg`, its
+    width and token limit too), or on a non-finite value."""
     try:
         vec, pos = provider(sample)
+        check_features(vec, cfg)
     except (ValueError, OSError) as e:
         raise ValueError(f"record {sample.id}: {e}") from e
-    n, d = vec.shape
-    finite = np.isfinite(vec).all() and np.isfinite(pos).all()
-    checks = [] if cfg is None else [
-        (n == 0, "empty token sequence"),
-        (d != cfg.d_model, f"embedding dim {d} != configured d_model {cfg.d_model}"),
-        (n > cfg.max_tokens, f"{n} tokens exceed max_tokens {cfg.max_tokens}")]
-    for failed, message in checks + [(not finite, "non-finite feature values")]:
-        if failed:
-            raise ValueError(f"record {sample.id}: {message}")
+    if not (np.isfinite(vec).all() and np.isfinite(pos).all()):
+        raise ValueError(f"record {sample.id}: non-finite feature values")
     return vec, pos
 
 
@@ -500,6 +494,11 @@ def train_classifier(samples, labels: list[int], provider: Provider,
         if not (isinstance(label, (int, np.integer)) and 0 <= label < n_classes):
             raise ValueError(f"sample {s.id}: label {label} is not a class in [0, {n_classes})")
     feats = [record_features(provider, s)[0] for s in samples]
+    width = feats[0].shape[1]
+    for s, v in zip(samples, feats):
+        if v.shape[1] != width:
+            raise ValueError(f"record {s.id}: embedding dim {v.shape[1]} != {width}, "
+                             f"the width of the first record {samples[0].id}")
     feats = [append_mean_cls(v) for v in feats] if append_cls else feats
     head = ClassifierHead(feats[0].shape[1], hidden, n_classes, seed=seed)
     params = head.parameters()

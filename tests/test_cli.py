@@ -405,6 +405,39 @@ def test_features_that_do_not_fit_the_model_exit_2_naming_the_record(tiny_pipeli
     assert not (run / "last.npz").exists()   # stopped before the first step
 
 
+def test_a_first_training_record_of_another_width_is_named_as_the_d_model_source(tmp_path,
+                                                                                  capsys):
+    ds, emb = tmp_path / "ds", tmp_path / "emb"
+    assert main(["generate", "--n", "10", "--sentences", "3", "--dim", "16",
+                 "--out", str(ds)]) == 0
+    assert main(["embed", "--dataset", str(ds), "--out", str(emb)]) == 0
+    first, second = load_split(ds).train[:2]
+    ef = read_embedding_file(emb / f"{first.id}.emb")
+    write_embedding_file(emb / f"{first.id}.emb", np.hstack([ef.vectors, ef.vectors]),
+                         ef.offsets, ef.provenance, first.text)
+    code = main(["train", "--dataset", str(ds), "--embeddings", str(emb),
+                 "--out", str(tmp_path / "r"), "--epochs", "1", "--hidden", "16",
+                 "--heads", "4"])
+    assert code == 2
+    assert (f"record {second.id}: embedding dim 16 != configured d_model 32, the width of "
+            f"the first training record {first.id}" in capsys.readouterr().err)
+    assert not (tmp_path / "r" / "last.npz").exists()
+
+
+def test_eval_rejects_an_interval_past_the_end_of_its_text(tiny_pipeline, tmp_path, capsys):
+    _, ds, _, preds = tiny_pipeline
+    lines = preds.read_text().splitlines()
+    rec = json.loads(lines[0])
+    rec["intervals"][0] = [5, 100000]
+    lines[0] = json.dumps(rec)
+    bad = tmp_path / "past.jsonl"
+    bad.write_text("\n".join(lines) + "\n")
+    n_chars = len(next(s for s in load_split(ds).test if s.id == rec["id"]).text)
+    assert main(["eval", "--predictions", str(bad), "--dataset", str(ds)]) == 2
+    assert (f"record {rec['id']}: interval [5, 100000] ends past the {n_chars}-character text"
+            in capsys.readouterr().err)
+
+
 def test_more_intervals_than_queries_exit_2_naming_the_record(tmp_path, capsys):
     ds = tmp_path / "multi"
     assert main(["generate", "--n", "20", "--sentences", "4", "--style", "multi",

@@ -266,6 +266,16 @@ def test_evaluate_missing_predictions_counted():
     assert report["missing_predictions"] == len(samples)
 
 
+def test_evaluate_rejects_an_interval_past_its_text_and_takes_one_ending_at_it():
+    s = synth_generate(SynthSpec(n_texts=10, n_sentences=4), seed=22).test[0]
+    n = len(s.text)
+    evaluate_detection([s], {s.id: {"id": s.id, "intervals": [[5, n]], "scores": [0.9]}})
+    with pytest.raises(ValueError, match=f"^record {s.id}: interval \\[5, {n + 1}\\] ends past "
+                                         f"the {n}-character text$"):
+        evaluate_detection([s], {s.id: {"id": s.id, "intervals": [[5, n + 1]],
+                                        "scores": [0.1]}})
+
+
 def test_write_metric_report(tmp_path):
     path = tmp_path / "report.json"
     write_metric_report(path, {"acc": 1.0}, {"k": 3})

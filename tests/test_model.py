@@ -7,7 +7,7 @@ import pytest
 from spandet import tensor as T
 from spandet.geometry import Interval
 from spandet.model import (ClassifierHead, DetectionModel, LayerPrediction,
-                           ModelConfig, ModelOutput, dn_attention_mask,
+                           ModelConfig, ModelOutput, check_features, dn_attention_mask,
                            load_classifier, load_detector, save_checkpoint,
                            save_classifier, save_detector)
 from spandet.nn import ConcatPosAttention, Linear, MultiHeadAttention
@@ -64,6 +64,22 @@ def test_forward_rejects_bad_input():
         m.forward(np.zeros((3, 8)), np.zeros(3))
     with pytest.raises(ValueError, match="max_tokens"):
         m.forward(np.zeros((65, 16)), np.zeros(65))
+
+
+def test_check_features_is_the_rule_forward_applies():
+    cfg = ModelConfig(**TINY)
+    cases = [(np.zeros((0, 16)), ValueError, "empty token sequence"),
+             (np.zeros((3, 8)), T.ShapeError, "embedding dim 8 != configured d_model 16"),
+             (np.zeros((65, 16)), ValueError, "65 tokens exceed max_tokens 64")]
+    for vectors, kind, message in cases:
+        for check in (lambda: check_features(vectors, cfg),
+                      lambda: tiny_model().forward(vectors, np.zeros(len(vectors)))):
+            with pytest.raises(kind, match=f"^{re.escape(message)}$"):
+                check()
+    check_features(np.zeros((64, 16)), cfg)
+    check_features(np.zeros((65, 8)))  # no config: rows are all it asks for
+    with pytest.raises(ValueError, match="^empty token sequence$"):
+        check_features(np.zeros((0, 8)))
 
 
 def test_sinusoidal_zero_position():

@@ -354,6 +354,36 @@ def test_train_classifier_stops_on_non_finite_values_naming_where(monkeypatch):
 
 
 
+def _binary_split_with(odd_id, reshape):
+    """A 12-text binary split (seed 1, dim 16) whose record `odd_id` gets
+    ``reshape(vectors, positions)`` in place of its features."""
+    split = synth_generate(SynthSpec(n_texts=12, style="binary", embed_dim=16), seed=1)
+    prov = synthetic_provider(split.meta)
+
+    def provide(sample):
+        vec, pos = prov(sample)
+        return reshape(vec, pos) if sample.id == odd_id else (vec, pos)
+
+    return split.train, [s.label for s in split.train], provide
+
+
+@pytest.mark.parametrize("reshape, message", [
+    (lambda v, p: (v[:0], p[:0]), "record binary-1-00003: empty token sequence"),
+    (lambda v, p: (np.hstack([v, v]), p),
+     "record binary-1-00003: embedding dim 32 != 16, the width of the first record "
+     "binary-1-00000")])
+def test_train_classifier_rejects_features_it_cannot_read_before_any_step(
+        monkeypatch, reshape, message):
+    samples, labels, provide = _binary_split_with("binary-1-00003", reshape)
+    steps = []
+    monkeypatch.setattr(training.AdamW, "step", lambda self, lr: steps.append(lr))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no mean of an empty slice on the way
+        with pytest.raises(ValueError, match=re.escape(message)):
+            train_classifier(samples, labels, provide, n_classes=2, epochs=1)
+    assert steps == []
+
+
 def test_record_features_names_the_record_for_every_failure():
     split, prov = small_corpus(n=10)
     s = split.train[0]
@@ -380,9 +410,10 @@ def test_record_features_names_the_record_for_every_failure():
     with pytest.raises(ValueError, match=f"record {s.id}: embedding dim 32 != configured "
                                          "d_model 16"):
         training.record_features(wide, s, CFG)
-    assert training.record_features(wide, s)[0].shape == (n, 32)  # no config: values only
-    with pytest.raises(ValueError, match=f"record {s.id}: empty token sequence"):
-        training.record_features(lambda _: (np.ones((0, 16)), np.ones(0)), s, CFG)
+    assert training.record_features(wide, s)[0].shape == (n, 32)  # no config: any width
+    for cfg in (CFG, None):  # no config still needs rows
+        with pytest.raises(ValueError, match=f"record {s.id}: empty token sequence"):
+            training.record_features(lambda _: (np.ones((0, 16)), np.ones(0)), s, cfg)
 
 
 def test_more_intervals_than_queries_are_rejected_before_the_first_step(monkeypatch):
