@@ -380,8 +380,9 @@ def save_predictions(path, preds: list[dict]) -> None:
 def load_predictions(path) -> dict[str, dict]:
     """Prediction records by id, each checked: a JSON object, one score per
     interval, scores numbers in [0, 1] (not NaN), intervals integer pairs
-    ``[x1, x2]`` with ``0 <= x1 < x2``. Errors name ``path:line`` (and the record)."""
-    out = {}
+    ``[x1, x2]`` with ``0 <= x1 < x2``, an id no earlier record has. Errors
+    name ``path:line`` (and the record)."""
+    out, lines = {}, {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -402,5 +403,8 @@ def load_predictions(path) -> dict[str, dict]:
                 if not (type(iv) is list and len(iv) == 2
                         and all(type(x) is int for x in iv) and 0 <= iv[0] < iv[1]):
                     raise ValueError(f"{where}: interval {iv!r} is not an int pair 0 <= x1 < x2")
-            out[str(rec["id"])] = rec
+            key = str(rec["id"])
+            if key in lines:
+                raise ValueError(f"{where}: id repeats the record at {path}:{lines[key]}")
+            out[key], lines[key] = rec, lineno
     return out

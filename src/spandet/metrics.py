@@ -210,8 +210,15 @@ def evaluate_detection(samples: list[AnnotatedText], preds: dict[str, dict],
     "scores". Produces F1@K (overall and grouped by ground-truth boundary
     count), sentence-label kappa, classification metrics, and, when every
     text carries at most one interval, the boundary regression suite. An
-    interval that ends past its text raises ``ValueError`` naming the record.
+    interval that ends past its text raises ``ValueError`` naming the record,
+    as does a record whose id names no text of `samples` (a wrong split).
     """
+    ids = {s.id for s in samples}
+    foreign = [k for k in preds if k not in ids]
+    if foreign:
+        more = ", ..." if len(foreign) > 3 else ""
+        raise ValueError(f"{len(foreign)} prediction records name no text of the scored "
+                         f"split: {', '.join(foreign[:3])}{more}")
     single_boundary = all(len(s.intervals) <= 1 for s in samples)
     gt_bounds_per_text: list[int] = []
     pred_bounds_per_text: list[int] = []

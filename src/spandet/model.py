@@ -60,7 +60,7 @@ class ModelConfig:
 @dataclass
 class LayerPrediction:
     cw: T.Tensor        # (N, 2) intervals in (c, w), already through sigmoid
-    logits: T.Tensor    # (N,) foreground logits
+    logits: T.Tensor    # (N, 1) foreground logits
 
 
 @dataclass
@@ -184,8 +184,7 @@ class DetectionModel(Module):
             content_l = dec.cross_ffn(content_l, pe_l, kv)
             delta_l = self.span_head(content_l)
             anchor_l = anchor_l + delta_l
-            layers.append(LayerPrediction(T.sigmoid(anchor_l),
-                                          self.class_head(content_l)[:, 0]))
+            layers.append(LayerPrediction(T.sigmoid(anchor_l), self.class_head(content_l)))
             if use_dn:
                 content_d = dec.cross_ffn(content_d, pe_d, kv)
                 anchor_d = anchor_d + self.span_head(content_d)
@@ -198,7 +197,7 @@ class DetectionModel(Module):
         with T.no_grad():
             final = self.forward(vectors, positions, dn=None).layers[-1]
         return Prediction([Interval(float(c), float(w)) for c, w in final.cw.data],
-                          [float(p) for p in T.expit(final.logits.data)])
+                          [float(p) for p in T.expit(final.logits.data[:, 0])])
 
 
 def dn_attention_mask(n_prefix: int, d_total: int, n_groups: int) -> np.ndarray:
@@ -226,12 +225,13 @@ class ClassifierHead(Module):
         self.lin2 = Linear(hidden, n_classes, rng)
 
     def logits(self, vectors: np.ndarray) -> T.Tensor:
-        cls_row = T.Tensor(vectors[-1:])
-        return self.lin2(T.relu(self.lin1(cls_row)))[0, :]
+        """(1, n_classes) logits of the CLS row."""
+        return self.lin2(T.relu(self.lin1(T.Tensor(vectors[-1:]))))
 
     def classify(self, vectors: np.ndarray) -> np.ndarray:
+        """(n_classes,) class probabilities."""
         with T.no_grad():
-            return softmax(self.logits(vectors).data)
+            return softmax(self.logits(vectors).data)[0]
 
 
 def softmax(z: np.ndarray) -> np.ndarray:

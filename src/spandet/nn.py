@@ -2,7 +2,9 @@
 multi-head attention.
 
 Linear maps and attention run on the fused ``tensor.linear`` and
-``tensor.attention`` primitives, one tape node each. Position encodings are
+``tensor.attention`` primitives, one tape node each; so does the
+cross-attention's per-head interleave of content and position parts, a
+``tensor.custom`` node. Position encodings are
 ``tensor.sinusoidal_encode`` (tokens) and ``tensor.anchor_encode`` (anchors).
 """
 
@@ -137,8 +139,16 @@ class ConcatPosAttention(Module):
 
 
 def _concat_per_head(content: T.Tensor, pos: T.Tensor, heads: int) -> T.Tensor:
-    """(n, d) and (n, d) -> (n, 2d) whose head i is [content head i | pos head i]."""
+    """(n, d) and (n, d) -> (n, 2d) whose head i is [content head i | pos head i],
+    as one node. Its vjp hands each parent its half of every head's gradient."""
     n, d = content.shape
-    parts = [T.reshape(t, (n, heads, d // heads)) for t in (content, pos)]
-    return T.reshape(T.concat(parts, axis=-1), (n, 2 * d))
+    dh = d // heads
+    data = np.concatenate([t.data.reshape(n, heads, dh) for t in (content, pos)],
+                          axis=-1).reshape(n, 2 * d)
+
+    def vjp(g):
+        g3 = g.reshape(n, heads, 2 * dh)
+        return g3[..., :dh].reshape(n, d), g3[..., dh:].reshape(n, d)
+
+    return T.custom(data, (content, pos), vjp, "concat_per_head")
 

@@ -19,12 +19,14 @@ the merged context, keeping only the probabilities for backward;
 ``anchor_encode`` is ``sinusoidal_encode``, the interleaved sin/cos encoding
 of token positions, applied to ``(c, w)`` anchors; ``layer_norm`` takes an
 optional residual that it adds first. The rest are ``sigmoid``, ``relu``,
-``add`` and the structural ``concat``, ``reshape`` and ``slice_``.
-``custom`` is ``_result`` for callers: a value and a hand-written vjp; the
-training objective and the classifier's cross-entropy are one each. The
-elementary ops the fused ones replaced (products, matmul, reductions,
-softmax, log, ...) live in the tests as reference ops built on ``custom``,
-and the fused ones are pinned to their chains there.
+``add`` and the structural ``concat``. ``custom`` is ``_result`` for
+callers: a value and a hand-written vjp; the training objective, the
+classifier's cross-entropy and the cross-attention's per-head interleave of
+content and position parts (``concat_per_head``) are one each. Tensors take
+no indexing: heads emit the shapes their losses read. The elementary ops the
+fused ones replaced (products, matmul, reductions, softmax, log, reshape,
+slicing, ...) live in the tests as reference ops built on ``custom``, and
+the fused ones are pinned to their chains there.
 
 Inside ``with no_grad():`` operations record no parents and keep no vjp;
 results are constants. What a backward needs beyond the arrays it captures
@@ -142,16 +144,8 @@ class Tensor:
         else:
             self.grad = self.grad + g
 
-    # -- operator sugar ------------------------------------------------------
-
     def __add__(self, other):
         return add(self, other)
-
-    def __radd__(self, other):
-        return add(_wrap(other), self)
-
-    def __getitem__(self, idx):
-        return slice_(self, idx)
 
 
 def _interior_nodes(root: Tensor) -> list[Tensor]:
@@ -238,23 +232,6 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
         return np.split(g, np.cumsum([t.shape[axis] for t in tensors])[:-1], axis=axis)
 
     return _result(data, tensors, vjp, "concat")
-
-
-def slice_(a: Tensor, idx) -> Tensor:
-    a = _wrap(a)
-    data = np.asarray(a.data[idx])
-
-    def vjp(g):
-        full = np.zeros(a.shape)
-        np.add.at(full, idx, g)
-        return (full,)
-
-    return _result(data, (a,), vjp, "slice")
-
-
-def reshape(a: Tensor, shape) -> Tensor:
-    a = _wrap(a)
-    return _result(a.data.reshape(shape), (a,), lambda g: (g.reshape(a.shape),), "reshape")
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor,

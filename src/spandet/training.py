@@ -136,7 +136,7 @@ def composite_loss(layer: LayerPrediction, dn_cw: T.Tensor | None,
         raise NumericalError("non-finite predictions")
     n_queries, m = cw.shape[0], len(gts)
     gt_cw = np.array([[g.c, g.w] for g in gts])
-    probs = T.expit(logits.data)
+    probs = T.expit(logits.data.reshape(-1))
     targets = np.zeros(n_queries)
     l_span = l_giou = l_dn_span = l_dn_giou = 0.0
     mean_iou = math.nan
@@ -173,7 +173,7 @@ def composite_loss(layer: LayerPrediction, dn_cw: T.Tensor | None,
             inv = 1.0 / len(dn_l1)
             g_dn = dn_grad(np.full(len(dn_l1), g * weights.dn_span * inv),
                            np.full(len(dn_l1), g * weights.dn_giou * inv * -1.0))
-        return g_cw, focal_grad(g * weights.focal / n_queries), g_dn
+        return g_cw, focal_grad(g * weights.focal / n_queries).reshape(logits.shape), g_dn
 
     node = T.custom(total, (cw, logits, dn_cw) if use_dn else (cw, logits), vjp, "objective")
     values = map(float, (l_span, l_giou, l_focal, l_dn_span, l_dn_giou, total))
@@ -456,18 +456,19 @@ def train(split, provider: Provider, model_cfg: ModelConfig,
 
 
 def cross_entropy(logits: T.Tensor, label: int) -> T.Tensor:
-    """``-log softmax(logits)[label]`` as one node; the log is clamped at
-    ``LOG_EPS`` and passes no gradient below it. Forward and backward are the
-    expressions of the softmax, index, clamped log and negation chain, in
-    its order, so value and gradient are bitwise that chain's."""
+    """``-log softmax(logits)[label]`` of one row of logits, ``(C,)`` or
+    ``(1, C)``, as one 0-d node; the log is clamped at ``LOG_EPS`` and passes
+    no gradient below it. Forward and backward are the expressions of the
+    softmax, index, clamped log and negation chain, in its order, so value
+    and gradient are bitwise that chain's."""
     probs = softmax(logits.data)
-    p = probs[label]
+    p = probs.reshape(-1)[label]
     x = np.maximum(p, T.LOG_EPS)
     dydx = np.where(p > T.LOG_EPS, 1.0 / x, 0.0)
 
     def vjp(g):
         g_probs = np.zeros_like(probs)
-        g_probs[label] += g * -1.0 * dydx
+        g_probs.reshape(-1)[label] += g * -1.0 * dydx
         dot = (g_probs * probs).sum(axis=-1, keepdims=True)
         return ((g_probs - dot) * probs,)
 
@@ -476,12 +477,11 @@ def cross_entropy(logits: T.Tensor, label: int) -> T.Tensor:
 
 def train_classifier(samples, labels: list[int], provider: Provider,
                      hidden: int = 32, n_classes: int = 2, epochs: int = 30,
-                     batch_size: int = 16, lr: float = 1e-3, seed: int = 0,
-                     append_cls: bool = True) -> ClassifierHead:
+                     batch_size: int = 16, lr: float = 1e-3, seed: int = 0) -> ClassifierHead:
     """Fit the two-layer CLS head with cross-entropy through ``_fit``, at a
-    constant `lr` and without clipping; the CLS row is the last embedding row
-    (appended by mean pooling for providers without one). Every sample needs
-    one integer label in ``[0, n_classes)``."""
+    constant `lr` and without clipping. The CLS row it reads is always the
+    mean of a record's rows, appended as its last row (``append_mean_cls``).
+    Every sample needs one integer label in ``[0, n_classes)``."""
     if not samples:
         raise ValueError("no training samples")
     if len(labels) < len(samples):
@@ -499,7 +499,7 @@ def train_classifier(samples, labels: list[int], provider: Provider,
         if v.shape[1] != width:
             raise ValueError(f"record {s.id}: embedding dim {v.shape[1]} != {width}, "
                              f"the width of the first record {samples[0].id}")
-    feats = [append_mean_cls(v) for v in feats] if append_cls else feats
+    feats = [append_mean_cls(v) for v in feats]
     head = ClassifierHead(feats[0].shape[1], hidden, n_classes, seed=seed)
     params = head.parameters()
     opt = AdamW(params)

@@ -14,11 +14,17 @@ def span_l1_t(a, b):
     return R.sum_(R.abs_(R.sub(a, b)), axis=-1)
 
 
+def _col(t, j):
+    """Column j as a new slice node per use, as tensor indexing built it, so
+    the chain's backward sums its contributions in the order it always did."""
+    return R.slice_(t, np.s_[..., j])
+
+
 def giou_1d_t(a, b):
-    ax1 = R.sub(a[..., 0], R.mul(a[..., 1], 0.5))
-    ax2 = a[..., 0] + R.mul(a[..., 1], 0.5)
-    bx1 = R.sub(b[..., 0], R.mul(b[..., 1], 0.5))
-    bx2 = b[..., 0] + R.mul(b[..., 1], 0.5)
+    ax1 = R.sub(_col(a, 0), R.mul(_col(a, 1), 0.5))
+    ax2 = _col(a, 0) + R.mul(_col(a, 1), 0.5)
+    bx1 = R.sub(_col(b, 0), R.mul(_col(b, 1), 0.5))
+    bx2 = _col(b, 0) + R.mul(_col(b, 1), 0.5)
     inter = T.relu(R.sub(R.minimum(ax2, bx2), R.maximum(ax1, bx1)))
     union = R.sub(R.sub(ax2, ax1) + R.sub(bx2, bx1), inter)
     hull = R.sub(R.maximum(ax2, bx2), R.minimum(ax1, bx1))

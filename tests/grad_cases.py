@@ -8,6 +8,7 @@ import numpy as np
 from spandet import tensor as T
 from spandet.geometry import Interval
 from spandet.model import LayerPrediction
+from spandet.nn import _concat_per_head
 from spandet.training import composite_loss, cross_entropy
 
 import reference_ops as R
@@ -29,6 +30,7 @@ def make_aux(seed):
         "gts": [Interval(rng.uniform(w / 2, 1 - w / 2), w)
                 for w in rng.uniform(0.1, 0.6, size=2)],
         "label": int(rng.integers(12)),
+        "w38": T.Tensor(rng.normal(size=(3, 8))),
     }
 
 
@@ -48,7 +50,7 @@ GRAD_CASES = {
     "sigmoid": lambda t, a: R.sum_(R.mul(T.sigmoid(t), a["w"])),
     "exp": lambda t, a: R.sum_(R.mul(R.exp(R.mul(t, 0.3)), a["w"])),
     "log": lambda t, a: R.sum_(R.mul(R.log(R.exp(t)), a["w"])),
-    "sum": lambda t, a: R.sum_(R.mul(t, a["w"]), axis=0)[1],
+    "sum": lambda t, a: R.slice_(R.sum_(R.mul(t, a["w"]), axis=0), 1),
     "mean": lambda t, a: R.mean(R.mul(t, a["w"])),
     "relu_offset": lambda t, a: R.sum_(R.mul(T.relu(t + 0.123), a["w"])),
     "maxmin": lambda t, a: R.sum_(R.maximum(t, a["w"]) + R.minimum(t, a["w"])),
@@ -56,29 +58,35 @@ GRAD_CASES = {
     "powc": lambda t, a: R.sum_(R.powc(T.sigmoid(t), 2.5)),
     "sincos": lambda t, a: R.sum_(R.mul(R.sin(t) + R.cos(t), a["w"])),
     "concat_slice": lambda t, a: R.sum_(
-        R.mul(T.concat([t, R.mul(t, 2.0)], axis=0)[1:4, :], 1.5)),
+        R.mul(R.slice_(T.concat([t, R.mul(t, 2.0)], axis=0), np.s_[1:4, :]), 1.5)),
     "transpose_reshape": lambda t, a: R.sum_(
-        R.mul(T.reshape(R.transpose(t, (1, 0)), (2, 6)), a["w26"])),
+        R.mul(R.reshape(R.transpose(t, (1, 0)), (2, 6)), a["w26"])),
     "inverse_sigmoid": lambda t, a: R.sum_(R.mul(R.inverse_sigmoid(T.sigmoid(t)), a["w"])),
     "scale": lambda t, a: R.sum_(R.mul(R.scale(t, -2.5), a["w"])),
-    "gather_rows": lambda t, a: R.sum_(R.mul(t[[0, 2, 0], :], a["w"])),
+    "gather_rows": lambda t, a: R.sum_(R.mul(R.slice_(t, np.s_[[0, 2, 0], :]), a["w"])),
     "masked_softmax": lambda t, a: R.sum_(R.mul(R.softmax(t + BLOCK_MASK, axis=-1), a["w"])),
     # fused primitives; every operand depends on t, so every backward path runs
     "linear": lambda t, a: R.sum_(R.mul(
-        T.linear(t, T.reshape(t[0:2, :], (4, 2)) + a["m"], t[2, 1:3]), a["w32"])),
+        T.linear(t, R.reshape(R.slice_(t, np.s_[0:2, :]), (4, 2)) + a["m"],
+                 R.slice_(t, np.s_[2, 1:3])), a["w32"])),
     "attention": lambda t, a: R.sum_(R.mul(
         T.attention(t, R.mul(t, 0.7) + a["w"], R.sin(t), 2), a["w"])),
     "attention_masked": lambda t, a: R.sum_(R.mul(
         T.attention(t, T.concat([R.mul(t, 0.5), a["row"]], axis=0),
                     T.concat([a["row"], t], axis=0), 2, BLOCK_MASK), a["w"])),
     "anchor_encode": lambda t, a: R.sum_(R.mul(
-        T.anchor_encode(T.reshape(t, (6, 2)), 8, 100.0), a["w68"])),
+        T.anchor_encode(R.reshape(t, (6, 2)), 8, 100.0), a["w68"])),
     "layer_norm_residual": lambda t, a: R.sum_(R.mul(
         T.layer_norm(t, a["gain"], a["bias"], R.sin(t)), a["w"])),
     # one decoder layer's objective: 4 queries matched to 2 targets, 4 dn rows
     "objective": lambda t, a: composite_loss(
-        LayerPrediction(T.sigmoid(T.reshape(t[0:2, :], (4, 2))), t[2, :]),
-        T.sigmoid(T.reshape(R.mul(t[1:3, :], 0.5), (4, 2))), np.array([0, 1, 0, 1]), a["gts"])[0],
-    # the classifier's loss on 12 logits
-    "cross_entropy": lambda t, a: cross_entropy(T.reshape(t, (12,)), a["label"]),
+        LayerPrediction(T.sigmoid(R.reshape(R.slice_(t, np.s_[0:2, :]), (4, 2))),
+                        R.reshape(R.slice_(t, np.s_[2, :]), (4, 1))),
+        T.sigmoid(R.reshape(R.mul(R.slice_(t, np.s_[1:3, :]), 0.5), (4, 2))),
+        np.array([0, 1, 0, 1]), a["gts"])[0],
+    # the classifier's loss on a (1, 12) row of logits
+    "cross_entropy": lambda t, a: cross_entropy(R.reshape(t, (1, 12)), a["label"]),
+    # the cross-attention's per-head interleave, 2 heads of width 2
+    "concat_per_head": lambda t, a: R.sum_(R.mul(
+        _concat_per_head(t, R.mul(t, 0.7) + a["w"], 2), a["w38"])),
 }

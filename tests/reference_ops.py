@@ -4,9 +4,10 @@ fused ops replaced, kept as the references those ops are pinned to.
 Each op computes the numpy forward and backward expressions the engine once
 had for it, with gradients in parent order, so chains built from them (the
 composed attention, anchor encoding and objective) are bitwise what they
-were. Tests call them as functions: ``R.mul(a, b)``, ``R.sub(a, b)``. A plain
-number beside a tensor becomes a double-precision constant; shapes
-follow the engine's elementwise policy (scalar or row-vector bias).
+were. Tests call them as functions: ``R.mul(a, b)``, ``R.sub(a, b)``,
+``R.slice_(a, idx)`` for ``a[idx]``. A plain number beside a tensor becomes
+a double-precision constant; shapes follow the engine's elementwise policy
+(scalar or row-vector bias).
 """
 
 import numpy as np
@@ -71,6 +72,23 @@ def transpose(a, axes=None):
     a = T._wrap(a)
     inv = None if axes is None else np.argsort(axes)
     return _unary("transpose", a, np.transpose(a.data, axes), lambda g: np.transpose(g, inv))
+
+
+def reshape(a, shape):
+    a = T._wrap(a)
+    return _unary("reshape", a, a.data.reshape(shape), lambda g: g.reshape(a.shape))
+
+
+def slice_(a, idx):
+    """``a[idx]``: basic or fancy indexing; repeated indices add their gradients."""
+    a = T._wrap(a)
+
+    def grad(g):
+        full = np.zeros(a.shape)
+        np.add.at(full, idx, g)
+        return full
+
+    return _unary("slice", a, np.asarray(a.data[idx]), grad)
 
 
 def _axes(axis, ndim):

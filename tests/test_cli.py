@@ -438,6 +438,17 @@ def test_eval_rejects_an_interval_past_the_end_of_its_text(tiny_pipeline, tmp_pa
             in capsys.readouterr().err)
 
 
+def test_eval_of_another_splits_predictions_exits_2_naming_the_foreign_ids(tiny_pipeline,
+                                                                          capsys):
+    _, ds, _, preds = tiny_pipeline
+    test_ids = [s.id for s in load_split(ds).test]
+    assert main(["eval", "--predictions", str(preds), "--dataset", str(ds),
+                 "--split", "val"]) == 2
+    more = ", ..." if len(test_ids) > 3 else ""
+    assert (f"error: {len(test_ids)} prediction records name no text of the scored split: "
+            f"{', '.join(test_ids[:3])}{more}" in capsys.readouterr().err)
+
+
 def test_more_intervals_than_queries_exit_2_naming_the_record(tmp_path, capsys):
     ds = tmp_path / "multi"
     assert main(["generate", "--n", "20", "--sentences", "4", "--style", "multi",

@@ -306,14 +306,17 @@ def test_gt_intervals_align_with_token_boundaries():
     ("intervals", [[-1, 2]], "interval [-1, 2] is not an int pair 0 <= x1 < x2"),
     ("intervals", [[1.5, 4]], "interval [1.5, 4] is not an int pair 0 <= x1 < x2"),
     ("intervals", [[1, 2, 3]], "interval [1, 2, 3] is not an int pair 0 <= x1 < x2"),
+    ("id", "a", "id repeats the record at {path}:1"),
 ])
 def test_load_predictions_checks_each_record_naming_line_and_id(tmp_path, field, value,
                                                                 message):
     good = {"id": "a", "intervals": [[0, 4]], "scores": [0.25]}
     path = tmp_path / "preds.jsonl"
-    path.write_text(json.dumps(good) + "\n" + json.dumps({**good, "id": "b", field: value})
-                    + "\n")
-    with pytest.raises(ValueError, match=re.escape(f"{path}:2: record b: {message}")):
+    bad = {**good, "id": "b", field: value}
+    path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
+    with pytest.raises(ValueError, match=re.escape(
+            f"{path}:2: record {bad['id']}: " + message.format(path=path))):
         load_predictions(path)
     path.write_text(json.dumps(good) + "\n")
     assert load_predictions(path) == {"a": good}
+

@@ -10,7 +10,7 @@ from spandet.model import (ClassifierHead, DetectionModel, LayerPrediction,
                            ModelConfig, ModelOutput, check_features, dn_attention_mask,
                            load_classifier, load_detector, save_checkpoint,
                            save_classifier, save_detector)
-from spandet.nn import ConcatPosAttention, Linear, MultiHeadAttention
+from spandet.nn import ConcatPosAttention, Linear, MultiHeadAttention, _concat_per_head
 from spandet.tensor import sinusoidal_encode
 from spandet.training import detection_loss, make_denoising
 
@@ -244,7 +244,7 @@ def test_classifier_probs_sum_to_one():
 def test_classify_is_the_reference_softmax_of_the_logits():
     head = ClassifierHead(16, 8, 3, seed=5)
     x = np.random.default_rng(6).normal(size=(4, 16))
-    assert np.array_equal(head.classify(x), R.softmax(head.logits(x)).data)
+    assert np.array_equal(head.classify(x), R.softmax(head.logits(x)).data[0])
 
 
 def test_detector_checkpoint_roundtrip(tmp_path):
@@ -319,14 +319,15 @@ def forward_per_group(m, vectors, positions, dn):
         groups = [slice(g * size, (g + 1) * size) for g in range(dn.n_groups)]
         blocks = []
         for rows in groups:
-            c, q = content_d[rows, :], content_d[rows, :] + pe_d[rows, :]
+            c = R.slice_(content_d, np.s_[rows, :])
+            q = R.slice_(content_d, np.s_[rows, :]) + R.slice_(pe_d, np.s_[rows, :])
             blocks.append(dec.self_block(c, q, T.concat([q_l, q], axis=0),
                                          T.concat([content_l, c], axis=0)))
         content_d = T.concat(blocks, axis=0)
         content_l = dec.cross_ffn(dec.self_block(content_l, q_l, q_l, content_l),
                                   pe_l, dec.cross_attn.keys_values(memory, pe_mem))
         anchor_l = anchor_l + m.span_head(content_l)
-        layers.append(LayerPrediction(T.sigmoid(anchor_l), m.class_head(content_l)[:, 0]))
+        layers.append(LayerPrediction(T.sigmoid(anchor_l), m.class_head(content_l)))
         content_d = dec.cross_ffn(content_d, pe_d, dec.cross_attn.keys_values(memory, pe_mem))
         anchor_d = anchor_d + m.span_head(content_d)
         dn_layers.append(T.sigmoid(anchor_d))
@@ -378,12 +379,12 @@ def test_masked_dn_matches_per_group_reference(groups, n_targets):
 
 def split_heads(x, heads):
     n, d = x.shape
-    return R.transpose(T.reshape(x, (n, heads, d // heads)), (1, 0, 2))
+    return R.transpose(R.reshape(x, (n, heads, d // heads)), (1, 0, 2))
 
 
 def merge_heads(x):
     h, n, dh = x.shape
-    return T.reshape(R.transpose(x, (1, 0, 2)), (n, h * dh))
+    return R.reshape(R.transpose(x, (1, 0, 2)), (n, h * dh))
 
 
 def linear_ref(lin, x):
@@ -423,16 +424,17 @@ def concat_pos_ref(attn, content_q, pos_q, memory, pos_k):
 def sinusoidal_encode_t(pos, dim, temperature=10000.0):
     freqs = temperature ** (2.0 * np.arange(dim // 2) / dim)
     inv = T.Tensor((2.0 * np.pi / freqs)[None, :])
-    args = R.matmul(T.reshape(pos, (-1, 1)), inv)
+    args = R.matmul(R.reshape(pos, (-1, 1)), inv)
     n, half = args.shape
-    parts = T.concat([T.reshape(R.sin(args), (n, half, 1)),
-                      T.reshape(R.cos(args), (n, half, 1))], axis=-1)
-    return T.reshape(parts, (n, dim))
+    parts = T.concat([R.reshape(R.sin(args), (n, half, 1)),
+                      R.reshape(R.cos(args), (n, half, 1))], axis=-1)
+    return R.reshape(parts, (n, dim))
 
 
 def encode_anchor_t(cw, dim, temperature=10000.0):
-    return T.concat([sinusoidal_encode_t(cw[:, 0], dim // 2, temperature),
-                     sinusoidal_encode_t(cw[:, 1], dim // 2, temperature)], axis=-1)
+    return T.concat([sinusoidal_encode_t(R.slice_(cw, np.s_[:, 0]), dim // 2, temperature),
+                     sinusoidal_encode_t(R.slice_(cw, np.s_[:, 1]), dim // 2, temperature)],
+                    axis=-1)
 
 
 def outputs_and_grads(build, leaves, seed):
@@ -495,6 +497,25 @@ def test_concat_pos_attention_matches_composed_reference(seed):
                                    leaves, seed)
 
 
+@pytest.mark.parametrize("heads", [1, 2, 4])
+def test_concat_per_head_is_bitwise_the_reshape_concat_chain(heads):
+    rng = np.random.default_rng(heads)
+    content, pos = leaf(rng, 5, 8), leaf(rng, 5, 8)
+    w = T.Tensor(rng.normal(size=(5, 16)))
+    results = []
+    for build in (lambda: _concat_per_head(content, pos, heads),
+                  lambda: R.reshape(T.concat([R.reshape(t, (5, heads, 8 // heads))
+                                              for t in (content, pos)], axis=-1), (5, 16))):
+        content.zero_grad()
+        pos.zero_grad()
+        out = build()
+        R.sum_(R.mul(out, w)).backward()
+        results.append((out.data, content.grad, pos.grad))
+    for got, want in zip(*results):
+        assert np.array_equal(got, want)
+    assert not np.shares_memory(content.grad, pos.grad)
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_anchor_encode_matches_composed_reference(seed):
     rng = np.random.default_rng(seed)
@@ -523,10 +544,10 @@ def test_tape_node_counts_at_the_c08_config():
     m = DetectionModel(cfg, seed=0)
     vec, pos = rand_input(n=60, d=32, seed=1)
     out = m.forward(vec, pos)
-    assert tape_nodes([t for layer in out.layers for t in (layer.cw, layer.logits)]) <= 300
+    assert tape_nodes([t for layer in out.layers for t in (layer.cw, layer.logits)]) <= 275
     gts = [Interval(0.6, 0.5)]
     out = m.forward(vec, pos, make_denoising(gts, cfg, np.random.default_rng(2)))
-    assert tape_nodes([detection_loss(out, gts)[0]]) <= 400
+    assert tape_nodes([detection_loss(out, gts)[0]]) <= 360
 
 
 def test_predict_builds_no_tape_and_matches_the_taped_forward():
@@ -550,5 +571,5 @@ def test_predict_builds_no_tape_and_matches_the_taped_forward():
         assert np.array_equal(a.logits.data, b.logits.data)
     final = taped.layers[-1]
     assert pred.intervals == [Interval(float(c), float(w)) for c, w in final.cw.data]
-    assert pred.scores == [float(p) for p in T.sigmoid(final.logits).data]
+    assert pred.scores == [float(p) for p in T.sigmoid(final.logits).data[:, 0]]
     assert m.forward(vec, pos).layers[-1].cw._parents  # the tape is back on

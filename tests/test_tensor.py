@@ -145,7 +145,7 @@ def test_leaf_gradients_never_share_a_buffer():
     r = T.Tensor(rng.normal(size=(3, 2)), requires_grad=True)
     w = rng.normal(size=(6, 3))
     # add hands one gradient to two parents; reshape and concat pass views on
-    y = T.concat([p + q, T.reshape(r, (2, 3)), s], axis=0)
+    y = T.concat([p + q, R.reshape(r, (2, 3)), s], axis=0)
     R.sum_(R.mul(y, T.Tensor(w))).backward()
     leaves = (p, q, r, s)
     for i, a in enumerate(leaves):
@@ -215,7 +215,7 @@ def test_concat_and_slice_roundtrip_grads():
     a = T.Tensor([1.0, 2.0], requires_grad=True)
     b = T.Tensor([3.0], requires_grad=True)
     c = T.concat([a, b], axis=0)
-    R.sum_(R.mul(c[1:], 2.0)).backward()
+    R.sum_(R.mul(R.slice_(c, np.s_[1:]), 2.0)).backward()
     assert np.array_equal(a.grad, [0.0, 2.0])
     assert np.array_equal(b.grad, [2.0])
 
@@ -294,7 +294,7 @@ def test_no_grad_builds_no_tape_and_restores_the_mode_after_an_exception():
     x = T.Tensor([1.0, 2.0], requires_grad=True)
     with pytest.raises(RuntimeError, match="inside"):
         with T.no_grad():
-            y = T.linear(T.reshape(x, (1, 2)), T.Tensor(np.ones((2, 3))), T.Tensor(np.zeros(3)))
+            y = T.linear(R.reshape(x, (1, 2)), T.Tensor(np.ones((2, 3))), T.Tensor(np.zeros(3)))
             assert y._parents == () and y._backward is None and not y.requires_grad
             raise RuntimeError("inside")
     taped = R.mul(x, 2.0)

@@ -163,11 +163,13 @@ def composite_loss_per_pair(layer, dn_cw, dn_gt_index, gts, weights=LossWeights(
             giou = g_r if giou is None else giou + g_r
         return R.scale(span, 1.0 / len(rows)), R.scale(giou, 1.0 / len(rows))
 
-    l_span, l_giou = mean_terms([cw[i, :] for i, _ in pairs], [gt_cw[j] for _, j in pairs])
+    l_span, l_giou = mean_terms([R.slice_(cw, np.s_[i, :]) for i, _ in pairs],
+                                [gt_cw[j] for _, j in pairs])
     targets = np.zeros(cw.shape[0])
     targets[[i for i, _ in pairs]] = 1.0
     l_focal = focal_loss_mean(logits, targets)
-    l_dn_span, l_dn_giou = mean_terms([dn_cw[q, :] for q in range(dn_cw.shape[0])],
+    l_dn_span, l_dn_giou = mean_terms([R.slice_(dn_cw, np.s_[q, :])
+                                       for q in range(dn_cw.shape[0])],
                                       [gt_cw[j] for j in dn_gt_index])
     return (R.scale(l_span, weights.span) + R.scale(l_giou, weights.giou)
             + R.scale(l_focal, weights.focal) + R.scale(l_dn_span, weights.dn_span)
@@ -291,15 +293,17 @@ def test_cross_entropy_bitwise_equals_the_reference_chain():
     cases.append((np.array([0.0, 40.0, -3.0]), 0))  # p(label) ~ 4e-18: the log clamps
     assert R.softmax(T.Tensor(cases[-1][0])).data[0] < T.LOG_EPS
     for k, (z, y) in enumerate(cases):
-        results = []
-        for loss_fn in (lambda t: cross_entropy(t, y),
-                        lambda t: R.scale(R.log(R.softmax(t)[y]), -1.0)):
-            logits = T.Tensor(z, requires_grad=True)
-            loss = loss_fn(logits)
-            loss.backward()
-            results.append((loss.data, logits.grad))
-        (value, grad), (ref_value, ref_grad) = results
-        assert np.array_equal(value, ref_value) and np.array_equal(grad, ref_grad), k
+        for row, idx in ((z, y), (z[None, :], (0, y))):  # (C,) and the head's (1, C)
+            results = []
+            for loss_fn in (lambda t: cross_entropy(t, y),
+                            lambda t: R.scale(R.log(R.slice_(R.softmax(t), idx)), -1.0)):
+                logits = T.Tensor(row, requires_grad=True)
+                loss = loss_fn(logits)
+                loss.backward()
+                results.append((loss.data, logits.grad))
+            (value, grad), (ref_value, ref_grad) = results
+            assert value.shape == () and grad.shape == row.shape
+            assert np.array_equal(value, ref_value) and np.array_equal(grad, ref_grad), k
     assert not grad.any()  # no gradient below the clamp
 
 
