@@ -378,9 +378,10 @@ def save_predictions(path, preds: list[dict]) -> None:
 
 
 def load_predictions(path) -> dict[str, dict]:
-    """Prediction records by id, each checked: a JSON object, one score per
-    interval, scores numbers in [0, 1] (not NaN), intervals integer pairs
-    ``[x1, x2]`` with ``0 <= x1 < x2``, an id no earlier record has. Errors
+    """Prediction records by id, each checked: a JSON object, lists of
+    intervals and scores with one score per interval, scores numbers in
+    [0, 1] (not NaN), intervals integer pairs ``[x1, x2]`` with
+    ``0 <= x1 < x2``, an id no earlier record has. Errors
     name ``path:line`` (and the record)."""
     out, lines = {}, {}
     with open(path, encoding="utf-8") as fh:
@@ -394,6 +395,9 @@ def load_predictions(path) -> dict[str, dict]:
             if "id" not in rec or "intervals" not in rec or "scores" not in rec:
                 raise ValueError(f"{path}:{lineno}: prediction record missing fields")
             where = f"{path}:{lineno}: record {rec['id']}"
+            for field in ("intervals", "scores"):
+                if type(rec[field]) is not list:
+                    raise ValueError(f"{where}: {field} {rec[field]!r} is not a list")
             if len(rec["intervals"]) != len(rec["scores"]):
                 raise ValueError(f"{where}: intervals/scores length mismatch")
             for score in rec["scores"]:

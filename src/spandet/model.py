@@ -1,4 +1,4 @@
-"""1D interval detection transformer and the CLS classification head.
+"""1D interval detection transformer and the whole-text classification head.
 
 Embeddings are projected into a smaller hidden space, refined by a
 self-attention encoder over token-midpoint position encodings, then decoded
@@ -18,7 +18,9 @@ blocks read them.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, fields
+import zipfile
+from dataclasses import asdict, dataclass
+from typing import get_type_hints
 
 import numpy as np
 
@@ -214,7 +216,7 @@ def _logit(p: np.ndarray) -> np.ndarray:
 
 
 class ClassifierHead(Module):
-    """Two-layer head over the CLS row (last position) of an embedding matrix."""
+    """Two-layer head over the mean of a record's token rows."""
 
     def __init__(self, d_model: int, hidden: int, n_classes: int, seed: int = 0):
         rng = np.random.default_rng(seed)
@@ -225,8 +227,10 @@ class ClassifierHead(Module):
         self.lin2 = Linear(hidden, n_classes, rng)
 
     def logits(self, vectors: np.ndarray) -> T.Tensor:
-        """(1, n_classes) logits of the CLS row."""
-        return self.lin2(T.relu(self.lin1(T.Tensor(vectors[-1:]))))
+        """(1, n_classes) logits of the mean row of a record's ``(n, d_model)``
+        features, which must pass ``check_features``."""
+        check_features(vectors)
+        return self.lin2(T.relu(self.lin1(T.Tensor(vectors.mean(axis=0, keepdims=True)))))
 
     def classify(self, vectors: np.ndarray) -> np.ndarray:
         """(n_classes,) class probabilities."""
@@ -256,20 +260,33 @@ def save_checkpoint(path, model: Module, kind: str, config: dict) -> None:
     np.savez(path, __meta__=np.array(meta), **arrays)
 
 
-def _read_checkpoint(path, kind: str, names) -> tuple[dict, dict[str, np.ndarray]]:
-    """A `kind` checkpoint's config, whose keys must be exactly `names`, and weights."""
-    with np.load(path, allow_pickle=False) as z:
-        meta = json.loads(str(z["__meta__"]))
-        if meta.get("checkpoint_version") != CHECKPOINT_VERSION:
-            raise ValueError(f"{path}: unsupported checkpoint version")
-        state = {k[len("param/"):]: z[k] for k in z.files if k.startswith("param/")}
-    if meta["kind"] != kind:
-        raise ValueError(f"{path}: checkpoint holds a {meta['kind']!r}, not a {kind}")
-    config = meta["config"]
-    unknown, missing = sorted(set(config) - set(names)), sorted(set(names) - set(config))
+def _read_checkpoint(path, kind: str,
+                     types: dict[str, type]) -> tuple[dict, dict[str, np.ndarray]]:
+    """A `kind` checkpoint's config and weights. The config's keys must be
+    exactly those of `types`, each value a number (not a bool), and an int
+    where its type is ``int``. Any other fault raises ``ValueError`` naming
+    `path`; a missing file raises ``FileNotFoundError``."""
+    try:
+        with np.load(path, allow_pickle=False) as z:
+            meta = json.loads(str(z["__meta__"]))
+            state = {k[len("param/"):]: z[k] for k in z.files if k.startswith("param/")}
+    except (EOFError, KeyError, TypeError, ValueError, zipfile.BadZipFile) as e:
+        raise ValueError(f"{path}: not a readable checkpoint archive with a JSON __meta__") from e
+    if not isinstance(meta, dict) or meta.get("checkpoint_version") != CHECKPOINT_VERSION:
+        raise ValueError(f"{path}: unsupported checkpoint version")
+    if meta.get("kind") != kind:
+        raise ValueError(f"{path}: checkpoint holds a {meta.get('kind')!r}, not a {kind}")
+    config = meta.get("config")
+    if not isinstance(config, dict):
+        raise ValueError(f"{path}: {kind} config {config!r} is not a JSON object")
+    unknown, missing = sorted(set(config) - set(types)), sorted(set(types) - set(config))
     if unknown or missing:
         raise ValueError(f"{path}: {kind} config has unknown fields {unknown} "
                          f"and missing fields {missing}")
+    for name, want in types.items():
+        if type(config[name]) not in ((int,) if want is int else (int, float)):
+            raise ValueError(f"{path}: {kind} config field {name} is {config[name]!r}, "
+                             f"not {'an int' if want is int else 'a number'}")
     return config, state
 
 
@@ -278,7 +295,9 @@ def save_detector(path, model: DetectionModel) -> None:
 
 
 def load_detector(path) -> DetectionModel:
-    config, state = _read_checkpoint(path, "detector", [f.name for f in fields(ModelConfig)])
+    types = {name: float if hint is float else int
+             for name, hint in get_type_hints(ModelConfig).items()}
+    config, state = _read_checkpoint(path, "detector", types)
     model = DetectionModel(ModelConfig(**config))
     model.load_state(state)
     return model
@@ -290,7 +309,8 @@ def save_classifier(path, head: ClassifierHead) -> None:
 
 
 def load_classifier(path) -> ClassifierHead:
-    config, state = _read_checkpoint(path, "classifier", ("d_model", "hidden", "n_classes"))
+    config, state = _read_checkpoint(path, "classifier",
+                                     dict.fromkeys(("d_model", "hidden", "n_classes"), int))
     head = ClassifierHead(**config)
     head.load_state(state)
     return head

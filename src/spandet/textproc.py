@@ -88,15 +88,6 @@ def toy_embed(tk: TokenizedText, d: int, seed: int = 0) -> np.ndarray:
     return out
 
 
-def append_mean_cls(vectors: np.ndarray) -> np.ndarray:
-    """Append a summary row (mean pooling) acting as the CLS position.
-
-    File-based embeddings carry a real CLS hidden state as their last row;
-    this is the toy provider's equivalent.
-    """
-    return np.vstack([vectors, vectors.mean(axis=0, keepdims=True)])
-
-
 # -- embedding file format ---------------------------------------------------
 #
 #   magic     4 bytes  b"SDEM"

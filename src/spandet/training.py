@@ -28,7 +28,6 @@ from .geometry import Interval, span_l1_giou, span_to_cw
 from .matching import build_match_cost, hungarian
 from .model import (ClassifierHead, DetectionModel, LayerPrediction, ModelConfig,
                     ModelOutput, check_features, save_detector, softmax)
-from .textproc import append_mean_cls
 
 
 FOCAL_ALPHA = 0.25
@@ -274,6 +273,11 @@ class TrainConfig:
     grad_clip: float = 0.1
     seed: int = 0
 
+    def __post_init__(self):
+        for name in ("epochs", "batch_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+
 
 @dataclass
 class TrainResult:
@@ -478,10 +482,9 @@ def cross_entropy(logits: T.Tensor, label: int) -> T.Tensor:
 def train_classifier(samples, labels: list[int], provider: Provider,
                      hidden: int = 32, n_classes: int = 2, epochs: int = 30,
                      batch_size: int = 16, lr: float = 1e-3, seed: int = 0) -> ClassifierHead:
-    """Fit the two-layer CLS head with cross-entropy through ``_fit``, at a
-    constant `lr` and without clipping. The CLS row it reads is always the
-    mean of a record's rows, appended as its last row (``append_mean_cls``).
-    Every sample needs one integer label in ``[0, n_classes)``."""
+    """Fit the two-layer classifier head with cross-entropy through ``_fit``,
+    at a constant `lr` and without clipping. Every sample needs one integer
+    label in ``[0, n_classes)``."""
     if not samples:
         raise ValueError("no training samples")
     if len(labels) < len(samples):
@@ -499,8 +502,7 @@ def train_classifier(samples, labels: list[int], provider: Provider,
         if v.shape[1] != width:
             raise ValueError(f"record {s.id}: embedding dim {v.shape[1]} != {width}, "
                              f"the width of the first record {samples[0].id}")
-    feats = [append_mean_cls(v) for v in feats]
-    head = ClassifierHead(feats[0].shape[1], hidden, n_classes, seed=seed)
+    head = ClassifierHead(width, hidden, n_classes, seed=seed)
     params = head.parameters()
     opt = AdamW(params)
     for _ in _fit(params, opt, np.random.default_rng(seed), [s.id for s in samples], epochs,

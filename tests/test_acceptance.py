@@ -405,11 +405,10 @@ def test_c10_classification_head():
                             provider, hidden=32, n_classes=2, epochs=15,
                             batch_size=16, lr=1e-3, seed=0)
 
-    from spandet.textproc import append_mean_cls
     scores, labels = [], []
     for s in split.test:
         vec, _ = provider(s)
-        probs = head.classify(append_mean_cls(vec))
+        probs = head.classify(vec)
         scores.append(float(probs[1]))
         labels.append(s.label)
     suite = classification_suite(scores, labels)

@@ -354,6 +354,66 @@ def test_bad_checkpoint_config_exits_2_naming_the_fields(tiny_pipeline, tmp_path
             in capsys.readouterr().err)
 
 
+def _with_config(**edit):
+    """A writer of checkpoint `best` to `bad`, with `edit` applied to its config."""
+    def write(bad, best):
+        with np.load(best) as z:
+            arrays = {k: z[k] for k in z.files}
+        meta = json.loads(str(arrays["__meta__"]))
+        meta["config"].update(edit)
+        np.savez(bad, **{**arrays, "__meta__": np.array(json.dumps(meta))})
+    return write
+
+
+@pytest.mark.parametrize("write, message", [
+    (lambda bad, best: bad.write_bytes(best.read_bytes()[:300]),
+     "not a readable checkpoint archive with a JSON __meta__"),
+    (lambda bad, best: bad.write_text("not an archive\n"),
+     "not a readable checkpoint archive with a JSON __meta__"),
+    (_with_config(heads="4"), "detector config field heads is '4', not an int"),
+    (_with_config(d_model=None), "detector config field d_model is None, not an int"),
+], ids=["truncated", "plain-text", "string-heads", "null-d_model"])
+def test_unreadable_or_mistyped_checkpoint_exits_2_naming_the_path(tiny_pipeline, tmp_path,
+                                                                   capsys, write, message):
+    _, ds, run_dir, _ = tiny_pipeline
+    bad = tmp_path / "bad.npz"
+    write(bad, run_dir / "best.npz")
+    code = main(["predict", "--checkpoint", str(bad), "--dataset", str(ds),
+                 "--out", str(tmp_path / "p.jsonl")])
+    assert code == 2
+    assert f"{bad}: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("intervals", 5, "intervals 5 is not a list"),
+    ("scores", 7, "scores 7 is not a list"),
+])
+def test_eval_of_a_record_whose_intervals_or_scores_is_not_a_list_exits_2(
+        tiny_pipeline, tmp_path, capsys, field, value, message):
+    _, ds, _, preds = tiny_pipeline
+    lines = preds.read_text().splitlines()
+    rec = {**json.loads(lines[1]), field: value}
+    lines[1] = json.dumps(rec)
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n".join(lines) + "\n")
+    assert main(["eval", "--predictions", str(bad), "--dataset", str(ds)]) == 2
+    assert f"{bad}:2: record {rec['id']}: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, field", [("--epochs", "epochs"),
+                                         ("--batch-size", "batch_size")])
+def test_train_with_zero_epochs_or_batch_size_exits_2_naming_the_field(tmp_path, capsys,
+                                                                       flag, field):
+    ds = tmp_path / "ds"
+    assert main(["generate", "--n", "12", "--sentences", "3", "--dim", "16",
+                 "--out", str(ds)]) == 0
+    code = main(["train", "--dataset", str(ds), "--out", str(tmp_path / "run"),
+                 "--hidden", "16", "--heads", "4", "--enc-layers", "1", "--dec-layers", "1",
+                 flag, "0"])
+    assert code == 2
+    assert f"{field} must be at least 1, got 0" in capsys.readouterr().err
+
+
 def test_bare_train_and_generate_parse_to_the_dataclass_defaults():
     parser = build_parser()
     model = {f.name: f.default for f in fields(ModelConfig)}

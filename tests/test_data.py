@@ -307,6 +307,8 @@ def test_gt_intervals_align_with_token_boundaries():
     ("intervals", [[1.5, 4]], "interval [1.5, 4] is not an int pair 0 <= x1 < x2"),
     ("intervals", [[1, 2, 3]], "interval [1, 2, 3] is not an int pair 0 <= x1 < x2"),
     ("id", "a", "id repeats the record at {path}:1"),
+    ("intervals", 5, "intervals 5 is not a list"),
+    ("scores", 7, "scores 7 is not a list"),
 ])
 def test_load_predictions_checks_each_record_naming_line_and_id(tmp_path, field, value,
                                                                 message):

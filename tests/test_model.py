@@ -1,3 +1,4 @@
+import json
 import re
 from dataclasses import asdict
 
@@ -247,6 +248,11 @@ def test_classify_is_the_reference_softmax_of_the_logits():
     assert np.array_equal(head.classify(x), R.softmax(head.logits(x)).data[0])
 
 
+def test_classify_rejects_an_empty_record_by_the_feature_contract():
+    with pytest.raises(ValueError, match="^empty token sequence$"):
+        ClassifierHead(16, 8, 2).classify(np.zeros((0, 16)))
+
+
 def test_detector_checkpoint_roundtrip(tmp_path):
     m = tiny_model(seed=11)
     vec, pos = rand_input(seed=12)
@@ -289,6 +295,40 @@ def test_checkpoint_config_with_unknown_or_missing_fields_names_them(tmp_path):
     with pytest.raises(ValueError, match=re.escape(
             "detector config has unknown fields ['depth', 'width'] and missing fields []")):
         load_detector(path)
+
+
+def test_unreadable_checkpoint_archives_raise_naming_the_path(tmp_path):
+    good = tmp_path / "good.npz"
+    save_classifier(good, ClassifierHead(16, 8, 2))
+    path = tmp_path / "bad.npz"
+    meta = json.dumps({"checkpoint_version": 1, "kind": "classifier"})
+    for write in (lambda: path.write_bytes(good.read_bytes()[:300]),  # truncated
+                  lambda: path.write_text("not an archive\n"),
+                  lambda: np.savez(path, weights=np.zeros(3)),  # no __meta__
+                  lambda: np.savez(path, __meta__=np.array(meta[:-1]))):  # not JSON
+        write()
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: not a readable checkpoint archive with a JSON __meta__")):
+            load_classifier(path)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("heads", "4", "field heads is '4', not an int"),
+    ("d_model", None, "field d_model is None, not an int"),
+    ("dn_groups", True, "field dn_groups is True, not an int"),
+    ("heads", 4.0, "field heads is 4.0, not an int"),
+    ("temperature", "1e4", "field temperature is '1e4', not a number"),
+    ("dn_width_noise", False, "field dn_width_noise is False, not a number"),
+])
+def test_checkpoint_config_values_must_be_numbers_of_their_field_type(tmp_path, field, value,
+                                                                       message):
+    m = tiny_model(seed=2)
+    path = tmp_path / "model.npz"
+    save_checkpoint(path, m, "detector", {**asdict(m.cfg), field: value})
+    with pytest.raises(ValueError, match=re.escape(f"{path}: detector config {message}")):
+        load_detector(path)
+    save_checkpoint(path, m, "detector", {**asdict(m.cfg), "temperature": 10000})
+    assert load_detector(path).cfg == m.cfg  # an int is a number
 
 
 def test_attention_rejects_bad_head_split():

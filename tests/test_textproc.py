@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spandet.geometry import CharSpan
-from spandet.textproc import (append_mean_cls, load_features, read_embedding_file,
+from spandet.textproc import (load_features, read_embedding_file,
                               token_positions, tokenize, toy_embed, write_embedding_file)
 
 
@@ -87,13 +87,6 @@ def test_toy_embed_norms_bounded():
     e = toy_embed(tk, 32, seed=3)
     norms = np.linalg.norm(e, axis=1)
     assert norms.min() >= 0.5 and norms.max() <= 2.0
-
-
-def test_append_mean_cls():
-    v = np.arange(6.0).reshape(3, 2)
-    out = append_mean_cls(v)
-    assert out.shape == (4, 2)
-    assert np.array_equal(out[-1], v.mean(axis=0))
 
 
 def test_embedding_file_roundtrip_bitwise(tmp_path):

@@ -357,6 +357,21 @@ def test_train_classifier_stops_on_non_finite_values_naming_where(monkeypatch):
         train_classifier(samples, labels, prov, n_classes=2, epochs=1, batch_size=2)
 
 
+def test_classify_scores_the_mean_row_of_the_provider_features():
+    """The head pools: ``classify`` on a record's features, as the provider
+    returns them and as training read them, is the reference chain over
+    their mean row."""
+    split = synth_generate(SynthSpec(n_texts=12, style="binary", embed_dim=16), seed=1)
+    prov = synthetic_provider(split.meta)
+    head = train_classifier(split.train, [s.label for s in split.train], prov,
+                            hidden=8, n_classes=2, epochs=3, batch_size=4)
+    for s in split.train + split.val + split.test:
+        vec, _ = prov(s)
+        mean_row = R.reshape(R.mean(T.Tensor(vec), axis=0), (1, vec.shape[1]))
+        hidden = T.relu(R.matmul(mean_row, head.lin1.weight) + head.lin1.bias)
+        logits = R.matmul(hidden, head.lin2.weight) + head.lin2.bias
+        assert np.array_equal(head.classify(vec), R.softmax(logits).data[0]), s.id
+
 
 def _binary_split_with(odd_id, reshape):
     """A 12-text binary split (seed 1, dim 16) whose record `odd_id` gets
