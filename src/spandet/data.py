@@ -338,18 +338,17 @@ def signal_direction(d: int, seed: int) -> np.ndarray:
 
 def embed_with_signal(sample: AnnotatedText, d: int, seed: int,
                       sigma: float) -> tuple[np.ndarray, np.ndarray]:
-    """Toy embeddings where tokens inside GT intervals are shifted by
-    sigma along a fixed direction, standing in for features from a
-    fine-tuned LLM. Returns (vectors, normalized token midpoints)."""
+    """Toy embeddings where tokens whose midpoint lies in a GT interval are
+    shifted by sigma along a fixed direction, standing in for features from
+    a fine-tuned LLM. Returns (vectors, normalized token midpoints)."""
     tk = tokenize(sample.text)
     vectors = toy_embed(tk, d, seed)
+    pos = token_positions(tk.offsets, len(sample.text))
     if sigma > 0 and sample.intervals:
-        u = signal_direction(d, seed)
-        for i, off in enumerate(tk.offsets):
-            mid = (off.x1 + off.x2) / 2.0
-            if any(sp.x1 <= mid < sp.x2 for sp in sample.intervals):
-                vectors[i] = vectors[i] + sigma * u
-    return vectors, token_positions(tk.offsets, len(sample.text))
+        ends = np.array([(sp.x1, sp.x2) for sp in sample.intervals]) / len(sample.text)
+        marked = ((ends[:, :1] <= pos) & (pos < ends[:, 1:])).any(axis=0)
+        vectors[marked] += sigma * signal_direction(d, seed)
+    return vectors, pos
 
 
 def synthetic_provider(meta: dict):

@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import zipfile
 from dataclasses import asdict, dataclass
-from typing import get_type_hints
+from typing import Callable, get_type_hints
 
 import numpy as np
 
@@ -32,7 +32,7 @@ from .nn import ConcatPosAttention, LayerNorm, Linear, MLP, Module, MultiHeadAtt
 @dataclass
 class ModelConfig:
     d_model: int
-    hidden: int | None = None       # default: d_model // 16
+    hidden: int | None = None       # default: max(d_model // 16, 16)
     enc_layers: int = 3
     dec_layers: int = 3
     heads: int = 8
@@ -47,6 +47,12 @@ class ModelConfig:
     def __post_init__(self):
         if self.hidden is None:
             self.hidden = max(self.d_model // 16, 16)
+        for name in ("heads", "hidden"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if not 0 < self.temperature < float("inf"):
+            raise ValueError(f"temperature must be a positive finite number, "
+                             f"got {self.temperature}")
         if self.hidden % self.heads:
             raise ValueError(f"hidden {self.hidden} not divisible by heads {self.heads}")
         if self.hidden % 4:
@@ -162,35 +168,38 @@ class DetectionModel(Module):
 
         content_l = self.query_content
         anchor_l = self.query_anchors
+        box_l = T.sigmoid(anchor_l)
 
         use_dn = dn is not None and len(dn.anchors) > 0
         if use_dn:
             d_total = len(dn.anchors)
             content_d = T.concat([self.dn_content] * d_total, axis=0)
             anchor_d = T.Tensor(_logit(np.asarray(dn.anchors, dtype=np.float64)))
+            box_d = T.sigmoid(anchor_d)  # a constant
             dn_mask = dn_attention_mask(cfg.num_queries, d_total, dn.n_groups)
 
         layers: list[LayerPrediction] = []
         dn_layers: list[T.Tensor] = []
         for dec in self.decoder:
-            pe_l = T.anchor_encode(T.sigmoid(anchor_l), h, cfg.temperature)
+            pe_l = T.anchor_encode(box_l, h, cfg.temperature)
             q_l = content_l + pe_l
             if use_dn:
                 # the learnable rows lead the dn rows' keys and values
-                pe_d = T.anchor_encode(T.sigmoid(anchor_d), h, cfg.temperature)
+                pe_d = T.anchor_encode(box_d, h, cfg.temperature)
                 q_d = content_d + pe_d
                 content_d = dec.self_block(content_d, q_d, T.concat([q_l, q_d], axis=0),
                                            T.concat([content_l, content_d], axis=0), dn_mask)
             content_l = dec.self_block(content_l, q_l, q_l, content_l)
             kv = dec.cross_attn.keys_values(memory, pe_mem)  # shared with the dn rows
             content_l = dec.cross_ffn(content_l, pe_l, kv)
-            delta_l = self.span_head(content_l)
-            anchor_l = anchor_l + delta_l
-            layers.append(LayerPrediction(T.sigmoid(anchor_l), self.class_head(content_l)))
+            anchor_l = anchor_l + self.span_head(content_l)
+            box_l = T.sigmoid(anchor_l)  # this layer's output, the next layer's anchor
+            layers.append(LayerPrediction(box_l, self.class_head(content_l)))
             if use_dn:
                 content_d = dec.cross_ffn(content_d, pe_d, kv)
                 anchor_d = anchor_d + self.span_head(content_d)
-                dn_layers.append(T.sigmoid(anchor_d))
+                box_d = T.sigmoid(anchor_d)
+                dn_layers.append(box_d)
 
         return ModelOutput(layers, dn_layers, dn.gt_index if use_dn else None)
 
@@ -260,12 +269,14 @@ def save_checkpoint(path, model: Module, kind: str, config: dict) -> None:
     np.savez(path, __meta__=np.array(meta), **arrays)
 
 
-def _read_checkpoint(path, kind: str,
-                     types: dict[str, type]) -> tuple[dict, dict[str, np.ndarray]]:
-    """A `kind` checkpoint's config and weights. The config's keys must be
-    exactly those of `types`, each value a number (not a bool), and an int
-    where its type is ``int``. Any other fault raises ``ValueError`` naming
-    `path`; a missing file raises ``FileNotFoundError``."""
+def _read_checkpoint(path, kind: str, types: dict[str, type],
+                     build: Callable[..., Module]) -> Module:
+    """The `kind` model that `build(**config)` makes from a checkpoint's config,
+    with the checkpoint's weights loaded. The config's keys must be exactly
+    those of `types`, each value a number (not a bool), and an int where its
+    type is ``int``. Any other fault, including a ``ValueError`` from `build`
+    or from loading the weights, raises ``ValueError`` naming `path`; a
+    missing file raises ``FileNotFoundError``."""
     try:
         with np.load(path, allow_pickle=False) as z:
             meta = json.loads(str(z["__meta__"]))
@@ -287,7 +298,12 @@ def _read_checkpoint(path, kind: str,
         if type(config[name]) not in ((int,) if want is int else (int, float)):
             raise ValueError(f"{path}: {kind} config field {name} is {config[name]!r}, "
                              f"not {'an int' if want is int else 'a number'}")
-    return config, state
+    try:
+        model = build(**config)
+        model.load_state(state)
+    except ValueError as e:
+        raise ValueError(f"{path}: {kind} {e}") from e
+    return model
 
 
 def save_detector(path, model: DetectionModel) -> None:
@@ -297,10 +313,8 @@ def save_detector(path, model: DetectionModel) -> None:
 def load_detector(path) -> DetectionModel:
     types = {name: float if hint is float else int
              for name, hint in get_type_hints(ModelConfig).items()}
-    config, state = _read_checkpoint(path, "detector", types)
-    model = DetectionModel(ModelConfig(**config))
-    model.load_state(state)
-    return model
+    return _read_checkpoint(path, "detector", types,
+                            lambda **config: DetectionModel(ModelConfig(**config)))
 
 
 def save_classifier(path, head: ClassifierHead) -> None:
@@ -309,8 +323,5 @@ def save_classifier(path, head: ClassifierHead) -> None:
 
 
 def load_classifier(path) -> ClassifierHead:
-    config, state = _read_checkpoint(path, "classifier",
-                                     dict.fromkeys(("d_model", "hidden", "n_classes"), int))
-    head = ClassifierHead(**config)
-    head.load_state(state)
-    return head
+    return _read_checkpoint(path, "classifier",
+                            dict.fromkeys(("d_model", "hidden", "n_classes"), int), ClassifierHead)

@@ -485,6 +485,7 @@ def train_classifier(samples, labels: list[int], provider: Provider,
     """Fit the two-layer classifier head with cross-entropy through ``_fit``,
     at a constant `lr` and without clipping. Every sample needs one integer
     label in ``[0, n_classes)``."""
+    TrainConfig(epochs=epochs, batch_size=batch_size)  # its checks, before any read
     if not samples:
         raise ValueError("no training samples")
     if len(labels) < len(samples):

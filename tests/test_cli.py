@@ -365,6 +365,14 @@ def _with_config(**edit):
     return write
 
 
+def _without_weight(name):
+    """A writer of checkpoint `best` to `bad`, without weight `name`."""
+    def write(bad, best):
+        with np.load(best) as z:
+            np.savez(bad, **{k: z[k] for k in z.files if k != f"param/{name}"})
+    return write
+
+
 @pytest.mark.parametrize("write, message", [
     (lambda bad, best: bad.write_bytes(best.read_bytes()[:300]),
      "not a readable checkpoint archive with a JSON __meta__"),
@@ -372,7 +380,12 @@ def _with_config(**edit):
      "not a readable checkpoint archive with a JSON __meta__"),
     (_with_config(heads="4"), "detector config field heads is '4', not an int"),
     (_with_config(d_model=None), "detector config field d_model is None, not an int"),
-], ids=["truncated", "plain-text", "string-heads", "null-d_model"])
+    (_with_config(heads=0), "detector heads must be at least 1, got 0"),
+    (_with_config(heads=3), "detector hidden 16 not divisible by heads 3"),
+    (_without_weight("proj.weight"),
+     "detector state mismatch: missing ['proj.weight'], extra []"),
+], ids=["truncated", "plain-text", "string-heads", "null-d_model", "zero-heads",
+        "indivisible-heads", "missing-weight"])
 def test_unreadable_or_mistyped_checkpoint_exits_2_naming_the_path(tiny_pipeline, tmp_path,
                                                                    capsys, write, message):
     _, ds, run_dir, _ = tiny_pipeline
@@ -410,6 +423,19 @@ def test_train_with_zero_epochs_or_batch_size_exits_2_naming_the_field(tmp_path,
     code = main(["train", "--dataset", str(ds), "--out", str(tmp_path / "run"),
                  "--hidden", "16", "--heads", "4", "--enc-layers", "1", "--dec-layers", "1",
                  flag, "0"])
+    assert code == 2
+    assert f"{field} must be at least 1, got 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, field", [("--heads", "heads"), ("--hidden", "hidden")])
+def test_train_with_zero_heads_or_hidden_exits_2_naming_the_field(tmp_path, capsys, flag,
+                                                                  field):
+    ds = tmp_path / "ds"
+    assert main(["generate", "--n", "12", "--sentences", "3", "--dim", "16",
+                 "--out", str(ds)]) == 0
+    code = main(["train", "--dataset", str(ds), "--out", str(tmp_path / "run"),
+                 "--hidden", "16", "--heads", "4", "--enc-layers", "1", "--dec-layers", "1",
+                 "--epochs", "1", flag, "0"])
     assert code == 2
     assert f"{field} must be at least 1, got 0" in capsys.readouterr().err
 

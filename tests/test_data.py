@@ -279,6 +279,42 @@ def test_signal_makes_tokens_linearly_separable():
     assert acc >= 0.99
 
 
+def embed_with_signal_per_token(sample, d, seed, sigma):
+    """Reference toy provider: one loop over tokens, each marked when its
+    character midpoint lies in some interval ``[x1, x2)``."""
+    tk = tokenize(sample.text)
+    vectors = toy_embed(tk, d, seed)
+    if sigma > 0 and sample.intervals:
+        u = signal_direction(d, seed)
+        for i, off in enumerate(tk.offsets):
+            mid = (off.x1 + off.x2) / 2.0
+            if any(sp.x1 <= mid < sp.x2 for sp in sample.intervals):
+                vectors[i] = vectors[i] + sigma * u
+    return vectors, np.array([(o.x1 + o.x2) / 2.0 / len(sample.text) for o in tk.offsets])
+
+
+@pytest.mark.parametrize("style", ["roft", "binary", "multi"])
+def test_embed_with_signal_is_bitwise_the_per_token_reference(style):
+    split = synth_generate(SynthSpec(n_texts=60, style=style, n_sentences=6, signal=2.0,
+                                     embed_dim=16), seed=12)
+    for s in split.train + split.val + split.test:
+        vec, pos = embed_with_signal(s, 16, 0, 2.0)
+        want, want_pos = embed_with_signal_per_token(s, 16, 0, 2.0)
+        assert np.array_equal(vec, want) and np.array_equal(pos, want_pos), s.id
+
+
+def test_a_token_whose_midpoint_is_an_interval_end_is_marked_as_the_reference_marks_it():
+    # "a bc d": token "bc" spans [2, 4), so its midpoint 3 is the start of
+    # [3, 6) and the end of [0, 3); token "d" has its midpoint 5.5 inside [3, 6)
+    for spans in ([CharSpan(3, 6)], [CharSpan(0, 3)], [CharSpan(0, 3), CharSpan(3, 6)]):
+        s = AnnotatedText("t", "a bc d", spans, LABEL_MIXED)
+        vec, pos = embed_with_signal(s, 16, 0, 1.0)
+        want, want_pos = embed_with_signal_per_token(s, 16, 0, 1.0)
+        assert np.array_equal(vec, want) and np.array_equal(pos, want_pos)
+        marked = (vec != toy_embed(tokenize(s.text), 16, 0)).any(axis=1)
+        assert marked[1] == (spans[-1].x1 == 3)
+
+
 def test_synthetic_provider_reads_meta():
     split = synth_generate(SynthSpec(n_texts=4, signal=2.0, embed_dim=16), seed=9)
     prov = synthetic_provider(split.meta)

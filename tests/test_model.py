@@ -8,9 +8,9 @@ import pytest
 from spandet import tensor as T
 from spandet.geometry import Interval
 from spandet.model import (ClassifierHead, DetectionModel, LayerPrediction,
-                           ModelConfig, ModelOutput, check_features, dn_attention_mask,
-                           load_classifier, load_detector, save_checkpoint,
-                           save_classifier, save_detector)
+                           ModelConfig, ModelOutput, _logit, check_features,
+                           dn_attention_mask, load_classifier, load_detector,
+                           save_checkpoint, save_classifier, save_detector)
 from spandet.nn import ConcatPosAttention, Linear, MultiHeadAttention, _concat_per_head
 from spandet.tensor import sinusoidal_encode
 from spandet.training import detection_loss, make_denoising
@@ -37,6 +37,20 @@ def test_config_defaults_and_validation():
         ModelConfig(d_model=64, hidden=30, heads=4)
     with pytest.raises(ValueError, match="query"):
         ModelConfig(d_model=64, hidden=32, num_queries=0)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("heads", 0, "heads must be at least 1, got 0"),
+    ("heads", -4, "heads must be at least 1, got -4"),
+    ("hidden", 0, "hidden must be at least 1, got 0"),
+    ("temperature", 0.0, "temperature must be a positive finite number, got 0.0"),
+    ("temperature", -1.0, "temperature must be a positive finite number, got -1.0"),
+    ("temperature", float("nan"), "temperature must be a positive finite number, got nan"),
+    ("temperature", float("inf"), "temperature must be a positive finite number, got inf"),
+])
+def test_config_rejects_sizes_below_one_and_a_non_positive_temperature(field, value, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ModelConfig(**{**TINY, field: value})
 
 
 def test_projection_at_llm_scale_dimensions():
@@ -312,6 +326,28 @@ def test_unreadable_checkpoint_archives_raise_naming_the_path(tmp_path):
             load_classifier(path)
 
 
+def test_checkpoint_faults_found_building_the_model_name_the_path(tmp_path):
+    m = tiny_model(seed=3)
+    path = tmp_path / "model.npz"
+    for heads, message in [(0, "heads must be at least 1, got 0"),
+                           (3, "hidden 16 not divisible by heads 3")]:
+        save_checkpoint(path, m, "detector", {**asdict(m.cfg), "heads": heads})
+        with pytest.raises(ValueError, match=re.escape(f"{path}: detector {message}")):
+            load_detector(path)
+    save_detector(path, m)
+    with np.load(path) as z:
+        arrays = {k: z[k] for k in z.files if k != "param/proj.weight"}
+    np.savez(path, **arrays)
+    with pytest.raises(ValueError, match=re.escape(
+            f"{path}: detector state mismatch: missing ['proj.weight'], extra []")):
+        load_detector(path)
+    save_checkpoint(path, ClassifierHead(16, 8, 2), "classifier",
+                    {"d_model": 16, "hidden": 4, "n_classes": 2})
+    with pytest.raises(ValueError, match=re.escape(
+            f"{path}: classifier lin1.weight: shape (16, 8) != expected (16, 4)")):
+        load_classifier(path)
+
+
 @pytest.mark.parametrize("field, value, message", [
     ("heads", "4", "field heads is '4', not an int"),
     ("d_model", None, "field d_model is None, not an int"),
@@ -410,6 +446,72 @@ def test_masked_dn_matches_per_group_reference(groups, n_targets):
     assert g_fast.keys() == g_ref.keys()
     for k in g_fast:
         assert np.abs(g_fast[k] - g_ref[k]).max() < 1e-10, k
+
+
+# -- one sigmoid per box against the two-sigmoid reference ---------------------
+
+
+def forward_two_sigmoid(m, vectors, positions, dn):
+    """Reference forward that takes each layer's box twice: one sigmoid node for
+    the layer's output and another for the next layer's anchor encoding."""
+    cfg, h = m.cfg, m.cfg.hidden
+    memory = m.proj(T.Tensor(vectors))
+    pe_mem = T.Tensor(sinusoidal_encode(positions, h, cfg.temperature))
+    for enc in m.encoder:
+        memory = enc(memory, pe_mem)
+    content_l, anchor_l = m.query_content, m.query_anchors
+    use_dn = dn is not None
+    if use_dn:
+        content_d = T.concat([m.dn_content] * len(dn.anchors), axis=0)
+        anchor_d = T.Tensor(_logit(np.asarray(dn.anchors, dtype=np.float64)))
+        dn_mask = dn_attention_mask(cfg.num_queries, len(dn.anchors), dn.n_groups)
+    layers, dn_layers = [], []
+    for dec in m.decoder:
+        pe_l = T.anchor_encode(T.sigmoid(anchor_l), h, cfg.temperature)
+        q_l = content_l + pe_l
+        if use_dn:
+            pe_d = T.anchor_encode(T.sigmoid(anchor_d), h, cfg.temperature)
+            q_d = content_d + pe_d
+            content_d = dec.self_block(content_d, q_d, T.concat([q_l, q_d], axis=0),
+                                       T.concat([content_l, content_d], axis=0), dn_mask)
+        content_l = dec.self_block(content_l, q_l, q_l, content_l)
+        kv = dec.cross_attn.keys_values(memory, pe_mem)
+        content_l = dec.cross_ffn(content_l, pe_l, kv)
+        anchor_l = anchor_l + m.span_head(content_l)
+        layers.append(LayerPrediction(T.sigmoid(anchor_l), m.class_head(content_l)))
+        if use_dn:
+            content_d = dec.cross_ffn(content_d, pe_d, kv)
+            anchor_d = anchor_d + m.span_head(content_d)
+            dn_layers.append(T.sigmoid(anchor_d))
+    return ModelOutput(layers, dn_layers, dn.gt_index if use_dn else None)
+
+
+@pytest.mark.parametrize("groups", [0, 1, 5])
+@pytest.mark.parametrize("n_targets", [1, 2])
+def test_one_sigmoid_per_box_matches_the_two_sigmoid_reference(groups, n_targets):
+    cfg = ModelConfig(**{**TINY, "num_queries": 3, "dn_groups": groups})
+    m = DetectionModel(cfg, seed=40 + groups)
+    vec, pos = rand_input(seed=50 + n_targets)
+    gts = [Interval(0.2 + 0.4 * j, 0.3) for j in range(n_targets)]
+    dnb = make_denoising(gts, cfg, np.random.default_rng(groups * 10 + n_targets))
+
+    results = []
+    for run in (m.forward, lambda v, p, d: forward_two_sigmoid(m, v, p, d)):
+        out = run(vec, pos, dnb)
+        m.zero_grad()
+        detection_loss(out, gts)[0].backward()
+        results.append((out, {k: p.grad for k, p in m.parameters().items()}))
+    (fast, g_fast), (ref, g_ref) = results
+
+    assert len(fast.dn_layers) == len(ref.dn_layers) == (cfg.dec_layers if groups else 0)
+    for a, b in zip(fast.dn_layers, ref.dn_layers):
+        assert np.array_equal(a.data, b.data)
+    for a, b in zip(fast.layers, ref.layers):
+        assert np.array_equal(a.cw.data, b.cw.data)
+        assert np.array_equal(a.logits.data, b.logits.data)
+    for k, g in g_fast.items():  # the shared box node sums its consumers' gradients first
+        assert (g is None) == (g_ref[k] is None), k
+        assert g is None or np.abs(g - g_ref[k]).max() < 1e-12, k
 
 
 # -- fused primitives against their composed references -------------------------
@@ -569,13 +671,13 @@ def test_anchor_encode_matches_composed_reference(seed):
 
 def tape_nodes(roots):
     """Nodes reachable from `roots` through their parents, leaves included."""
-    seen, stack = set(), list(roots)
+    seen, stack = {}, list(roots)
     while stack:
         node = stack.pop()
         if id(node) not in seen:
-            seen.add(id(node))
+            seen[id(node)] = node
             stack.extend(node._parents)
-    return len(seen)
+    return list(seen.values())
 
 
 def test_tape_node_counts_at_the_c08_config():
@@ -584,10 +686,13 @@ def test_tape_node_counts_at_the_c08_config():
     m = DetectionModel(cfg, seed=0)
     vec, pos = rand_input(n=60, d=32, seed=1)
     out = m.forward(vec, pos)
-    assert tape_nodes([t for layer in out.layers for t in (layer.cw, layer.logits)]) <= 275
+    assert len(tape_nodes([t for layer in out.layers for t in (layer.cw, layer.logits)])) == 269
     gts = [Interval(0.6, 0.5)]
     out = m.forward(vec, pos, make_denoising(gts, cfg, np.random.default_rng(2)))
-    assert tape_nodes([detection_loss(out, gts)[0]]) <= 360
+    nodes = tape_nodes([detection_loss(out, gts)[0]])
+    assert len(nodes) == 352
+    # one sigmoid per box: the initial learnable box, then each layer's box in both blocks
+    assert sum(node._op == "sigmoid" for node in nodes) == 1 + 2 * cfg.dec_layers
 
 
 def test_predict_builds_no_tape_and_matches_the_taped_forward():

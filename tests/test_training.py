@@ -403,6 +403,19 @@ def test_train_classifier_rejects_features_it_cannot_read_before_any_step(
     assert steps == []
 
 
+@pytest.mark.parametrize("arg, value", [("epochs", 0), ("epochs", -1),
+                                        ("batch_size", 0), ("batch_size", -2)])
+def test_train_classifier_rejects_epochs_or_batch_size_below_one_before_any_read(
+        monkeypatch, arg, value):
+    samples, labels, provide = _binary_split_with(None, None)
+    reads, steps = [], []
+    monkeypatch.setattr(training.AdamW, "step", lambda self, lr: steps.append(lr))
+    with pytest.raises(ValueError, match=f"^{arg} must be at least 1, got {value}$"):
+        train_classifier(samples, labels, lambda s: reads.append(s.id) or provide(s),
+                         n_classes=2, **{arg: value})
+    assert reads == [] and steps == []
+
+
 def test_record_features_names_the_record_for_every_failure():
     split, prov = small_corpus(n=10)
     s = split.train[0]
