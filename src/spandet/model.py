@@ -13,6 +13,10 @@ learnable queries run as their own block and never see DN rows, so their
 outputs are bitwise independent of the denoising configuration. Each decoder
 layer projects the memory's cross-attention keys and values once; both
 blocks read them.
+
+Training runs a micro-batch of records as one forward: the records' tokens,
+learnable queries and DN rows are stacked row by row, block by block, and
+every attention gets the rows' record ids, so no record sees another's rows.
 """
 
 from __future__ import annotations
@@ -47,7 +51,7 @@ class ModelConfig:
     def __post_init__(self):
         if self.hidden is None:
             self.hidden = max(self.d_model // 16, 16)
-        for name in ("heads", "hidden"):
+        for name in ("d_model", "heads", "hidden", "ffn_mult", "max_tokens"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
         if not 0 < self.temperature < float("inf"):
@@ -75,7 +79,8 @@ class LayerPrediction:
 class ModelOutput:
     layers: list[LayerPrediction]
     dn_layers: list[T.Tensor]           # (D, 2) per decoder layer; empty if no dn
-    dn_gt_index: np.ndarray | None      # (D,) originating GT per dn query
+    dn_gt_index: np.ndarray | None      # (D,) originating GT per dn query, in its record
+    dn_rows: list[int] | None = None    # a micro-batch's DN rows per record; None: one record
 
 
 @dataclass
@@ -103,9 +108,9 @@ class EncoderLayer(Module):
         self.ffn = MLP([hidden, hidden * ffn_mult, hidden], rng)
         self.ln2 = LayerNorm(hidden)
 
-    def __call__(self, x: T.Tensor, pe: T.Tensor) -> T.Tensor:
+    def __call__(self, x: T.Tensor, pe: T.Tensor, segments=None) -> T.Tensor:
         qk = x + pe
-        x = self.ln1(x, self.attn(qk, qk, x))
+        x = self.ln1(x, self.attn(qk, qk, x, None, segments))
         return self.ln2(x, self.ffn(x))
 
 
@@ -119,17 +124,18 @@ class DecoderLayer(Module):
         self.ln3 = LayerNorm(hidden)
 
     def self_block(self, content: T.Tensor, q: T.Tensor, k: T.Tensor, v: T.Tensor,
-                   mask: np.ndarray | None = None) -> T.Tensor:
+                   mask: np.ndarray | None = None, segments=None) -> T.Tensor:
         """Self-attention sub-layer of `content`: queries `q` (content plus its
         anchor encoding) over keys `k` and values `v`, with an optional constant
-        (rows, keys) additive score `mask` (the DN group blocks)."""
-        return self.ln1(content, self.self_attn(q, k, v, mask))
+        (rows, keys) additive score `mask` (the DN group blocks) and, in a
+        micro-batch, the rows' record ids (``tensor.attention``'s `segments`)."""
+        return self.ln1(content, self.self_attn(q, k, v, mask, segments))
 
     def cross_ffn(self, content: T.Tensor, pe_anchor: T.Tensor,
-                  memory_kv: tuple[T.Tensor, T.Tensor]) -> T.Tensor:
+                  memory_kv: tuple[T.Tensor, T.Tensor], segments=None) -> T.Tensor:
         """Cross-attention into the memory's keys and values
         (``cross_attn.keys_values``), then the FFN sub-layer."""
-        content = self.ln2(content, self.cross_attn(content, pe_anchor, memory_kv))
+        content = self.ln2(content, self.cross_attn(content, pe_anchor, memory_kv, segments))
         return self.ln3(content, self.ffn(content))
 
 
@@ -151,32 +157,65 @@ class DetectionModel(Module):
         self.span_head = MLP([h, h, 2], rng)
         self.class_head = Linear(h, 1, rng)
 
-    def forward(self, vectors: np.ndarray, positions: np.ndarray,
-                dn=None) -> ModelOutput:
-        """Run detection over one token sequence.
+    def forward(self, vectors, positions, dn=None) -> ModelOutput:
+        """Run detection over one token sequence, or over a micro-batch.
 
-        vectors: (n, d_model) embeddings; positions: (n,) normalized token
-        midpoints; dn: optional DenoisingBatch (training only).
+        One record: vectors (n, d_model) embeddings; positions (n,) normalized
+        token midpoints; dn: optional DenoisingBatch (training only). A
+        micro-batch passes a list of each, one entry per record (dn: None, or
+        a list whose entries may be None). Its records are stacked row by row:
+        tokens, learnable queries and DN rows, each block in record order. The
+        row-wise nodes run once over a stack, and attention sees a record's
+        own rows only (``tensor.attention``'s segments), so one tape serves
+        the micro-batch. Its outputs' rows keep that order: ``num_queries``
+        per record, and ``dn_rows`` says how many DN rows each record has.
         """
         cfg = self.cfg
-        h = cfg.hidden
-        check_features(vectors, cfg)
-        memory = self.proj(T.Tensor(vectors))
-        pe_mem = T.Tensor(T.sinusoidal_encode(positions, h, cfg.temperature))
+        h, nq = cfg.hidden, cfg.num_queries
+        batched = isinstance(vectors, (list, tuple))
+        if not batched:
+            vectors, positions, dn = [vectors], [positions], [dn]
+        elif dn is None:
+            dn = [None] * len(vectors)
+        for v in vectors:
+            check_features(v, cfg)
+        b = len(vectors)
+        dns = [d if d is not None and len(d.anchors) else None for d in dn]
+        dn_rows = [0 if d is None else len(d.anchors) for d in dns]
+
+        def stack(arrays):
+            return arrays[0] if b == 1 else np.concatenate(arrays)
+
+        tok = lrn = dnr = None  # the record id of each token, learnable and dn row
+        if b > 1:
+            tok, lrn, dnr = (np.repeat(np.arange(b), c)
+                             for c in ([len(v) for v in vectors], nq, dn_rows))
+
+        def segments(q_ids, *k_blocks):  # one record needs none
+            return None if b == 1 else (q_ids, np.concatenate(k_blocks))
+
+        memory = self.proj(T.Tensor(stack(vectors)))
+        pe_mem = T.Tensor(T.sinusoidal_encode(stack(positions), h, cfg.temperature))
+        seg_mem = segments(tok, tok)
         for enc in self.encoder:
-            memory = enc(memory, pe_mem)
+            memory = enc(memory, pe_mem, seg_mem)
 
-        content_l = self.query_content
-        anchor_l = self.query_anchors
+        content_l = T.concat([self.query_content] * b) if b > 1 else self.query_content
+        anchor_l = T.concat([self.query_anchors] * b) if b > 1 else self.query_anchors
         box_l = T.sigmoid(anchor_l)
+        seg_self_l, seg_cross_l = segments(lrn, lrn), segments(lrn, tok)
 
-        use_dn = dn is not None and len(dn.anchors) > 0
+        d_total = sum(dn_rows)
+        use_dn = d_total > 0
         if use_dn:
-            d_total = len(dn.anchors)
+            live = [d for d in dns if d is not None]
             content_d = T.concat([self.dn_content] * d_total, axis=0)
-            anchor_d = T.Tensor(_logit(np.asarray(dn.anchors, dtype=np.float64)))
+            anchor_d = T.Tensor(_logit(stack([np.asarray(d.anchors, dtype=np.float64)
+                                              for d in live])))
             box_d = T.sigmoid(anchor_d)  # a constant
-            dn_mask = dn_attention_mask(cfg.num_queries, d_total, dn.n_groups)
+            dn_mask = _dn_mask(nq, dns)
+            seg_self_d = segments(dnr, lrn, dnr)  # keys: the learnable rows, then the dn rows
+            seg_cross_d = segments(dnr, tok)
 
         layers: list[LayerPrediction] = []
         dn_layers: list[T.Tensor] = []
@@ -188,20 +227,22 @@ class DetectionModel(Module):
                 pe_d = T.anchor_encode(box_d, h, cfg.temperature)
                 q_d = content_d + pe_d
                 content_d = dec.self_block(content_d, q_d, T.concat([q_l, q_d], axis=0),
-                                           T.concat([content_l, content_d], axis=0), dn_mask)
-            content_l = dec.self_block(content_l, q_l, q_l, content_l)
+                                           T.concat([content_l, content_d], axis=0), dn_mask,
+                                           seg_self_d)
+            content_l = dec.self_block(content_l, q_l, q_l, content_l, None, seg_self_l)
             kv = dec.cross_attn.keys_values(memory, pe_mem)  # shared with the dn rows
-            content_l = dec.cross_ffn(content_l, pe_l, kv)
+            content_l = dec.cross_ffn(content_l, pe_l, kv, seg_cross_l)
             anchor_l = anchor_l + self.span_head(content_l)
             box_l = T.sigmoid(anchor_l)  # this layer's output, the next layer's anchor
             layers.append(LayerPrediction(box_l, self.class_head(content_l)))
             if use_dn:
-                content_d = dec.cross_ffn(content_d, pe_d, kv)
+                content_d = dec.cross_ffn(content_d, pe_d, kv, seg_cross_d)
                 anchor_d = anchor_d + self.span_head(content_d)
                 box_d = T.sigmoid(anchor_d)
                 dn_layers.append(box_d)
 
-        return ModelOutput(layers, dn_layers, dn.gt_index if use_dn else None)
+        gt_index = stack([d.gt_index for d in live]) if use_dn else None
+        return ModelOutput(layers, dn_layers, gt_index, dn_rows if batched else None)
 
     def predict(self, vectors: np.ndarray, positions: np.ndarray) -> Prediction:
         """Final-layer intervals and scores; builds no tape."""
@@ -219,6 +260,27 @@ def dn_attention_mask(n_prefix: int, d_total: int, n_groups: int) -> np.ndarray:
     return np.concatenate([np.zeros((d_total, n_prefix)), blocks], axis=1)
 
 
+def _dn_mask(n_prefix: int, dns: list) -> np.ndarray:
+    """The DN self-attention mask of a micro-batch whose records hold
+    `n_prefix` learnable rows each and the DN rows of `dns` (None: no DN rows),
+    over the keys [every record's learnable rows; every record's DN rows]:
+    each record's ``dn_attention_mask`` placed on its own rows and keys, -inf
+    across records. For one record it is that record's mask."""
+    b = len(dns)
+    rows = [0 if d is None else len(d.anchors) for d in dns]
+    d_total = sum(rows)
+    mask = np.full((d_total, b * n_prefix + d_total), -np.inf)
+    off = 0
+    for r, d in enumerate(dns):
+        if d is not None:
+            block = dn_attention_mask(n_prefix, rows[r], d.n_groups)
+            mask[off:off + rows[r], r * n_prefix:(r + 1) * n_prefix] = block[:, :n_prefix]
+            mask[off:off + rows[r], b * n_prefix + off:b * n_prefix + off + rows[r]] = \
+                block[:, n_prefix:]
+            off += rows[r]
+    return mask
+
+
 def _logit(p: np.ndarray) -> np.ndarray:
     q = np.clip(p, T.LOGIT_EPS, 1.0 - T.LOGIT_EPS)
     return np.log(q) - np.log1p(-q)
@@ -228,6 +290,9 @@ class ClassifierHead(Module):
     """Two-layer head over the mean of a record's token rows."""
 
     def __init__(self, d_model: int, hidden: int, n_classes: int, seed: int = 0):
+        for name, value in (("d_model", d_model), ("hidden", hidden), ("n_classes", n_classes)):
+            if value < 1:
+                raise ValueError(f"{name} must be at least 1, got {value}")
         rng = np.random.default_rng(seed)
         self.d_model = d_model
         self.hidden = hidden
@@ -235,11 +300,16 @@ class ClassifierHead(Module):
         self.lin1 = Linear(d_model, hidden, rng)
         self.lin2 = Linear(hidden, n_classes, rng)
 
-    def logits(self, vectors: np.ndarray) -> T.Tensor:
+    def logits(self, vectors) -> T.Tensor:
         """(1, n_classes) logits of the mean row of a record's ``(n, d_model)``
-        features, which must pass ``check_features``."""
-        check_features(vectors)
-        return self.lin2(T.relu(self.lin1(T.Tensor(vectors.mean(axis=0, keepdims=True)))))
+        features, which must pass ``check_features``; for a micro-batch's list
+        of records, (B, n_classes), one row per record."""
+        batch = vectors if isinstance(vectors, (list, tuple)) else [vectors]
+        for v in batch:
+            check_features(v)
+        means = [v.mean(axis=0, keepdims=True) for v in batch]
+        return self.lin2(T.relu(self.lin1(T.Tensor(
+            means[0] if len(means) == 1 else np.concatenate(means)))))
 
     def classify(self, vectors: np.ndarray) -> np.ndarray:
         """(n_classes,) class probabilities."""

@@ -103,11 +103,12 @@ class MultiHeadAttention(Module):
         self.wo = Linear(dim, dim, rng)
 
     def __call__(self, q_in: T.Tensor, k_in: T.Tensor, v_in: T.Tensor,
-                 mask: np.ndarray | None = None) -> T.Tensor:
+                 mask: np.ndarray | None = None, segments=None) -> T.Tensor:
         """`mask`: optional constant (n_q, n_k) array added to every head's
-        scores; -inf hides a key. Each query must keep one visible key."""
+        scores; -inf hides a key. Each query must keep one visible key.
+        `segments`: the rows' record ids, as ``tensor.attention`` takes them."""
         return self.wo(T.attention(self.wq(q_in), self.wk(k_in), self.wv(v_in),
-                                   self.heads, mask))
+                                   self.heads, mask, segments))
 
 
 class ConcatPosAttention(Module):
@@ -132,10 +133,10 @@ class ConcatPosAttention(Module):
         return k, self.wv(memory)
 
     def __call__(self, content_q: T.Tensor, pos_q: T.Tensor,
-                 kv: tuple[T.Tensor, T.Tensor]) -> T.Tensor:
+                 kv: tuple[T.Tensor, T.Tensor], segments=None) -> T.Tensor:
         h = self.heads
         q = _concat_per_head(self.wq_content(content_q), self.wq_pos(pos_q), h)
-        return self.wo(T.attention(q, kv[0], kv[1], h))
+        return self.wo(T.attention(q, kv[0], kv[1], h, None, segments))
 
 
 def _concat_per_head(content: T.Tensor, pos: T.Tensor, heads: int) -> T.Tensor:

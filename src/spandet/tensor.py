@@ -36,6 +36,13 @@ process-wide and not thread-safe.
 
 Broadcasting is deliberately restricted: scalar-with-tensor and row-vector
 bias only. Anything else raises ``ShapeError``.
+
+A micro-batch of records runs as one tape by stacking the records row by
+row. Every op but ``attention`` acts on rows (or sums over them, for a
+parameter's gradient), so it needs no notion of records. ``attention`` takes
+the rows' record ids as its optional ``segments`` and keeps each record's
+queries to its own keys; the training objective, a ``custom`` node, splits
+the rows by record itself. One record needs no segments.
 """
 
 from __future__ import annotations
@@ -116,15 +123,18 @@ class Tensor:
         Nodes run in reverse creation order, so all consumers of a node are
         done before it runs; each vjp's arrays are stored by the copy rule of
         the module docstring. The tape is consumed: a second backward raises.
+        A node is let go once its vjp has run, so the arrays of the part of
+        the tape already replayed can be freed before the rest has run.
         """
         if self.size != 1:
             raise ValueError(f"backward requires a scalar loss, got shape {self.shape}")
         if self._op == "consumed":
             raise RuntimeError("backward already called: tape consumed")
 
-        order = _interior_nodes(self)
+        order = _interior_nodes(self)[::-1]  # oldest first, so pop() takes the newest
         self.grad = np.ones_like(self.data)
-        for node in order:  # each interior node exactly once
+        while order:  # each interior node exactly once, then dropped
+            node = order.pop()
             g, node.grad = node.grad, None  # passed on, so only leaves keep grads
             if g is not None:
                 held = []
@@ -308,7 +318,8 @@ def linear(x, w, b) -> Tensor:
     return _result(xd @ wd + b.data, (x, w, b), vjp, "linear")
 
 
-def attention(q, k, v, heads: int, mask: np.ndarray | None = None) -> Tensor:
+def attention(q, k, v, heads: int, mask: np.ndarray | None = None,
+              segments: tuple[np.ndarray, np.ndarray] | None = None) -> Tensor:
     """Multi-head scaled-dot attention as one node.
 
     q (n, heads*dk), k (m, heads*dk) and v (m, heads*dv) are split into heads
@@ -316,6 +327,18 @@ def attention(q, k, v, heads: int, mask: np.ndarray | None = None) -> Tensor:
     heads are merged back into (n, heads*dv). `mask`: optional constant (n, m)
     array added to every head's scores; -inf hides a key, and each query must
     keep one visible key. Backward keeps the probabilities, not the scores.
+
+    `segments`: optional ``(q_ids, k_ids)``, the record id of each query row
+    and each key row when a micro-batch's records are stacked row by row; a
+    record's rows need not be contiguous. The node then works record by
+    record: a record's queries see only its own keys, under its own entries
+    of `mask`, so each record gets what attention over that record alone
+    computes. Keys of a record without query rows get zero gradients; a
+    record with query rows and no keys is a ``ShapeError``. (Packing the
+    records into one padded ``(records, heads, n_max, m_max)`` block makes
+    fewer numpy calls but ran no faster at C08 width: its score arrays
+    outgrow the allocator's heap threshold and page-fault on every
+    allocation, and it holds copies of q, k and v.)
     """
     q, k, v = _wrap(q), _wrap(k), _wrap(v)
     if (q.ndim != 2 or k.ndim != 2 or v.ndim != 2 or q.shape[1] != k.shape[1]
@@ -325,38 +348,85 @@ def attention(q, k, v, heads: int, mask: np.ndarray | None = None) -> Tensor:
     n, m = q.shape[0], k.shape[0]
     if mask is not None and np.shape(mask) != (n, m):
         raise ShapeError(f"attention: mask {np.shape(mask)} is not ({n}, {m})")
+    parts = [_WHOLE] if segments is None else _segments(segments, n, m)
     dk, dv = q.shape[1] // heads, v.shape[1] // heads
-    qh = np.transpose(q.data.reshape(n, heads, dk), (1, 0, 2))     # (h, n, dk)
-    kt = np.transpose(k.data.reshape(m, heads, dk), (1, 2, 0))     # (h, dk, m)
-    vh = np.transpose(v.data.reshape(m, heads, dv), (1, 0, 2))     # (h, m, dv)
     s = float(1.0 / np.sqrt(dk))
-    p = qh @ kt
-    p *= s
-    if mask is not None:
-        p += mask
-    p -= p.max(axis=-1, keepdims=True)
-    np.exp(p, out=p)
-    p /= p.sum(axis=-1, keepdims=True)
-    data = np.transpose(p @ vh, (1, 0, 2)).reshape(n, heads * dv)
+
+    def split(x, rows, d):  # rows of (r, heads*d) as (heads, r, d)
+        sel = x[rows]
+        return sel.reshape(len(sel), heads, d).transpose(1, 0, 2)
+
+    blocks, ctx = [], []  # per record: qh (h, n, dk), kt (h, dk, m), vh (h, m, dv), probs
+    for qi, ki in parts:
+        qh, kt, vh = split(q.data, qi, dk), split(k.data, ki, dk).swapaxes(-1, -2), \
+            split(v.data, ki, dv)
+        p = qh @ kt
+        p *= s
+        if mask is not None:
+            p += mask[qi][:, ki]
+        p -= p.max(axis=-1, keepdims=True)
+        np.exp(p, out=p)
+        p /= p.sum(axis=-1, keepdims=True)
+        blocks.append((qh, kt, vh, p))
+        ctx.append((p @ vh).transpose(1, 0, 2))
+    data = _merge(parts, 0, ctx, n)
 
     def vjp(g):
-        gctx = np.ascontiguousarray(np.transpose(g.reshape(n, heads, dv), (1, 0, 2)))
-        gq = gk = gv = None
-        if v.requires_grad:
-            gvh = np.swapaxes(p, -1, -2) @ gctx
-            gv = np.transpose(gvh, (1, 0, 2)).reshape(m, heads * dv)
-        if q.requires_grad or k.requires_grad:
-            gp = gctx @ np.swapaxes(vh, -1, -2)
-            gs = (gp - (gp * p).sum(axis=-1, keepdims=True)) * p * s
-            if q.requires_grad:
-                gqh = gs @ np.swapaxes(kt, -1, -2)
-                gq = np.transpose(gqh, (1, 0, 2)).reshape(n, heads * dk)
-            if k.requires_grad:
-                gkt = np.swapaxes(qh, -1, -2) @ gs
-                gk = np.transpose(gkt, (2, 0, 1)).reshape(m, heads * dk)
-        return gq, gk, gv
+        g3 = g.reshape(n, heads, dv)
+        gqs, gks, gvs = [], [], []
+        for (qi, _), (qh, kt, vh, p) in zip(parts, blocks):
+            gctx = np.ascontiguousarray(g3[qi].transpose(1, 0, 2))
+            if v.requires_grad:
+                gvs.append((p.swapaxes(-1, -2) @ gctx).transpose(1, 0, 2))
+            if q.requires_grad or k.requires_grad:
+                # gs = (gp - (gp * p).sum(-1)) * p * s with gp = gctx vh^T, in
+                # place: the arrays are as large as the scores
+                gs = gctx @ vh.swapaxes(-1, -2)
+                gs -= (gs * p).sum(axis=-1, keepdims=True)
+                gs *= p
+                gs *= s
+                if q.requires_grad:
+                    gqs.append((gs @ kt.swapaxes(-1, -2)).transpose(1, 0, 2))
+                if k.requires_grad:
+                    gks.append((qh.swapaxes(-1, -2) @ gs).transpose(2, 0, 1))
+        return (_merge(parts, 0, gqs, n) if gqs else None,
+                _merge(parts, 1, gks, m) if gks else None,
+                _merge(parts, 1, gvs, m) if gvs else None)
 
     return _result(data, (q, k, v), vjp, "attention")
+
+
+_WHOLE = (slice(None), slice(None))  # the query and key rows of one record, unsegmented
+
+
+def _segments(segments, n: int, m: int) -> list[tuple]:
+    """``attention``'s segments as (query rows, key rows) per record that has
+    query rows, in record order; rows are a slice when contiguous."""
+    q_ids, k_ids = np.asarray(segments[0]), np.asarray(segments[1])
+    if q_ids.shape != (n,) or k_ids.shape != (m,):
+        raise ShapeError(f"attention: segment ids {q_ids.shape} and {k_ids.shape} "
+                         f"are not ({n},) and ({m},)")
+    parts = []
+    for r in np.unique(q_ids):
+        rows = [np.flatnonzero(ids == r) for ids in (q_ids, k_ids)]
+        if not len(rows[1]):
+            raise ShapeError(f"attention: record {r} has query rows but no keys")
+        parts.append(tuple(slice(int(i[0]), int(i[-1]) + 1) if i[-1] - i[0] + 1 == len(i)
+                           else i for i in rows))
+    return parts
+
+
+def _merge(parts, side: int, blocks: list[np.ndarray], rows: int) -> np.ndarray:
+    """One (rows, heads*d) array from per-record (r, heads, d) blocks, each
+    placed at its record's query (side 0) or key rows (side 1); rows of no
+    block are 0."""
+    width = blocks[0].shape[1] * blocks[0].shape[2]
+    if parts[0] is _WHOLE:
+        return blocks[0].reshape(rows, width)
+    out = np.zeros((rows, width))
+    for part, b in zip(parts, blocks):
+        out[part[side]] = b.reshape(len(b), width)
+    return out
 
 
 def _ladder(dim: int, temperature: float) -> np.ndarray:

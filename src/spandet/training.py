@@ -10,6 +10,16 @@ from elementwise tensor ops, so totals and gradients are bitwise that chain's.
 Every ``metrics.jsonl`` record keeps the terms summed over the layers under
 ``"train"`` and lists each layer's terms and mean matched IoU under
 ``"train_layers"``.
+
+Training runs micro-batches: ``_fit`` cuts each step's records, in the
+epoch's permutation order, into runs whose token rows add up to at most
+``MICRO_BATCH_ROWS``, and each run is one forward over the stacked records,
+one objective node per decoder layer (matching and scoring each record on
+its own rows) and one backward. Validation groups its records by the same
+rule. A record alone is a micro-batch of one, computed bit for bit as
+before; several records agree with it up to rounding, since the bits of one
+row of a matrix product depend on how many rows it has. Each epoch record
+counts its training micro-batches under ``"micro_batches"``.
 """
 
 from __future__ import annotations
@@ -35,7 +45,12 @@ FOCAL_GAMMA = 2.0
 
 
 class NumericalError(RuntimeError):
-    """Loss or gradients left the realm of finite numbers."""
+    """Loss or gradients left the realm of finite numbers. `record`: the
+    position in its micro-batch of the record where it happened, if known."""
+
+    def __init__(self, message: str, record: int | None = None):
+        super().__init__(message)
+        self.record = record
 
 
 @dataclass(frozen=True)
@@ -116,9 +131,8 @@ TERMS = ("span", "giou", "focal", "dn_span", "dn_giou", "total")
 
 
 def composite_loss(layer: LayerPrediction, dn_cw: T.Tensor | None,
-                   dn_gt_index: np.ndarray | None, gts: list[Interval],
-                   weights: LossWeights = LossWeights(),
-                   ) -> tuple[T.Tensor, dict[str, float]]:
+                   dn_gt_index: np.ndarray | None, gts: list,
+                   weights: LossWeights = LossWeights(), dn_rows: list[int] | None = None):
     """One decoder layer's weighted objective, as one tape node, plus a
     per-term breakdown (``TERMS``, and ``"iou"``: the mean IoU of the matched
     pairs, NaN without targets).
@@ -129,19 +143,60 @@ def composite_loss(layer: LayerPrediction, dn_cw: T.Tensor | None,
     them, and the matched terms gather from them. Total and gradients are
     bitwise those of the same objective built from elementwise tensor ops.
     Non-finite predictions raise ``NumericalError`` before matching.
+
+    A micro-batch's layer (``ModelOutput`` rows, record after record) passes
+    `dn_rows`, each record's DN row count, and one target list per record in
+    `gts`. The node then matches and scores each record on its own rows (an
+    equal share of the query rows, its DN rows in order) and sums their
+    objectives; the breakdown is one dict per record, and a ``NumericalError``
+    carries the position of its record.
     """
+    one = dn_rows is None
+    records = [gts] if one else gts
+    if one:
+        dn_rows = [0 if dn_cw is None else len(dn_cw.data)]
     cw, logits = layer.cw, layer.logits
-    if not (np.isfinite(cw.data).all() and np.isfinite(logits.data).all()):
-        raise NumericalError("non-finite predictions")
+    nq = cw.shape[0] // len(records)
+    totals, terms, vjps = [], [], []
+    start = 0
+    for r, (targets, d) in enumerate(zip(records, dn_rows)):
+        q, dn = slice(r * nq, (r + 1) * nq), slice(start, start + d)
+        start += d
+        if not (np.isfinite(cw.data[q]).all() and np.isfinite(logits.data[q]).all()):
+            raise NumericalError("non-finite predictions", record=r)
+        total, breakdown, vjp = _record_objective(
+            cw.data[q], logits.data[q], dn_cw.data[dn] if d else None,
+            dn_gt_index[dn] if d else None, targets, weights)
+        totals.append(total)
+        terms.append(breakdown)
+        vjps.append(vjp)
+    use_dn = start > 0
+
+    def vjp(g):
+        g_cw, g_logits, g_dn = zip(*(f(g) for f in vjps))
+        q_rows = [nq] * len(records)
+        return _stack_rows(g_cw, q_rows), _stack_rows(g_logits, q_rows), _stack_rows(g_dn, dn_rows)
+
+    node = T.custom(sum(totals), (cw, logits, dn_cw) if use_dn else (cw, logits), vjp,
+                    "objective")
+    return node, terms[0] if one else terms
+
+
+def _record_objective(cw: np.ndarray, logits: np.ndarray, dn_cw: np.ndarray | None,
+                      dn_gt_index: np.ndarray | None, gts: list[Interval],
+                      weights: LossWeights):
+    """``composite_loss`` of one record's rows in numpy: its total, its
+    breakdown and ``vjp(g)``, which gives the gradients of its cw, logits and
+    DN rows (None for no gradient)."""
     n_queries, m = cw.shape[0], len(gts)
     gt_cw = np.array([[g.c, g.w] for g in gts])
-    probs = T.expit(logits.data.reshape(-1))
+    probs = T.expit(logits.reshape(-1))
     targets = np.zeros(n_queries)
     l_span = l_giou = l_dn_span = l_dn_giou = 0.0
     mean_iou = math.nan
     if gts:
         pair_rows = np.repeat(np.arange(n_queries), m)
-        l1, giou, iou, pair_grad = span_l1_giou(cw.data[pair_rows], np.tile(gt_cw, (n_queries, 1)))
+        l1, giou, iou, pair_grad = span_l1_giou(cw[pair_rows], np.tile(gt_cw, (n_queries, 1)))
         cost = build_match_cost(l1.reshape(n_queries, m), giou.reshape(n_queries, m), probs,
                                 (weights.span, weights.giou, weights.focal))
         rows, cols = np.array(hungarian(cost)).T
@@ -151,9 +206,8 @@ def composite_loss(layer: LayerPrediction, dn_cw: T.Tensor | None,
         mean_iou = float(iou[matched].mean())
     focal, focal_grad = _focal(probs, targets, FOCAL_ALPHA, FOCAL_GAMMA)
     l_focal = focal.mean()
-    use_dn = dn_cw is not None and len(dn_cw.data) > 0
-    if use_dn:
-        dn_l1, dn_giou, _, dn_grad = span_l1_giou(dn_cw.data, gt_cw[dn_gt_index])
+    if dn_cw is not None:
+        dn_l1, dn_giou, _, dn_grad = span_l1_giou(dn_cw, gt_cw[dn_gt_index])
         l_dn_span, l_dn_giou = _mean_terms(dn_l1, dn_giou)
 
     total = (l_span * weights.span + l_giou * weights.giou + l_focal * weights.focal
@@ -166,17 +220,28 @@ def composite_loss(layer: LayerPrediction, dn_cw: T.Tensor | None,
             g_l1, g_giou = np.zeros(len(l1)), np.zeros(len(l1))
             g_l1[matched] = g * weights.span * inv
             g_giou[matched] = g * weights.giou * inv * -1.0
-            g_cw = np.zeros_like(cw.data)
+            g_cw = np.zeros_like(cw)
             np.add.at(g_cw, pair_rows, pair_grad(g_l1, g_giou))
-        if use_dn:
+        if dn_cw is not None:
             inv = 1.0 / len(dn_l1)
             g_dn = dn_grad(np.full(len(dn_l1), g * weights.dn_span * inv),
                            np.full(len(dn_l1), g * weights.dn_giou * inv * -1.0))
         return g_cw, focal_grad(g * weights.focal / n_queries).reshape(logits.shape), g_dn
 
-    node = T.custom(total, (cw, logits, dn_cw) if use_dn else (cw, logits), vjp, "objective")
     values = map(float, (l_span, l_giou, l_focal, l_dn_span, l_dn_giou, total))
-    return node, dict(zip(TERMS, values), iou=mean_iou)
+    return total, dict(zip(TERMS, values), iou=mean_iou), vjp
+
+
+def _stack_rows(blocks, rows: list[int]) -> np.ndarray | None:
+    """Per-record (rows, 2) or (rows, 1) gradient blocks stacked in record
+    order, zeros for a None block; None when every block is."""
+    if all(b is None for b in blocks):
+        return None
+    if len(blocks) == 1:
+        return blocks[0]
+    width = next(b for b in blocks if b is not None).shape[1]
+    return np.concatenate([np.zeros((n, width)) if b is None else b
+                           for b, n in zip(blocks, rows)])
 
 
 def _mean_terms(l1: np.ndarray, giou: np.ndarray) -> tuple[float, float]:
@@ -185,18 +250,20 @@ def _mean_terms(l1: np.ndarray, giou: np.ndarray) -> tuple[float, float]:
     return l1.sum() * inv, (1.0 - giou).sum() * inv
 
 
-def detection_loss(out: ModelOutput, gts: list[Interval],
-                   weights: LossWeights = LossWeights(),
-                   ) -> tuple[T.Tensor, list[dict[str, float]]]:
+def detection_loss(out: ModelOutput, gts: list, weights: LossWeights = LossWeights()):
     """Sum of the composite objective over the auxiliary and final layers,
-    and each layer's breakdown, in decoder order."""
+    and each layer's breakdown, in decoder order. A micro-batch's output
+    (``out.dn_rows`` set) takes one target list per record in `gts` and gives
+    each record's list of layer breakdowns."""
     total = None
     layers = []
     for li, layer in enumerate(out.layers):
         dn_cw = out.dn_layers[li] if out.dn_layers else None
-        t, terms = composite_loss(layer, dn_cw, out.dn_gt_index, gts, weights)
+        t, terms = composite_loss(layer, dn_cw, out.dn_gt_index, gts, weights, out.dn_rows)
         total = t if total is None else total + t
         layers.append(terms)
+    if out.dn_rows is not None:
+        layers = [list(record) for record in zip(*layers)]
     return total, layers
 
 
@@ -317,29 +384,62 @@ def _prepare(samples, provider, cfg: ModelConfig) -> list:
              [span_to_cw(sp, len(s.text)) for sp in s.intervals]) for s in samples]
 
 
+MICRO_BATCH_ROWS = 256
+"""Token rows that the records of one micro-batch may add up to. At the C08
+width a tape of ~256 rows amortizes the fixed cost per tape, and a micro-batch's
+live tape holds at most max(one record, 256) token rows."""
+
+
+def micro_batches(idxs, rows) -> list[list[int]]:
+    """`idxs`, in order, cut into runs of consecutive records whose token
+    `rows` add up to at most ``MICRO_BATCH_ROWS``; a longer record is a run
+    of its own."""
+    runs: list[list[int]] = []
+    used = 0
+    for i in idxs:
+        if not runs or used + rows[i] > MICRO_BATCH_ROWS:
+            runs.append([])
+            used = 0
+        runs[-1].append(int(i))
+        used += rows[i]
+    return runs
+
+
 def _fit(params: dict[str, T.Tensor], opt: AdamW, rng: np.random.Generator,
-         ids: list[str], epochs: int, batch_size: int,
-         sample_loss: Callable[[int], T.Tensor], lr_at: Callable[[int], float],
-         max_norm: float):
+         ids: list[str], rows: list[int], epochs: int, batch_size: int,
+         batch_loss: Callable[[list[int]], tuple[T.Tensor, list[float]]],
+         lr_at: Callable[[int], float], max_norm: float):
     """The mini-batch loop of both heads; yields ``(epoch, lr, pre-clip
-    norms)`` per epoch. A step averages the batch's gradients, clips them to
-    `max_norm` (0 never rescales) and steps at ``lr_at(step)``. A non-finite
-    loss or gradient norm, or a ``NumericalError`` from `sample_loss`, raises
-    ``NumericalError`` naming where, before the weights move."""
+    norms, micro-batch count)`` per epoch.
+
+    A step takes the next `batch_size` records of the epoch's permutation and
+    cuts them into ``micro_batches`` by their token `rows`. Each micro-batch
+    is one tape: ``batch_loss(idxs)`` returns its loss, the sum of its
+    records' losses, and each record's loss (or none), and one backward adds
+    its gradients to the step's. The step averages the gradients over its
+    records, clips them to `max_norm` (0 never rescales) and steps at
+    ``lr_at(step)``. A non-finite loss or gradient norm, or a
+    ``NumericalError`` from `batch_loss`, raises ``NumericalError`` naming
+    where, before the weights move: the record whose loss is not finite (the
+    micro-batch's first when no record's is) or where the error arose."""
     step = 0
     for epoch in range(1, epochs + 1):
         order = rng.permutation(len(ids))
         norms: list[float] = []
+        count = 0
         for b in range(0, len(ids), batch_size):
             idxs = order[b:b + batch_size]
             opt.zero_grad()
-            for i in idxs:
+            for mb in micro_batches(idxs, rows):
+                count += 1
                 try:
-                    loss = sample_loss(i)
+                    loss, losses = batch_loss(mb)
                 except NumericalError as e:
-                    raise NumericalError(f"{e} on sample {ids[i]} at epoch {epoch}") from e
+                    where = ids[mb[e.record or 0]]
+                    raise NumericalError(f"{e} on sample {where} at epoch {epoch}") from e
                 if not math.isfinite(float(loss.data)):
-                    raise NumericalError(f"non-finite loss on sample {ids[i]} at epoch {epoch}")
+                    bad = next((i for i, x in zip(mb, losses) if not math.isfinite(x)), mb[0])
+                    raise NumericalError(f"non-finite loss on sample {ids[bad]} at epoch {epoch}")
                 loss.backward()
             inv = 1.0 / len(idxs)
             for p in params.values():
@@ -352,7 +452,7 @@ def _fit(params: dict[str, T.Tensor], opt: AdamW, rng: np.random.Generator,
                 raise NumericalError(f"non-finite gradient norm at epoch {epoch}, step {step}")
             lr = lr_at(step)
             opt.step(lr)
-        yield epoch, lr, norms
+        yield epoch, lr, norms, count
 
 
 def _layer_means(terms: list[dict[str, float]]) -> dict:
@@ -399,23 +499,23 @@ def train(split, provider: Provider, model_cfg: ModelConfig,
 
     epoch_terms: list[list[dict[str, float]]] = []   # per sample, per layer
 
-    def sample_loss(idx):
-        vec, pos, gts = cache[idx]
-        dnb = make_denoising(gts, model_cfg, rng)
-        out = model.forward(vec, pos, dnb)
-        loss, layer_terms = detection_loss(out, gts, weights)
-        epoch_terms.append(layer_terms)
-        return loss
+    def batch_loss(idxs):
+        vecs, poss, gts = zip(*(cache[i] for i in idxs))
+        dnbs = [make_denoising(g, model_cfg, rng) for g in gts]  # in record order
+        loss, records = detection_loss(model.forward(list(vecs), list(poss), dnbs),
+                                       list(gts), weights)
+        epoch_terms.extend(records)
+        return loss, [sum(layer["total"] for layer in r) for r in records]
 
     log: list[dict] = []
     best_val = math.inf
     best_epoch = -1
     best_state = None
-    for epoch, lr, norms in _fit(params, opt, rng, [s.id for s in split.train],
-                                 train_cfg.epochs, train_cfg.batch_size, sample_loss,
-                                 lambda step: cosine_lr(step, total_steps, train_cfg.lr, warmup),
-                                 train_cfg.grad_clip):
-        record = {"epoch": epoch, "lr": lr,
+    for epoch, lr, norms, count in _fit(
+            params, opt, rng, [s.id for s in split.train], [len(c[0]) for c in cache],
+            train_cfg.epochs, train_cfg.batch_size, batch_loss,
+            lambda step: cosine_lr(step, total_steps, train_cfg.lr, warmup), train_cfg.grad_clip):
+        record = {"epoch": epoch, "lr": lr, "micro_batches": count,
                   # terms summed over the decoder layers, then averaged
                   "train": {k: sum(sum(t[k] for t in s) for s in epoch_terms) / n
                             for k in TERMS},
@@ -431,14 +531,17 @@ def train(split, provider: Provider, model_cfg: ModelConfig,
         if val_cache:
             v_sum = 0.0
             with T.no_grad():
-                for s, (vec, pos, gts) in zip(split.val, val_cache):
-                    out = model.forward(vec, pos, None)
+                for mb in micro_batches(range(len(val_cache)), [len(c[0]) for c in val_cache]):
+                    vecs, poss, gts = zip(*(val_cache[i] for i in mb))
+                    out = model.forward(list(vecs), list(poss), None)
                     try:
-                        loss, _ = detection_loss(out, gts, weights)
+                        _, records = detection_loss(out, list(gts), weights)
                     except NumericalError as e:
-                        raise NumericalError(f"{e} on validation record {s.id} "
+                        raise NumericalError(f"{e} on validation record "
+                                             f"{split.val[mb[e.record or 0]].id} "
                                              f"at epoch {epoch}") from e
-                    v_sum += float(loss.data)
+                    for r in records:
+                        v_sum += sum(layer["total"] for layer in r)
             record["val_loss"] = v_sum / len(split.val)
             if record["val_loss"] < best_val:
                 best_val = record["val_loss"]
@@ -459,24 +562,29 @@ def train(split, provider: Provider, model_cfg: ModelConfig,
     return TrainResult(model, log, best_epoch, best_val)
 
 
-def cross_entropy(logits: T.Tensor, label: int) -> T.Tensor:
+def cross_entropy(logits: T.Tensor, label) -> T.Tensor:
     """``-log softmax(logits)[label]`` of one row of logits, ``(C,)`` or
     ``(1, C)``, as one 0-d node; the log is clamped at ``LOG_EPS`` and passes
     no gradient below it. Forward and backward are the expressions of the
     softmax, index, clamped log and negation chain, in its order, so value
-    and gradient are bitwise that chain's."""
+    and gradient are bitwise that chain's. A micro-batch's ``(B, C)`` logits
+    take one label per row, and the node's value is the sum of the rows'."""
     probs = softmax(logits.data)
-    p = probs.reshape(-1)[label]
+    labels = np.atleast_1d(label)
+    rows = probs.reshape(len(labels), -1)
+    at = (np.arange(len(labels)), labels)
+    p = rows[at]
     x = np.maximum(p, T.LOG_EPS)
     dydx = np.where(p > T.LOG_EPS, 1.0 / x, 0.0)
 
     def vjp(g):
-        g_probs = np.zeros_like(probs)
-        g_probs.reshape(-1)[label] += g * -1.0 * dydx
+        g_probs = np.zeros_like(rows)
+        g_probs[at] += g * -1.0 * dydx
+        g_probs = g_probs.reshape(probs.shape)
         dot = (g_probs * probs).sum(axis=-1, keepdims=True)
         return ((g_probs - dot) * probs,)
 
-    return T.custom(np.log(x) * -1.0, (logits,), vjp, "cross_entropy")
+    return T.custom((np.log(x) * -1.0).sum(), (logits,), vjp, "cross_entropy")
 
 
 def train_classifier(samples, labels: list[int], provider: Provider,
@@ -506,8 +614,13 @@ def train_classifier(samples, labels: list[int], provider: Provider,
     head = ClassifierHead(width, hidden, n_classes, seed=seed)
     params = head.parameters()
     opt = AdamW(params)
-    for _ in _fit(params, opt, np.random.default_rng(seed), [s.id for s in samples], epochs,
-                  batch_size, lambda i: cross_entropy(head.logits(feats[i]), int(labels[i])),
+
+    def batch_loss(idxs):  # no per-record losses: a non-finite loss names the first record
+        logits = head.logits([feats[i] for i in idxs])
+        return cross_entropy(logits, [int(labels[i]) for i in idxs]), ()
+
+    for _ in _fit(params, opt, np.random.default_rng(seed), [s.id for s in samples],
+                  [len(v) for v in feats], epochs, batch_size, batch_loss,
                   lambda step: lr, 0.0):
         pass
     return head

@@ -39,6 +39,16 @@ BLOCK_MASK = np.array([[0.0, -np.inf, 0.0, -np.inf],
                        [0.0, 0.0, -np.inf, -np.inf],
                        [-np.inf, 0.0, 0.0, 0.0]])
 
+# record ids of stacked rows, for attention over a micro-batch's segments
+UNEVEN = (np.array([0, 0, 1]), np.array([0, 1, 1, 0]))      # 2 queries/2 keys, 1/2
+IN_RECORD = (np.array([0, 0, 1]), np.array([0, 0, 0, 1]))   # 2 queries/3 keys, 1/1
+NO_QUERIES = (np.array([0, 0, 2]), np.array([0, 1, 2, 0]))  # record 1: a key, no query
+# DN-style: record 0's queries see its first key (the prefix) and their own
+# group's key; record 1's query its one key; entries across records are unread
+DN_BLOCKS = np.array([[0.0, 0.0, -np.inf, -np.inf],
+                      [0.0, -np.inf, 0.0, -np.inf],
+                      [-np.inf, -np.inf, -np.inf, 0.0]])
+
 
 GRAD_CASES = {
     "matmul": lambda t, a: R.sum_(R.matmul(t, a["m"])),
@@ -74,6 +84,15 @@ GRAD_CASES = {
     "attention_masked": lambda t, a: R.sum_(R.mul(
         T.attention(t, T.concat([R.mul(t, 0.5), a["row"]], axis=0),
                     T.concat([a["row"], t], axis=0), 2, BLOCK_MASK), a["w"])),
+    "attention_segments_uneven": lambda t, a: R.sum_(R.mul(
+        T.attention(t, T.concat([R.mul(t, 0.7) + a["w"], a["row"]], axis=0),
+                    T.concat([a["row"], R.sin(t)], axis=0), 2, None, UNEVEN), a["w"])),
+    "attention_segments_dn_mask": lambda t, a: R.sum_(R.mul(
+        T.attention(t, T.concat([R.mul(t, 0.5), a["row"]], axis=0),
+                    T.concat([R.cos(t), a["row"]], axis=0), 2, DN_BLOCKS, IN_RECORD), a["w"])),
+    "attention_segments_no_queries": lambda t, a: R.sum_(R.mul(
+        T.attention(t, T.concat([R.mul(t, 0.5), a["row"]], axis=0),
+                    T.concat([a["row"], R.sin(t)], axis=0), 2, None, NO_QUERIES), a["w"])),
     "anchor_encode": lambda t, a: R.sum_(R.mul(
         T.anchor_encode(R.reshape(t, (6, 2)), 8, 100.0), a["w68"])),
     "layer_norm_residual": lambda t, a: R.sum_(R.mul(

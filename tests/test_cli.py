@@ -382,10 +382,14 @@ def _without_weight(name):
     (_with_config(d_model=None), "detector config field d_model is None, not an int"),
     (_with_config(heads=0), "detector heads must be at least 1, got 0"),
     (_with_config(heads=3), "detector hidden 16 not divisible by heads 3"),
+    (_with_config(ffn_mult=0), "detector ffn_mult must be at least 1, got 0"),
+    (_with_config(max_tokens=0), "detector max_tokens must be at least 1, got 0"),
+    (_with_config(d_model=-5), "detector d_model must be at least 1, got -5"),
     (_without_weight("proj.weight"),
      "detector state mismatch: missing ['proj.weight'], extra []"),
 ], ids=["truncated", "plain-text", "string-heads", "null-d_model", "zero-heads",
-        "indivisible-heads", "missing-weight"])
+        "indivisible-heads", "zero-ffn_mult", "zero-max_tokens", "negative-d_model",
+        "missing-weight"])
 def test_unreadable_or_mistyped_checkpoint_exits_2_naming_the_path(tiny_pipeline, tmp_path,
                                                                    capsys, write, message):
     _, ds, run_dir, _ = tiny_pipeline

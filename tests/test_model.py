@@ -43,6 +43,10 @@ def test_config_defaults_and_validation():
     ("heads", 0, "heads must be at least 1, got 0"),
     ("heads", -4, "heads must be at least 1, got -4"),
     ("hidden", 0, "hidden must be at least 1, got 0"),
+    ("d_model", 0, "d_model must be at least 1, got 0"),
+    ("d_model", -5, "d_model must be at least 1, got -5"),
+    ("ffn_mult", 0, "ffn_mult must be at least 1, got 0"),
+    ("max_tokens", 0, "max_tokens must be at least 1, got 0"),
     ("temperature", 0.0, "temperature must be a positive finite number, got 0.0"),
     ("temperature", -1.0, "temperature must be a positive finite number, got -1.0"),
     ("temperature", float("nan"), "temperature must be a positive finite number, got nan"),
@@ -265,6 +269,19 @@ def test_classify_is_the_reference_softmax_of_the_logits():
 def test_classify_rejects_an_empty_record_by_the_feature_contract():
     with pytest.raises(ValueError, match="^empty token sequence$"):
         ClassifierHead(16, 8, 2).classify(np.zeros((0, 16)))
+
+
+@pytest.mark.parametrize("field, value", [("d_model", 0), ("hidden", 0), ("hidden", -3),
+                                          ("n_classes", 0)])
+def test_classifier_rejects_sizes_below_one_naming_the_field(tmp_path, field, value):
+    sizes = {"d_model": 16, "hidden": 8, "n_classes": 2, field: value}
+    message = f"{field} must be at least 1, got {value}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ClassifierHead(**sizes)
+    path = tmp_path / "head.npz"
+    save_checkpoint(path, ClassifierHead(16, 8, 2), "classifier", sizes)
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: classifier {message}')}$"):
+        load_classifier(path)
 
 
 def test_detector_checkpoint_roundtrip(tmp_path):
@@ -693,6 +710,31 @@ def test_tape_node_counts_at_the_c08_config():
     assert len(nodes) == 352
     # one sigmoid per box: the initial learnable box, then each layer's box in both blocks
     assert sum(node._op == "sigmoid" for node in nodes) == 1 + 2 * cfg.dec_layers
+
+
+def test_a_one_record_micro_batch_is_the_one_record_path_bit_for_bit():
+    cfg = ModelConfig(d_model=32, hidden=32, heads=4, ffn_mult=4, enc_layers=3,
+                      dec_layers=3, num_queries=1, max_tokens=128, dn_groups=5)
+    m = DetectionModel(cfg, seed=0)
+    vec, pos = rand_input(n=60, d=32, seed=1)
+    gts = [Interval(0.6, 0.5)]
+    dnb = make_denoising(gts, cfg, np.random.default_rng(2))
+    runs = []
+    for batch in (False, True):
+        m.zero_grad()
+        out = m.forward([vec], [pos], [dnb]) if batch else m.forward(vec, pos, dnb)
+        loss, terms = detection_loss(out, [gts] if batch else gts)
+        nodes = len(tape_nodes([loss]))
+        loss.backward()
+        runs.append((out, float(loss.data), terms[0] if batch else terms, nodes,
+                     {k: p.grad.copy() for k, p in m.parameters().items()}))
+    (one, loss1, terms1, nodes1, grads1), (mb, loss2, terms2, nodes2, grads2) = runs
+    assert mb.dn_rows == [len(dnb.anchors)] and one.dn_rows is None
+    for a, b in zip(one.layers, mb.layers):
+        assert np.array_equal(a.cw.data, b.cw.data) and np.array_equal(a.logits.data, b.logits.data)
+    assert all(np.array_equal(a.data, b.data) for a, b in zip(one.dn_layers, mb.dn_layers))
+    assert loss1 == loss2 and terms1 == terms2 and nodes1 == nodes2 == 352
+    assert all(np.array_equal(grads1[k], grads2[k]) for k in grads1)
 
 
 def test_predict_builds_no_tape_and_matches_the_taped_forward():

@@ -317,7 +317,69 @@ def test_fused_primitives_reject_bad_shapes():
         T.attention(x, x, x, 3)
     with pytest.raises(T.ShapeError, match="mask"):
         T.attention(x, x, x, 2, np.zeros((3, 2)))
+    with pytest.raises(T.ShapeError, match="segment ids"):
+        T.attention(x, x, x, 2, None, (np.zeros(3, int), np.zeros(2, int)))
+    with pytest.raises(T.ShapeError, match="record 1 has query rows but no keys"):
+        T.attention(x, x, x, 2, None, (np.array([0, 1, 1]), np.array([0, 0, 2])))
     with pytest.raises(T.ShapeError, match="anchor_encode"):
         T.anchor_encode(x, 8)
     with pytest.raises(ValueError, match="divisible by 4"):
         T.anchor_encode(T.Tensor(np.ones((3, 2))), 6)
+
+
+# -- attention over a micro-batch's segments --------------------------------------
+
+
+def _segment_case(seed, layout):
+    """Records stacked row by row, their keys interleaved. "several": record
+    0 has 2 queries over 3 keys, record 1 4 queries over 1 key, record 2 1
+    query over 5 keys, and record 3 2 keys but no query. "one": record 0's 7
+    queries over its 6 scattered keys, among 5 keys of a record without
+    queries. The random mask keeps one key of the query's own record visible
+    in every row."""
+    rng = np.random.default_rng(seed)
+    if layout == "several":
+        q_ids = np.array([0, 0, 1, 1, 1, 1, 2])
+        k_ids = np.array([2, 0, 3, 2, 0, 1, 2, 3, 2, 0, 2])
+    else:
+        q_ids = np.zeros(7, int)
+        k_ids = np.array([1, 0, 0, 1, 0, 1, 0, 1, 0, 1, 0])
+    q, k, v = (T.Tensor(rng.normal(size=(len(ids), 8)), requires_grad=True)
+               for ids in (q_ids, k_ids, k_ids))
+    mask = np.where(rng.uniform(size=(7, 11)) < 0.3, -np.inf, 0.0)
+    for i, r in enumerate(q_ids):
+        mask[i, np.flatnonzero(k_ids == r)[0]] = 0.0
+    return q, k, v, mask, q_ids, k_ids, rng.normal(size=(7, 8))
+
+
+@pytest.mark.parametrize("layout", ["several", "one"])
+@pytest.mark.parametrize("masked", [False, True])
+def test_segmented_attention_is_attention_record_by_record(masked, layout):
+    for seed in range(5):
+        q, k, v, mask, q_ids, k_ids, w = _segment_case(seed, layout)
+        mask = mask if masked else None
+        out = T.attention(q, k, v, 2, mask, (q_ids, k_ids))
+        R.sum_(R.mul(out, T.Tensor(w))).backward()
+        got = [t.grad for t in (q, k, v)]
+        want_out = np.zeros_like(out.data)
+        want = [np.zeros_like(t.data) for t in (q, k, v)]
+        for r in np.unique(q_ids):
+            qi, ki = np.flatnonzero(q_ids == r), np.flatnonzero(k_ids == r)
+            parts = [T.Tensor(q.data[qi], requires_grad=True),
+                     T.Tensor(k.data[ki], requires_grad=True),
+                     T.Tensor(v.data[ki], requires_grad=True)]
+            one = T.attention(*parts, 2, None if mask is None else mask[np.ix_(qi, ki)])
+            R.sum_(R.mul(one, T.Tensor(w[qi]))).backward()
+            want_out[qi] = one.data
+            for full, part, rows in zip(want, parts, (qi, ki, ki)):
+                full[rows] += part.grad
+        assert np.abs(out.data - want_out).max() <= 1e-12
+        for a, b in zip(got, want):
+            assert np.abs(a - b).max() <= 1e-12
+        unseen = ~np.isin(k_ids, q_ids)  # keys of a record without queries
+        assert unseen.any() and not got[1][unseen].any() and not got[2][unseen].any()
+        # the same records under one mask that hides every other record's keys
+        across = np.where(q_ids[:, None] == k_ids[None, :], 0.0, -np.inf)
+        if mask is not None:
+            across = across + mask
+        assert np.abs(T.attention(q, k, v, 2, across).data - out.data).max() <= 1e-12

@@ -1,3 +1,4 @@
+import json
 import math
 import re
 import warnings
@@ -563,12 +564,13 @@ def test_non_finite_gradient_stops_training_before_the_weights_move(monkeypatch)
 def test_planted_nan_detector_loss_names_the_sample_and_the_epoch(monkeypatch):
     split, prov = small_corpus(n=24)
     loss_fn = training.detection_loss
-    calls = []
+    validated = []
 
     def nan_on_the_second_epoch(out, gts, weights):
         loss, terms = loss_fn(out, gts, weights)
-        calls.append(1)
-        if len(calls) > len(split.train):  # the first sample of epoch 2
+        if not loss.requires_grad:  # validation closes epoch 1
+            validated.append(1)
+        elif validated:  # the first micro-batch of epoch 2, led by its first sample
             loss = T.custom(np.nan, (loss,), lambda g: (g,), "nan")
         return loss, terms
 
@@ -641,8 +643,8 @@ def test_log_records_each_decoder_layers_terms_and_matched_iou(monkeypatch):
 
     def record(out, *args):
         result = loss_fn(out, *args)
-        if result[0].requires_grad:  # a training sample, not validation
-            seen.append(result[1])
+        if result[0].requires_grad:  # a training micro-batch, not validation
+            seen.extend(result[1])  # one list of layer terms per sample
         return result
 
     monkeypatch.setattr(training, "detection_loss", record)
@@ -690,3 +692,194 @@ def test_detection_loss_sums_layers():
     one, _ = detection_loss(out1, gts)
     two, _ = detection_loss(out2, gts)
     assert abs(float(two.data) - 2 * float(one.data)) < 1e-12
+
+
+# -- micro-batches ---------------------------------------------------------------
+
+
+def test_micro_batches_keep_order_and_the_row_budget():
+    rows = [100, 100, 60, 300, 10, 250, 6, 140, 110]
+    runs = training.micro_batches([0, 1, 2, 3, 4, 5, 6, 7, 8], rows)
+    assert runs == [[0, 1], [2], [3], [4], [5, 6], [7, 8]]
+    assert training.micro_batches([8, 2, 6, 1], rows) == [[8, 2, 6], [1]]
+    assert training.micro_batches(np.array([3]), rows) == [[3]]  # longer than the budget: alone
+    assert [len(r) for r in training.micro_batches(range(9), [1] * 9)] == [9]
+
+
+def _micro_batch_case(seed):
+    """Five records of uneven length with 2, 0, 3, 1 and 0 targets (a record
+    without targets draws no DN rows), their DN draws in record order, and a
+    model with 3 queries and DN on."""
+    cfg = ModelConfig(d_model=16, hidden=16, heads=4, ffn_mult=2, enc_layers=2,
+                      dec_layers=2, num_queries=3, max_tokens=64, dn_groups=2)
+    rng = np.random.default_rng(seed)
+    records = []
+    for n, m in zip((9, 23, 4, 31, 15), (2, 0, 3, 1, 0)):
+        w = rng.uniform(0.05, 0.3, size=m)
+        gts = [Interval(rng.uniform(x / 2, 1 - x / 2), x) for x in w]
+        records.append((rng.normal(size=(n, 16)), np.sort(rng.uniform(size=n)), gts))
+    dn_rng = np.random.default_rng(seed + 100)
+    dnbs = [make_denoising(gts, cfg, dn_rng) for _, _, gts in records]
+    return training.DetectionModel(cfg, seed=seed), records, dnbs
+
+
+def _close(a, b, tol=1e-10):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.abs(a - b).max(initial=0.0) <= tol * max(
+        1.0, np.abs(b).max(initial=0.0))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_a_micro_batched_step_matches_per_record_steps(seed):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        model, records, dnbs = _micro_batch_case(seed)
+        params = model.parameters()
+        nq = model.cfg.num_queries
+        singles, losses, terms = [], [], []
+        for (vec, pos, gts), dnb in zip(records, dnbs):
+            out = model.forward(vec, pos, dnb)
+            loss, layer_terms = detection_loss(out, gts)
+            loss.backward()  # summed over the records, as a step sums them
+            singles.append(out)
+            losses.append(float(loss.data))
+            terms.append(layer_terms)
+        want = {k: p.grad.copy() for k, p in params.items()}
+
+        model.zero_grad()
+        out = model.forward([r[0] for r in records], [r[1] for r in records], dnbs)
+        loss, batch_terms = detection_loss(out, [r[2] for r in records])
+        loss.backward()
+    assert out.dn_rows == [0 if d is None else len(d.anchors) for d in dnbs]
+    assert out.dn_rows[1] == out.dn_rows[4] == 0
+    for li, layer in enumerate(out.layers):
+        for r, one in enumerate(singles):
+            rows = slice(r * nq, (r + 1) * nq)
+            assert _close(layer.cw.data[rows], one.layers[li].cw.data)
+            assert _close(layer.logits.data[rows], one.layers[li].logits.data)
+        assert _close(out.dn_layers[li].data,
+                      np.concatenate([o.dn_layers[li].data for o in singles if o.dn_layers]))
+    assert _close(float(loss.data), sum(losses))
+    assert len(batch_terms) == len(records)
+    for got, ref in zip(batch_terms, terms):
+        for g, w in zip(got, ref):
+            assert set(g) == set(w)
+            for key in w:
+                assert (math.isnan(g[key]) and math.isnan(w[key])) or _close(g[key], w[key]), key
+    for k, p in params.items():
+        assert _close(p.grad, want[k]), k
+
+
+def test_a_micro_batched_classifier_step_matches_per_record_steps():
+    rng = np.random.default_rng(5)
+    head = training.ClassifierHead(16, 8, 3, seed=2)
+    feats = [rng.normal(size=(n, 16)) for n in (7, 2, 19, 11)]
+    labels = [2, 0, 1, 2]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        singles, total = [], 0.0
+        for v, y in zip(feats, labels):
+            logits = head.logits(v)
+            loss = cross_entropy(logits, y)
+            loss.backward()
+            singles.append(logits.data[0])
+            total += float(loss.data)
+        want = {k: p.grad.copy() for k, p in head.parameters().items()}
+        head.zero_grad()
+        logits = head.logits(feats)
+        loss = cross_entropy(logits, labels)
+        loss.backward()
+    assert _close(logits.data, np.stack(singles))
+    assert _close(float(loss.data), total)
+    for k, p in head.parameters().items():
+        assert _close(p.grad, want[k]), k
+
+
+def test_denoising_is_drawn_per_record_in_permutation_order(monkeypatch):
+    split, prov = small_corpus(n=24)
+    cfg = ModelConfig(**SMALL_MODEL)
+    drawn = []
+    draw = training.make_denoising
+
+    def spy(gts, cfg_, rng):
+        dnb = draw(gts, cfg_, rng)
+        drawn.append((gts, None if dnb is None else dnb.anchors))
+        return dnb
+
+    monkeypatch.setattr(training, "make_denoising", spy)
+    train(split, prov, cfg, TrainConfig(epochs=2, batch_size=8, seed=4))
+    rng = np.random.default_rng(4)  # the permutations, then each record's draws in order
+    replay = []
+    for _ in range(2):
+        for i in rng.permutation(len(split.train)):
+            s = split.train[i]
+            gts = [span_to_cw(sp, len(s.text)) for sp in s.intervals]
+            dnb = draw(gts, cfg, rng)
+            replay.append((gts, None if dnb is None else dnb.anchors))
+    assert len(drawn) == len(replay)
+    for (g1, a1), (g2, a2) in zip(drawn, replay):
+        assert g1 == g2 and (a1 is None) == (a2 is None)
+        assert a1 is None or np.array_equal(a1, a2)
+
+
+def test_each_epoch_logs_its_micro_batch_count(monkeypatch, tmp_path):
+    split, prov = small_corpus(n=40)
+    forward = training.DetectionModel.forward
+    taped = []
+
+    def spy(self, v, p, dn=None):
+        if dn is not None:  # a training micro-batch, not validation
+            taped.append(len(v))
+        return forward(self, v, p, dn)
+
+    monkeypatch.setattr(training.DetectionModel, "forward", spy)
+    cfg = ModelConfig(**SMALL_MODEL)
+    res = train(split, prov, cfg, TrainConfig(epochs=2, batch_size=8, seed=0),
+                run_dir=tmp_path)
+    lines = [json.loads(x) for x in (tmp_path / "metrics.jsonl").read_text().splitlines()]
+    counts = [rec["micro_batches"] for rec in res.log]
+    assert counts == [rec["micro_batches"] for rec in lines]
+    assert sum(counts) == len(taped) and sum(taped) == 2 * len(split.train)
+    rows = [len(prov(s)[0]) for s in split.train]
+    rng = np.random.default_rng(0)
+    want = []
+    for _ in range(2):
+        order = rng.permutation(len(split.train))
+        want.append(sum(len(training.micro_batches(order[b:b + 8], rows))
+                        for b in range(0, len(order), 8)))
+        for i in order:  # the DN draws between the permutations
+            s = split.train[i]
+            make_denoising([span_to_cw(sp, len(s.text)) for sp in s.intervals], cfg, rng)
+    assert counts == want
+
+
+def test_fit_names_the_record_of_its_micro_batch_that_failed():
+    ids = ["a", "b", "c", "d"]
+    rows = [10, 10, 10, 10]  # one micro-batch per step of 4
+
+    def run(batch_loss):
+        p = T.Tensor(np.zeros(1), requires_grad=True)
+        fit = training._fit({"p": p}, AdamW({"p": p}), np.random.default_rng(0), ids, rows,
+                            1, 4, batch_loss, lambda step: 0.1, 0.0)
+        return next(fit)
+
+    order = [ids[i] for i in np.random.default_rng(0).permutation(4)]
+
+    def bad_prediction(mb):
+        raise NumericalError("non-finite predictions", record=2)
+
+    with pytest.raises(NumericalError, match=f"non-finite predictions on sample {order[2]} "
+                                             "at epoch 1$"):
+        run(bad_prediction)
+    for losses, named in (([1.0, 2.0, np.nan, 1.0], order[2]), ((), order[0])):
+        with pytest.raises(NumericalError, match=f"non-finite loss on sample {named} at epoch"):
+            run(lambda mb: (T.Tensor(np.nan), losses))
+
+
+def test_non_finite_predictions_carry_the_record_of_the_micro_batch():
+    cw = np.tile([[0.5, 0.2]], (6, 1))
+    cw[4] = np.nan  # the second query row of the third record
+    layer = LayerPrediction(T.Tensor(cw), T.Tensor(np.zeros((6, 1))))
+    with pytest.raises(NumericalError, match="^non-finite predictions$") as err:
+        composite_loss(layer, None, None, [[], [Interval(0.5, 0.2)], []], dn_rows=[0, 0, 0])
+    assert err.value.record == 2
