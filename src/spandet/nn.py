@@ -104,9 +104,7 @@ class MultiHeadAttention(Module):
 
     def __call__(self, q_in: T.Tensor, k_in: T.Tensor, v_in: T.Tensor,
                  mask: np.ndarray | None = None, segments=None) -> T.Tensor:
-        """`mask`: optional constant (n_q, n_k) array added to every head's
-        scores; -inf hides a key. Each query must keep one visible key.
-        `segments`: the rows' record ids, as ``tensor.attention`` takes them."""
+        """`mask` (n_q, n_k) and `segments` as ``tensor.attention`` takes them."""
         return self.wo(T.attention(self.wq(q_in), self.wk(k_in), self.wv(v_in),
                                    self.heads, mask, segments))
 

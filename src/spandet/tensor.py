@@ -15,7 +15,7 @@ The cost of the engine is Python per tape node, not arithmetic, so it holds
 only the ops the detector calls, and the layers it repeats are fused: one
 node each, with a hand-written backward. ``linear`` is ``x @ w + b``;
 ``attention`` is multi-head scaled-dot attention from the projected q/k/v to
-the merged context, keeping only the probabilities for backward;
+the merged context, keeping only exp(scores) and its row sums for backward;
 ``anchor_encode`` is ``sinusoidal_encode``, the interleaved sin/cos encoding
 of token positions, applied to ``(c, w)`` anchors; ``layer_norm`` takes an
 optional residual that it adds first. The rest are ``sigmoid``, ``relu``,
@@ -196,9 +196,7 @@ def _result(data: np.ndarray, parents: Sequence[Tensor], vjp: Callable, op: str)
 
 
 def _check_elementwise(op: str, a: Tensor, b: Tensor) -> None:
-    if a.shape == b.shape:
-        return
-    if a.size == 1 or b.size == 1:
+    if a.shape == b.shape or a.size == 1 or b.size == 1:
         return
     # row-vector bias: (..., n) op (n,)
     if b.ndim == 1 and a.ndim >= 2 and a.shape[-1] == b.shape[0]:
@@ -325,8 +323,12 @@ def attention(q, k, v, heads: int, mask: np.ndarray | None = None,
     q (n, heads*dk), k (m, heads*dk) and v (m, heads*dv) are split into heads
     by columns; each head takes softmax(q k^T / sqrt(dk) + mask) v, and the
     heads are merged back into (n, heads*dv). `mask`: optional constant (n, m)
-    array added to every head's scores; -inf hides a key, and each query must
-    keep one visible key. Backward keeps the probabilities, not the scores.
+    array added to every head's scores; -inf hides a key, and hiding every key
+    of a query row is a ``ShapeError`` naming the row. The (heads, n, m) scores
+    are never scaled or divided: q is scaled, and the context is (e v) / z for
+    e = exp(scores - row max) and z its row sums. Backward keeps e and z and
+    reads the softmax's row term from the output: with gz = g / z, the score
+    gradient is (gz v^T - rowsum(gz * out)) * e, scaled through gz.
 
     `segments`: optional ``(q_ids, k_ids)``, the record id of each query row
     and each key row when a micro-batch's records are stacked row by row; a
@@ -334,11 +336,9 @@ def attention(q, k, v, heads: int, mask: np.ndarray | None = None,
     record: a record's queries see only its own keys, under its own entries
     of `mask`, so each record gets what attention over that record alone
     computes. Keys of a record without query rows get zero gradients; a
-    record with query rows and no keys is a ``ShapeError``. (Packing the
-    records into one padded ``(records, heads, n_max, m_max)`` block makes
-    fewer numpy calls but ran no faster at C08 width: its score arrays
-    outgrow the allocator's heap threshold and page-fault on every
-    allocation, and it holds copies of q, k and v.)
+    record with query rows and no keys is a ``ShapeError``. (One padded
+    ``(records, heads, n_max, m_max)`` block makes fewer numpy calls but ran
+    no faster at C08 width: its score arrays page-fault on every allocation.)
     """
     q, k, v = _wrap(q), _wrap(k), _wrap(v)
     if (q.ndim != 2 or k.ndim != 2 or v.ndim != 2 or q.shape[1] != k.shape[1]
@@ -353,38 +353,40 @@ def attention(q, k, v, heads: int, mask: np.ndarray | None = None,
     s = float(1.0 / np.sqrt(dk))
 
     def split(x, rows, d):  # rows of (r, heads*d) as (heads, r, d)
-        sel = x[rows]
-        return sel.reshape(len(sel), heads, d).transpose(1, 0, 2)
+        return x[rows].reshape(-1, heads, d).transpose(1, 0, 2)
 
-    blocks, ctx = [], []  # per record: qh (h, n, dk), kt (h, dk, m), vh (h, m, dv), probs
+    blocks, ctx = [], []  # per record: qh (h, n, dk), kt (h, dk, m), vh (h, m, dv), e, z
     for qi, ki in parts:
         qh, kt, vh = split(q.data, qi, dk), split(k.data, ki, dk).swapaxes(-1, -2), \
             split(v.data, ki, dv)
-        p = qh @ kt
-        p *= s
+        e = (qh * s) @ kt
         if mask is not None:
-            p += mask[qi][:, ki]
-        p -= p.max(axis=-1, keepdims=True)
-        np.exp(p, out=p)
-        p /= p.sum(axis=-1, keepdims=True)
-        blocks.append((qh, kt, vh, p))
-        ctx.append((p @ vh).transpose(1, 0, 2))
+            e += mask[qi][:, ki]
+        top = e.max(axis=-1, keepdims=True)
+        if mask is not None and top.min() == -np.inf:  # finite scores: the mask's doing
+            row = np.arange(n)[qi][np.isneginf(top).any(axis=0).argmax()]
+            raise ShapeError(f"attention: mask hides every key of query row {row}")
+        e -= top
+        np.exp(e, out=e)
+        z = e.sum(axis=-1, keepdims=True)
+        c = e @ vh
+        c /= z
+        blocks.append((qh, kt, vh, e, z))
+        ctx.append(c.transpose(1, 0, 2))
     data = _merge(parts, 0, ctx, n)
 
     def vjp(g):
-        g3 = g.reshape(n, heads, dv)
+        gh, oh = (x.reshape(n, heads, dv).transpose(1, 0, 2) for x in (g, data))
         gqs, gks, gvs = [], [], []
-        for (qi, _), (qh, kt, vh, p) in zip(parts, blocks):
-            gctx = np.ascontiguousarray(g3[qi].transpose(1, 0, 2))
+        for (qi, _), (qh, kt, vh, e, z) in zip(parts, blocks):
+            gz = gh[:, qi] / z
             if v.requires_grad:
-                gvs.append((p.swapaxes(-1, -2) @ gctx).transpose(1, 0, 2))
+                gvs.append((e.swapaxes(-1, -2) @ gz).transpose(1, 0, 2))
             if q.requires_grad or k.requires_grad:
-                # gs = (gp - (gp * p).sum(-1)) * p * s with gp = gctx vh^T, in
-                # place: the arrays are as large as the scores
-                gs = gctx @ vh.swapaxes(-1, -2)
-                gs -= (gs * p).sum(axis=-1, keepdims=True)
-                gs *= p
-                gs *= s
+                gz *= s  # the scale of the scores, applied to a small array
+                gs = gz @ vh.swapaxes(-1, -2)  # the scaled score gradient, in place
+                gs -= (gz * oh[:, qi]).sum(axis=-1, keepdims=True)
+                gs *= e
                 if q.requires_grad:
                     gqs.append((gs @ kt.swapaxes(-1, -2)).transpose(1, 0, 2))
                 if k.requires_grad:

@@ -145,7 +145,7 @@ def read_embedding_file(path) -> EmbeddingFile:
         raise ValueError(f"{path}: truncated embedding file "
                          f"(expected {need} bytes, found {len(raw)})")
     off = np.frombuffer(raw, dtype="<u4", count=2 * n, offset=_HEADER.size)
-    offsets = [CharSpan(int(a), int(b)) for a, b in off.reshape(n, 2)]
+    offsets = [CharSpan(a, b) for a, b in off.reshape(n, 2).tolist()]
     vec = np.frombuffer(raw, dtype="<f4", count=n * d,
                         offset=_HEADER.size + n * 8).reshape(n, d).copy()
     return EmbeddingFile(vec, offsets, PROVENANCE_NAMES[prov])

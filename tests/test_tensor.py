@@ -321,6 +321,8 @@ def test_fused_primitives_reject_bad_shapes():
         T.attention(x, x, x, 2, None, (np.zeros(3, int), np.zeros(2, int)))
     with pytest.raises(T.ShapeError, match="record 1 has query rows but no keys"):
         T.attention(x, x, x, 2, None, (np.array([0, 1, 1]), np.array([0, 0, 2])))
+    with pytest.raises(T.ShapeError, match="mask hides every key of query row 1"):
+        T.attention(x, x, x, 2, np.array([[0.0] * 3, [-np.inf] * 3, [0.0] * 3]))
     with pytest.raises(T.ShapeError, match="anchor_encode"):
         T.anchor_encode(x, 8)
     with pytest.raises(ValueError, match="divisible by 4"):
@@ -383,3 +385,126 @@ def test_segmented_attention_is_attention_record_by_record(masked, layout):
         if mask is not None:
             across = across + mask
         assert np.abs(T.attention(q, k, v, 2, across).data - out.data).max() <= 1e-12
+
+
+# -- attention against the normalize-the-scores formulation -----------------------
+
+
+def attention_normalized(q, k, v, heads, mask=None, segments=None):
+    """Reference attention that scales and normalizes the (heads, n, m) score
+    array itself and keeps the probabilities for backward, where the score
+    gradient is ``(gp - rowsum(gp * p)) * p * s`` with ``gp = g v^T``."""
+    n, m = q.shape[0], k.shape[0]
+    parts = [T._WHOLE] if segments is None else T._segments(segments, n, m)
+    dk, dv = q.shape[1] // heads, v.shape[1] // heads
+    s = float(1.0 / np.sqrt(dk))
+
+    def split(x, rows, d):
+        sel = x[rows]
+        return sel.reshape(len(sel), heads, d).transpose(1, 0, 2)
+
+    blocks, ctx = [], []
+    for qi, ki in parts:
+        qh, kt, vh = split(q.data, qi, dk), split(k.data, ki, dk).swapaxes(-1, -2), \
+            split(v.data, ki, dv)
+        p = qh @ kt
+        p *= s
+        if mask is not None:
+            p += mask[qi][:, ki]
+        p -= p.max(axis=-1, keepdims=True)
+        np.exp(p, out=p)
+        p /= p.sum(axis=-1, keepdims=True)
+        blocks.append((qh, kt, vh, p))
+        ctx.append((p @ vh).transpose(1, 0, 2))
+
+    def vjp(g):
+        g3 = g.reshape(n, heads, dv)
+        gqs, gks, gvs = [], [], []
+        for (qi, _), (qh, kt, vh, p) in zip(parts, blocks):
+            gctx = np.ascontiguousarray(g3[qi].transpose(1, 0, 2))
+            gvs.append((p.swapaxes(-1, -2) @ gctx).transpose(1, 0, 2))
+            gs = gctx @ vh.swapaxes(-1, -2)
+            gs -= (gs * p).sum(axis=-1, keepdims=True)
+            gs *= p
+            gs *= s
+            gqs.append((gs @ kt.swapaxes(-1, -2)).transpose(1, 0, 2))
+            gks.append((qh.swapaxes(-1, -2) @ gs).transpose(2, 0, 1))
+        return (T._merge(parts, 0, gqs, n), T._merge(parts, 1, gks, m),
+                T._merge(parts, 1, gvs, m))
+
+    return T.custom(T._merge(parts, 0, ctx, n), (q, k, v), vjp, "attention_normalized")
+
+
+def _attention_outputs_and_grads(fn, arrays, heads, mask, segments, w):
+    q, k, v = (T.Tensor(a, requires_grad=True) for a in arrays)
+    out = fn(q, k, v, heads, mask, segments)
+    R.sum_(R.mul(out, T.Tensor(w))).backward()
+    return out.data, [t.grad for t in (q, k, v)]
+
+
+def _assert_attention_matches_normalized(arrays, heads, mask=None, segments=None, seed=0):
+    """Outputs within 1e-12 and gradients within 1e-10 of the reference,
+    relative to the reference's largest entry, with no overflow, invalid
+    value or division by zero along the way."""
+    n, dv = arrays[0].shape[0], arrays[2].shape[1] // heads
+    w = np.random.default_rng(seed).normal(size=(n, heads * dv))
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        out, grads = _attention_outputs_and_grads(T.attention, arrays, heads, mask,
+                                                  segments, w)
+    ref_out, ref_grads = _attention_outputs_and_grads(attention_normalized, arrays,
+                                                      heads, mask, segments, w)
+    assert np.isfinite(out).all() and all(np.isfinite(g).all() for g in grads)
+    assert np.abs(out - ref_out).max() <= 1e-12 * np.abs(ref_out).max()
+    for got, want in zip(grads, ref_grads):
+        assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+
+def _qkv(rng, n, m, heads, dk):
+    return tuple(rng.normal(size=(rows, heads * dk)) for rows in (n, m, m))
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_attention_at_llm_shapes_matches_the_normalized_formulation(seed):
+    rng = np.random.default_rng(seed)
+    _assert_attention_matches_normalized(_qkv(rng, 300, 300, 8, 8), 8, seed=seed)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_attention_under_a_dn_mask_matches_the_normalized_formulation(seed):
+    from spandet.model import dn_attention_mask
+    rng = np.random.default_rng(seed)
+    mask = dn_attention_mask(n_prefix=3, d_total=20, n_groups=5)
+    _assert_attention_matches_normalized(_qkv(rng, 20, 23, 4, 8), 4, mask, seed=seed)
+
+
+@pytest.mark.parametrize("masked", [False, True])
+@pytest.mark.parametrize("layout", ["several", "one"])
+def test_segmented_attention_matches_the_normalized_formulation(masked, layout):
+    for seed in range(3):
+        q, k, v, mask, q_ids, k_ids, _ = _segment_case(seed, layout)
+        _assert_attention_matches_normalized((q.data, k.data, v.data), 2,
+                                             mask if masked else None, (q_ids, k_ids), seed)
+
+
+def test_attention_with_scores_near_500_stays_finite_and_matches():
+    rng = np.random.default_rng(5)
+    q, k, v = _qkv(rng, 40, 50, 4, 8)
+    q *= 500 / np.abs(q @ k.T / np.sqrt(8)).max()  # scaled scores reach 500 in magnitude
+    _assert_attention_matches_normalized((q, k, v), 4)
+
+
+# -- a mask that hides a whole query row ------------------------------------------
+
+
+def test_segmented_attention_rejects_a_row_whose_own_record_keys_are_all_hidden():
+    """Row 2 (record 1) still sees record 0's keys, but attention reads only
+    its own record's block, where every key is hidden."""
+    rng = np.random.default_rng(1)
+    q, k = T.Tensor(rng.normal(size=(4, 4))), T.Tensor(rng.normal(size=(5, 4)))
+    q_ids, k_ids = np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1, 1])
+    mask = np.zeros((4, 5))
+    mask[2, [1, 3, 4]] = -np.inf
+    with pytest.raises(T.ShapeError, match="hides every key of query row 2"):
+        T.attention(q, k, k, 2, mask, (q_ids, k_ids))
+    mask[2, 3] = 0.0  # one key of its own record visible again
+    assert np.isfinite(T.attention(q, k, k, 2, mask, (q_ids, k_ids)).data).all()
