@@ -330,10 +330,19 @@ def synth_generate(spec: SynthSpec, seed: int = 0) -> DatasetSplit:
                         items[n_train + n_val:], meta).check_disjoint()
 
 
+_direction_cache: dict[tuple[int, int], np.ndarray] = {}
+
+
 def signal_direction(d: int, seed: int) -> np.ndarray:
-    """Fixed unit vector along which generated-token embeddings are offset."""
-    v = np.random.default_rng(seed ^ 0x5D5D5D).normal(size=d)
-    return v / np.linalg.norm(v)
+    """Fixed unit vector along which generated-token embeddings are offset;
+    made once per (d, seed) and read-only."""
+    key = (d, seed)
+    if key not in _direction_cache:
+        v = np.random.default_rng(seed ^ 0x5D5D5D).normal(size=d)
+        u = v / np.linalg.norm(v)
+        u.setflags(write=False)
+        _direction_cache[key] = u
+    return _direction_cache[key]
 
 
 def embed_with_signal(sample: AnnotatedText, d: int, seed: int,

@@ -10,6 +10,7 @@ embedder is a deterministic stand-in for desk-scale experiments.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import re
 import struct
 import zlib
@@ -58,34 +59,57 @@ def token_positions(offsets: list[CharSpan], text_len: int) -> np.ndarray:
     return np.array([(o.x1 + o.x2) / 2.0 / text_len for o in offsets])
 
 
-def _trigrams(surface: str) -> list[str]:
+def _trigram_crcs(surface: str) -> list[int]:
+    """crc32 of the UTF-8 bytes of each character trigram of a surface padded
+    with STX/ETX; taken modulo the table size, they are its table rows."""
     padded = "\x02" + surface + "\x03"
-    return [padded[i:i + 3] for i in range(len(padded) - 2)]
+    return [zlib.crc32(padded[i:i + 3].encode("utf-8")) for i in range(len(padded) - 2)]
 
 
 def _vector_table(d: int, seed: int) -> np.ndarray:
     key = (d, seed)
     if key not in _table_cache:
         rng = np.random.default_rng(seed)
-        _table_cache[key] = rng.normal(0.0, 1.0 / np.sqrt(d), size=(_TABLE_SIZE, d))
+        table = rng.normal(0.0, 1.0 / np.sqrt(d), size=(_TABLE_SIZE, d))
+        table.setflags(write=False)
+        _table_cache[key] = table
     return _table_cache[key]
 
 
 def toy_embed(tk: TokenizedText, d: int, seed: int = 0) -> np.ndarray:
-    """Hash-table embedding, (n, d): each token maps to the mean of its
-    character trigrams' table vectors, scaled so norms sit near 1.
+    """Hash-table embedding, (n, d): each token maps to the sum of its
+    character trigrams' table vectors over the square root of their count,
+    so norms sit near 1.
 
-    Position-independent and deterministic: same surface, same vector.
+    Position-independent and deterministic: same surface, same vector. Each
+    distinct surface is embedded once per call: its trigram rows are gathered
+    in blocks of at most n rows (a surface with more trigrams than that is a
+    block of its own) and summed row by row in trigram order, then the
+    vectors go back to token order. Nothing is kept between calls but the
+    read-only table of each (d, seed).
     """
     if d < 8:
         raise ValueError(f"embedding dim must be >= 8, got {d}")
     table = _vector_table(d, seed)
-    out = np.empty((len(tk.tokens), d))
-    for i, tok in enumerate(tk.tokens):
-        grams = _trigrams(tok)
-        idx = [zlib.crc32(g.encode("utf-8")) % _TABLE_SIZE for g in grams]
-        out[i] = table[idx].sum(axis=0) / np.sqrt(len(grams))
-    return out
+    row_of: dict[str, int] = {}
+    inverse = [row_of.setdefault(tok, len(row_of)) for tok in tk.tokens]
+    grams = [_trigram_crcs(surface) for surface in row_of]
+    ids = np.array([g for surface in grams for g in surface], dtype=np.int64) % _TABLE_SIZE
+    bounds = [0, *itertools.accumulate(map(len, grams))]
+    sums = np.empty((len(grams), d))
+    first = 0
+    while first < len(grams):
+        last = first + 1
+        while last < len(grams) and bounds[last + 1] - bounds[first] <= len(inverse):
+            last += 1
+        base = bounds[first]
+        rows = table[ids[base:bounds[last]]]
+        for r in range(first, last):
+            sums[r] = rows[bounds[r] - base:bounds[r + 1] - base].sum(axis=0)
+        del rows   # one block alive at a time, and none beside the output
+        first = last
+    sums /= np.sqrt([len(g) for g in grams])[:, None]
+    return sums[inverse]
 
 
 # -- embedding file format ---------------------------------------------------
@@ -141,11 +165,18 @@ def read_embedding_file(path) -> EmbeddingFile:
     if prov not in PROVENANCE_NAMES:
         raise ValueError(f"{path}: unknown provenance byte {prov}")
     need = _HEADER.size + n * 8 + n * d * 4
-    if len(raw) < need:
-        raise ValueError(f"{path}: truncated embedding file "
-                         f"(expected {need} bytes, found {len(raw)})")
-    off = np.frombuffer(raw, dtype="<u4", count=2 * n, offset=_HEADER.size)
-    offsets = [CharSpan(a, b) for a, b in off.reshape(n, 2).tolist()]
+    if len(raw) != need:
+        fault = ("truncated embedding file" if len(raw) < need
+                 else "trailing bytes after the payload")
+        raise ValueError(f"{path}: {fault} (expected {need} bytes, found {len(raw)})")
+    pairs = np.frombuffer(raw, dtype="<u4", count=2 * n,
+                          offset=_HEADER.size).reshape(n, 2).tolist()
+    try:
+        offsets = [CharSpan(a, b) for a, b in pairs]
+    except ValueError:   # CharSpan rejects a pair that does not have start < end
+        i, (a, b) = next((i, p) for i, p in enumerate(pairs) if p[1] <= p[0])
+        raise ValueError(f"{path}: token {i} has an empty or reversed offset pair "
+                         f"({a}, {b})") from None
     vec = np.frombuffer(raw, dtype="<f4", count=n * d,
                         offset=_HEADER.size + n * 8).reshape(n, d).copy()
     return EmbeddingFile(vec, offsets, PROVENANCE_NAMES[prov])

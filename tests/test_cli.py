@@ -324,6 +324,24 @@ def test_nan_features_exit_2_naming_the_record(tiny_pipeline, tmp_path, capsys):
     assert written == [s.id for s in split.test[1:]]
 
 
+def test_predict_on_an_embedding_file_with_trailing_bytes_exits_2_naming_it(tiny_pipeline,
+                                                                            tmp_path, capsys):
+    _, ds, run_dir, _ = tiny_pipeline
+    emb = tmp_path / "emb"
+    assert main(["embed", "--dataset", str(ds), "--out", str(emb)]) == 0
+    split = load_split(ds)
+    victim = emb / f"{split.test[0].id}.emb"
+    size = victim.stat().st_size
+    victim.write_bytes(victim.read_bytes() + bytes(12))
+    code = main(["predict", "--checkpoint", str(run_dir / "best.npz"), "--dataset", str(ds),
+                 "--embeddings", str(emb), "--out", str(tmp_path / "p.jsonl")])
+    assert code == 2
+    assert (f"{victim}: trailing bytes after the payload (expected {size} bytes, found "
+            f"{size + 12})" in capsys.readouterr().err)
+    written = list(load_predictions(tmp_path / "p.jsonl"))
+    assert written == [s.id for s in split.test[1:]]
+
+
 def test_eval_with_a_nan_score_exits_2_naming_the_line_and_record(tiny_pipeline, tmp_path,
                                                                    capsys):
     _, ds, _, preds = tiny_pipeline

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import re
+import zlib
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from spandet.data import (LABEL_HUMAN, LABEL_MACHINE, LABEL_MIXED,
                           synthetic_provider, tribert_to_intervals)
 from spandet.geometry import CharSpan
 from spandet.metrics import interval_to_sentence
-from spandet.textproc import tokenize, toy_embed
+from spandet.textproc import _vector_table, tokenize, toy_embed
 
 
 def test_annotation_validation_accepts_human_record():
@@ -279,11 +280,60 @@ def test_signal_makes_tokens_linearly_separable():
     assert acc >= 0.99
 
 
+def toy_embed_per_token(tk, d, seed):
+    """Reference toy embedding: one loop over tokens, each the sum of its
+    trigrams' table rows over the square root of their count."""
+    table = _vector_table(d, seed)
+    out = np.empty((len(tk.tokens), d))
+    for i, tok in enumerate(tk.tokens):
+        padded = "\x02" + tok + "\x03"
+        grams = [padded[j:j + 3] for j in range(len(padded) - 2)]
+        idx = [zlib.crc32(g.encode("utf-8")) % 4096 for g in grams]
+        out[i] = table[idx].sum(axis=0) / np.sqrt(len(grams))
+    return out
+
+
+EMBED_TEXTS = {
+    "repeated": "the cat and the dog and the cat. The cat! the the the",
+    "short": ", . ! ? a b I ; : ( ) - ' \" x y z 1 2 3",
+    "utf8": "Ünïcödé naïve café — 日本語のテキスト, ёжик в тумане; emoji 🙂🙂 ß ß",
+    "long_token": "a " + "".join(chr(97 + (i * 7) % 26) for i in range(5000)) + " b , a c.",
+}
+
+
+@pytest.mark.parametrize("d", [8, 32, 1024])
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("case", sorted(EMBED_TEXTS))
+def test_toy_embed_is_bitwise_the_per_token_reference(case, d, seed):
+    tk = tokenize(EMBED_TEXTS[case])
+    assert np.array_equal(toy_embed(tk, d, seed), toy_embed_per_token(tk, d, seed))
+
+
+@pytest.mark.parametrize("d, seed", [(8, 0), (32, 7)])
+def test_toy_embed_is_bitwise_the_reference_on_a_synthetic_corpus(d, seed):
+    split = synth_generate(SynthSpec(n_texts=40, style="multi", n_sentences=6), seed=13)
+    for s in split.train + split.val + split.test:
+        tk = tokenize(s.text)
+        assert np.array_equal(toy_embed(tk, d, seed), toy_embed_per_token(tk, d, seed)), s.id
+
+
+def test_cached_table_and_direction_survive_an_in_place_edit_of_the_features():
+    s = AnnotatedText("t", "a bc d bc a", [CharSpan(2, 6)], LABEL_MIXED)
+    want, _ = embed_with_signal(s, 16, 0, 2.0)
+    vec, _ = embed_with_signal(s, 16, 0, 2.0)
+    vec += 100.0
+    again, _ = embed_with_signal(s, 16, 0, 2.0)
+    assert np.array_equal(again, want)
+    for cached in (_vector_table(16, 0), signal_direction(16, 0)):
+        with pytest.raises(ValueError, match="read-only"):
+            cached[0] = 0.0
+
+
 def embed_with_signal_per_token(sample, d, seed, sigma):
     """Reference toy provider: one loop over tokens, each marked when its
     character midpoint lies in some interval ``[x1, x2)``."""
     tk = tokenize(sample.text)
-    vectors = toy_embed(tk, d, seed)
+    vectors = toy_embed_per_token(tk, d, seed)
     if sigma > 0 and sample.intervals:
         u = signal_direction(d, seed)
         for i, off in enumerate(tk.offsets):

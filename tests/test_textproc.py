@@ -115,6 +115,31 @@ def test_embedding_file_truncated(tmp_path):
         read_embedding_file(path)
 
 
+def test_embedding_file_with_trailing_bytes_is_rejected_naming_both_sizes(tmp_path):
+    vec = np.zeros((4, 8), dtype=np.float32)
+    path = tmp_path / "x.emb"
+    write_embedding_file(path, vec, [CharSpan(i, i + 1) for i in range(4)])
+    raw = path.read_bytes()
+    path.write_bytes(raw + bytes(12))
+    with pytest.raises(ValueError, match=f"{path}: trailing bytes after the payload "
+                       rf"\(expected {len(raw)} bytes, found {len(raw) + 12}\)"):
+        read_embedding_file(path)
+
+
+@pytest.mark.parametrize("pair", [(5, 2), (3, 3)], ids=["reversed", "empty"])
+def test_embedding_file_with_a_bad_offset_pair_names_the_file_and_token(tmp_path, pair):
+    vec = np.zeros((3, 8), dtype=np.float32)
+    path = tmp_path / "x.emb"
+    write_embedding_file(path, vec, [CharSpan(0, 1), CharSpan(2, 3), CharSpan(4, 6)])
+    raw = bytearray(path.read_bytes())
+    header = 4 + 1 + 4 + 4 + 1   # magic, version, n, d, provenance
+    raw[header + 8:header + 16] = np.array(pair, dtype="<u4").tobytes()
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match=rf"{path}: token 1 has an empty or reversed "
+                       rf"offset pair \({pair[0]}, {pair[1]}\)"):
+        read_embedding_file(path)
+
+
 def test_embedding_file_bad_magic(tmp_path):
     path = tmp_path / "x.emb"
     path.write_bytes(b"NOPE" + bytes(20))
