@@ -36,16 +36,26 @@ print(f"\nweights: {weights}")
 cw = T.Tensor(np.array([[p.c, p.w] for p, _ in preds]))
 logits = T.Tensor(np.array([np.log(s / (1 - s)) for _, s in preds]))
 dn_cw = T.Tensor(np.array([[0.26, 0.20], [0.80, 0.20]]))   # noised target copies
-total, terms = composite_loss(LayerPrediction(cw, logits), dn_cw,
-                              np.array([0, 1]), gts, weights)
+# The objective takes a micro-batch: one target list per record (here one
+# record), the records sharing the prediction rows equally, and each record's
+# count of denoising rows. It gives one breakdown per record.
+total, [terms] = composite_loss(LayerPrediction(cw, logits), dn_cw,
+                                np.array([0, 1]), [gts], weights, dn_rows=[2])
 print("per-term breakdown:")
 for k, v in terms.items():
     print(f"  {k:8s} {v:.4f}")
+
+# Two records in one node: each is matched on its own rows, and the second,
+# with no targets, pays only the focal term that pushes its scores down.
+both = LayerPrediction(T.Tensor(np.concatenate([cw.data, cw.data])),
+                       T.Tensor(np.concatenate([logits.data, logits.data])))
+_, (first, second) = composite_loss(both, None, None, [gts, []], weights)
+print(f"two records: totals {first['total']:.4f} and {second['total']:.4f}")
 
 # Everything is differentiable: one backward pass yields gradients for the
 # predicted geometry and confidences.
 cw2 = T.Tensor(cw.data, requires_grad=True)
 lg2 = T.Tensor(logits.data, requires_grad=True)
-total2, _ = composite_loss(LayerPrediction(cw2, lg2), None, None, gts, weights)
+total2, _ = composite_loss(LayerPrediction(cw2, lg2), None, None, [gts], weights)
 total2.backward()
 print(f"\ngradient wrt predicted (c, w):\n{np.array_str(cw2.grad, precision=3)}")

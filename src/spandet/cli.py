@@ -53,7 +53,7 @@ def _provider_for(dataset: str, embeddings: str | None):
     if not meta_path.is_file():
         raise ValueError("no --embeddings given and the dataset has no meta.json "
                          "describing a toy provider")
-    return D.synthetic_provider(json.loads(meta_path.read_text()))
+    return D.synthetic_provider(D.read_meta(meta_path))
 
 
 # -- commands -----------------------------------------------------------------

@@ -144,8 +144,29 @@ def load_split(dirpath) -> DatasetSplit:
         p = dirpath / f"{name}.jsonl"
         parts[name] = load_annotations(p) if p.exists() else []
     meta_path = dirpath / "meta.json"
-    meta = json.loads(meta_path.read_text()) if meta_path.exists() else {}
+    meta = read_meta(meta_path) if meta_path.exists() else {}
     return DatasetSplit(parts["train"], parts["val"], parts["test"], meta).check_disjoint()
+
+
+def read_meta(path) -> dict:
+    """A dataset's ``meta.json``, checked: a JSON object whose ``spec``, if
+    any, is an object with an int ``embed_dim`` and ``embed_seed`` and a
+    number ``signal`` where it gives them (what ``synthetic_provider`` reads).
+    Raises ``ValueError`` naming `path` and the bad field."""
+    try:
+        meta = json.loads(Path(path).read_text())
+    except ValueError as e:  # bad JSON or bad UTF-8
+        raise ValueError(f"{path}: not a JSON document: {e}") from e
+    if not isinstance(meta, dict):
+        raise ValueError(f"{path}: {meta!r} is not a JSON object")
+    spec = meta.get("spec", {})
+    if not isinstance(spec, dict):
+        raise ValueError(f"{path}: spec {spec!r} is not a JSON object")
+    for name, kinds in (("embed_dim", (int,)), ("embed_seed", (int,)), ("signal", (int, float))):
+        if name in spec and type(spec[name]) not in kinds:
+            raise ValueError(f"{path}: spec field {name} is {spec[name]!r}, not "
+                             f"{'an int' if kinds == (int,) else 'a number'}")
+    return meta
 
 
 # -- converters ---------------------------------------------------------------

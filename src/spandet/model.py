@@ -8,15 +8,17 @@ with content in cross-attention), and a shared two-layer head emits
 
 Denoising (DN) queries run through the same layers as one extra block of
 rows. In self-attention every DN row sees the learnable queries plus the rows
-of its own group; a constant block mask hides the other groups. The
-learnable queries run as their own block and never see DN rows, so their
-outputs are bitwise independent of the denoising configuration. Each decoder
-layer projects the memory's cross-attention keys and values once; both
-blocks read them.
+of its own group; a constant mask over group ids (``dn_attention_mask``)
+hides the other groups. The learnable queries run as their own block and
+never see DN rows, so their outputs are bitwise independent of the denoising
+configuration. Each decoder layer projects the memory's cross-attention keys
+and values once; both blocks read them.
 
-Training runs a micro-batch of records as one forward: the records' tokens,
-learnable queries and DN rows are stacked row by row, block by block, and
-every attention gets the rows' record ids, so no record sees another's rows.
+Every forward takes a micro-batch, a list of records (``predict`` and
+``ClassifierHead.classify`` wrap their one record in a list): the records'
+tokens, learnable queries and DN rows are stacked row by row, block by block,
+and every attention gets the rows' record ids, so no record sees another's
+rows. A micro-batch of one needs no record ids.
 """
 
 from __future__ import annotations
@@ -80,7 +82,7 @@ class ModelOutput:
     layers: list[LayerPrediction]
     dn_layers: list[T.Tensor]           # (D, 2) per decoder layer; empty if no dn
     dn_gt_index: np.ndarray | None      # (D,) originating GT per dn query, in its record
-    dn_rows: list[int] | None = None    # a micro-batch's DN rows per record; None: one record
+    dn_rows: list[int]                  # each record's DN row count
 
 
 @dataclass
@@ -99,6 +101,16 @@ def check_features(vectors: np.ndarray, cfg: ModelConfig | None = None) -> None:
         raise T.ShapeError(f"embedding dim {d} != configured d_model {cfg.d_model}")
     if cfg is not None and n > cfg.max_tokens:
         raise ValueError(f"{n} tokens exceed max_tokens {cfg.max_tokens}")
+
+
+def check_records(vectors, where: str, cfg: ModelConfig | None = None) -> None:
+    """A micro-batch's input: a non-empty list of records' features, each
+    passing ``check_features``; else a ``ShapeError`` naming what was passed."""
+    if not isinstance(vectors, (list, tuple)) or not vectors:
+        raise T.ShapeError(f"{where} takes a non-empty list of records' (n, d) features, "
+                           f"got a {type(vectors).__name__} of shape {np.shape(vectors)}")
+    for v in vectors:
+        check_features(v, cfg)
 
 
 class EncoderLayer(Module):
@@ -158,38 +170,28 @@ class DetectionModel(Module):
         self.class_head = Linear(h, 1, rng)
 
     def forward(self, vectors, positions, dn=None) -> ModelOutput:
-        """Run detection over one token sequence, or over a micro-batch.
-
-        One record: vectors (n, d_model) embeddings; positions (n,) normalized
-        token midpoints; dn: optional DenoisingBatch (training only). A
-        micro-batch passes a list of each, one entry per record (dn: None, or
-        a list whose entries may be None). Its records are stacked row by row:
-        tokens, learnable queries and DN rows, each block in record order. The
-        row-wise nodes run once over a stack, and attention sees a record's
-        own rows only (``tensor.attention``'s segments), so one tape serves
-        the micro-batch. Its outputs' rows keep that order: ``num_queries``
-        per record, and ``dn_rows`` says how many DN rows each record has.
-        """
+        """Run detection over a micro-batch: one (n, d_model) embedding array
+        per record in `vectors`, its (n,) normalized token midpoints in
+        `positions`, and in `dn` None or one optional DenoisingBatch per record
+        (training only). The records are stacked row by row, each block in
+        record order; the row-wise nodes run once over a stack, and attention
+        sees a record's own rows only (``tensor.attention``'s segments), so one
+        tape serves the micro-batch. The outputs keep that order:
+        ``num_queries`` rows per record, and ``dn_rows`` per record DN rows."""
         cfg = self.cfg
         h, nq = cfg.hidden, cfg.num_queries
-        batched = isinstance(vectors, (list, tuple))
-        if not batched:
-            vectors, positions, dn = [vectors], [positions], [dn]
-        elif dn is None:
-            dn = [None] * len(vectors)
-        for v in vectors:
-            check_features(v, cfg)
+        check_records(vectors, "forward", cfg)
         b = len(vectors)
-        dns = [d if d is not None and len(d.anchors) else None for d in dn]
+        dns = [d if d is not None and len(d.anchors) else None for d in dn or [None] * b]
+        if len(dns) != b:
+            raise T.ShapeError(f"forward: {len(dns)} denoising entries for {b} records")
         dn_rows = [0 if d is None else len(d.anchors) for d in dns]
 
         def stack(arrays):
             return arrays[0] if b == 1 else np.concatenate(arrays)
 
-        tok = lrn = dnr = None  # the record id of each token, learnable and dn row
-        if b > 1:
-            tok, lrn, dnr = (np.repeat(np.arange(b), c)
-                             for c in ([len(v) for v in vectors], nq, dn_rows))
+        tok, lrn, dnr = (np.repeat(np.arange(b), c)  # the record of each token, query, dn row
+                         for c in ([len(v) for v in vectors], nq, dn_rows))
 
         def segments(q_ids, *k_blocks):  # one record needs none
             return None if b == 1 else (q_ids, np.concatenate(k_blocks))
@@ -213,7 +215,7 @@ class DetectionModel(Module):
             anchor_d = T.Tensor(_logit(stack([np.asarray(d.anchors, dtype=np.float64)
                                               for d in live])))
             box_d = T.sigmoid(anchor_d)  # a constant
-            dn_mask = _dn_mask(nq, dns)
+            dn_mask = dn_attention_mask(b * nq, live)
             seg_self_d = segments(dnr, lrn, dnr)  # keys: the learnable rows, then the dn rows
             seg_cross_d = segments(dnr, tok)
 
@@ -242,43 +244,27 @@ class DetectionModel(Module):
                 dn_layers.append(box_d)
 
         gt_index = stack([d.gt_index for d in live]) if use_dn else None
-        return ModelOutput(layers, dn_layers, gt_index, dn_rows if batched else None)
+        return ModelOutput(layers, dn_layers, gt_index, dn_rows)
 
     def predict(self, vectors: np.ndarray, positions: np.ndarray) -> Prediction:
-        """Final-layer intervals and scores; builds no tape."""
+        """Final-layer intervals and scores of one record; builds no tape."""
         with T.no_grad():
-            final = self.forward(vectors, positions, dn=None).layers[-1]
+            final = self.forward([vectors], [positions], dn=None).layers[-1]
         return Prediction([Interval(float(c), float(w)) for c, w in final.cw.data],
                           [float(p) for p in T.expit(final.logits.data[:, 0])])
 
 
-def dn_attention_mask(n_prefix: int, d_total: int, n_groups: int) -> np.ndarray:
-    """Additive (d_total, n_prefix + d_total) mask for DN rows stored group by
-    group: 0 on the prefix and the row's own group, -inf on other groups."""
-    group = np.arange(d_total) * n_groups // d_total
+def dn_attention_mask(n_prefix: int, dns: list) -> np.ndarray:
+    """Additive (D, n_prefix + D) self-attention mask of the D DN rows of `dns`
+    (one DenoisingBatch per record, rows group by group) over the keys
+    [n_prefix learnable rows; the DN rows]. The groups are numbered across the
+    micro-batch, record after record: 0 on the learnable keys and on DN keys
+    of the row's own group, -inf on every other DN key."""
+    first = np.cumsum([0, *(d.n_groups for d in dns)])
+    group = np.concatenate([f + np.arange(len(d.anchors)) * d.n_groups // len(d.anchors)
+                            for f, d in zip(first, dns)])
     blocks = np.where(group[:, None] == group[None, :], 0.0, -np.inf)
-    return np.concatenate([np.zeros((d_total, n_prefix)), blocks], axis=1)
-
-
-def _dn_mask(n_prefix: int, dns: list) -> np.ndarray:
-    """The DN self-attention mask of a micro-batch whose records hold
-    `n_prefix` learnable rows each and the DN rows of `dns` (None: no DN rows),
-    over the keys [every record's learnable rows; every record's DN rows]:
-    each record's ``dn_attention_mask`` placed on its own rows and keys, -inf
-    across records. For one record it is that record's mask."""
-    b = len(dns)
-    rows = [0 if d is None else len(d.anchors) for d in dns]
-    d_total = sum(rows)
-    mask = np.full((d_total, b * n_prefix + d_total), -np.inf)
-    off = 0
-    for r, d in enumerate(dns):
-        if d is not None:
-            block = dn_attention_mask(n_prefix, rows[r], d.n_groups)
-            mask[off:off + rows[r], r * n_prefix:(r + 1) * n_prefix] = block[:, :n_prefix]
-            mask[off:off + rows[r], b * n_prefix + off:b * n_prefix + off + rows[r]] = \
-                block[:, n_prefix:]
-            off += rows[r]
-    return mask
+    return np.concatenate([np.zeros((len(group), n_prefix)), blocks], axis=1)
 
 
 def _logit(p: np.ndarray) -> np.ndarray:
@@ -300,21 +286,17 @@ class ClassifierHead(Module):
         self.lin1 = Linear(d_model, hidden, rng)
         self.lin2 = Linear(hidden, n_classes, rng)
 
-    def logits(self, vectors) -> T.Tensor:
-        """(1, n_classes) logits of the mean row of a record's ``(n, d_model)``
-        features, which must pass ``check_features``; for a micro-batch's list
-        of records, (B, n_classes), one row per record."""
-        batch = vectors if isinstance(vectors, (list, tuple)) else [vectors]
-        for v in batch:
-            check_features(v)
-        means = [v.mean(axis=0, keepdims=True) for v in batch]
+    def logits(self, vectors: list[np.ndarray]) -> T.Tensor:
+        """(B, n_classes) logits, one row per record of a micro-batch's list of
+        ``(n, d_model)`` features (``check_records``): each of the mean row."""
+        check_records(vectors, "logits")
         return self.lin2(T.relu(self.lin1(T.Tensor(
-            means[0] if len(means) == 1 else np.concatenate(means)))))
+            np.concatenate([v.mean(axis=0, keepdims=True) for v in vectors])))))
 
     def classify(self, vectors: np.ndarray) -> np.ndarray:
-        """(n_classes,) class probabilities."""
+        """(n_classes,) class probabilities of one record."""
         with T.no_grad():
-            return softmax(self.logits(vectors).data)[0]
+            return softmax(self.logits([vectors]).data)[0]
 
 
 def softmax(z: np.ndarray) -> np.ndarray:

@@ -10,7 +10,6 @@ embedder is a deterministic stand-in for desk-scale experiments.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import re
 import struct
 import zlib
@@ -82,10 +81,10 @@ def toy_embed(tk: TokenizedText, d: int, seed: int = 0) -> np.ndarray:
     so norms sit near 1.
 
     Position-independent and deterministic: same surface, same vector. Each
-    distinct surface is embedded once per call: its trigram rows are gathered
-    in blocks of at most n rows (a surface with more trigrams than that is a
-    block of its own) and summed row by row in trigram order, then the
-    vectors go back to token order. Nothing is kept between calls but the
+    distinct surface is embedded once per call: sorted longest first, every
+    surface with a j-th trigram adds that row to its sum at step j, so the
+    rows add in trigram order and the temporary memory is one (surfaces, d)
+    block whatever the longest token. Nothing is kept between calls but the
     read-only table of each (d, seed).
     """
     if d < 8:
@@ -95,21 +94,19 @@ def toy_embed(tk: TokenizedText, d: int, seed: int = 0) -> np.ndarray:
     inverse = [row_of.setdefault(tok, len(row_of)) for tok in tk.tokens]
     grams = [_trigram_crcs(surface) for surface in row_of]
     ids = np.array([g for surface in grams for g in surface], dtype=np.int64) % _TABLE_SIZE
-    bounds = [0, *itertools.accumulate(map(len, grams))]
-    sums = np.empty((len(grams), d))
-    first = 0
-    while first < len(grams):
-        last = first + 1
-        while last < len(grams) and bounds[last + 1] - bounds[first] <= len(inverse):
-            last += 1
-        base = bounds[first]
-        rows = table[ids[base:bounds[last]]]
-        for r in range(first, last):
-            sums[r] = rows[bounds[r] - base:bounds[r + 1] - base].sum(axis=0)
-        del rows   # one block alive at a time, and none beside the output
-        first = last
-    sums /= np.sqrt([len(g) for g in grams])[:, None]
-    return sums[inverse]
+    counts = np.array([len(g) for g in grams])
+    order = np.argsort(-counts, kind="stable")       # longest first
+    starts, longest = (np.cumsum(counts) - counts)[order], counts[order]
+    # at position j, the surfaces with a j-th trigram are the first k_j in that order
+    ks = np.searchsorted(-longest, -np.arange(longest[0]), "left")
+    firsts = np.cumsum(ks) - ks
+    at = np.arange(ks.sum()) - np.repeat(firsts, ks)   # the surface of each entry
+    by_position = ids[starts[at] + np.repeat(np.arange(len(ks)), ks)]
+    sums = np.zeros((len(grams), d))
+    for k, first in zip(ks, firsts):
+        sums[:k] += table[by_position[first:first + k]]
+    sums /= np.sqrt(longest)[:, None]
+    return sums[np.argsort(order)[inverse]]
 
 
 # -- embedding file format ---------------------------------------------------

@@ -16,10 +16,11 @@ epoch's permutation order, into runs whose token rows add up to at most
 ``MICRO_BATCH_ROWS``, and each run is one forward over the stacked records,
 one objective node per decoder layer (matching and scoring each record on
 its own rows) and one backward. Validation groups its records by the same
-rule. A record alone is a micro-batch of one, computed bit for bit as
-before; several records agree with it up to rounding, since the bits of one
-row of a matrix product depend on how many rows it has. Each epoch record
-counts its training micro-batches under ``"micro_batches"``.
+rule. The forward, the objective and the classifier head take nothing but
+micro-batches: a record alone is a micro-batch of one, and several records
+agree with their one-record micro-batches up to rounding, since the bits of
+one row of a matrix product depend on how many rows it has. Each epoch
+record counts its training micro-batches under ``"micro_batches"``.
 """
 
 from __future__ import annotations
@@ -131,55 +132,50 @@ TERMS = ("span", "giou", "focal", "dn_span", "dn_giou", "total")
 
 
 def composite_loss(layer: LayerPrediction, dn_cw: T.Tensor | None,
-                   dn_gt_index: np.ndarray | None, gts: list,
+                   dn_gt_index: np.ndarray | None, gts: list[list[Interval]],
                    weights: LossWeights = LossWeights(), dn_rows: list[int] | None = None):
-    """One decoder layer's weighted objective, as one tape node, plus a
-    per-term breakdown (``TERMS``, and ``"iou"``: the mean IoU of the matched
-    pairs, NaN without targets).
+    """One decoder layer's weighted objective over a micro-batch as one tape
+    node, and each record's per-term breakdown (``TERMS``, and ``"iou"``: the
+    mean IoU of the matched pairs, NaN without targets).
 
-    Matching runs over the learnable queries only; denoising queries are
-    paired with their originating targets by construction. Span L1 and gIoU
-    are computed once over every (query, target) pair: the match cost reads
-    them, and the matched terms gather from them. Total and gradients are
-    bitwise those of the same objective built from elementwise tensor ops.
-    Non-finite predictions raise ``NumericalError`` before matching.
-
-    A micro-batch's layer (``ModelOutput`` rows, record after record) passes
-    `dn_rows`, each record's DN row count, and one target list per record in
-    `gts`. The node then matches and scores each record on its own rows (an
-    equal share of the query rows, its DN rows in order) and sums their
-    objectives; the breakdown is one dict per record, and a ``NumericalError``
-    carries the position of its record.
-    """
-    one = dn_rows is None
-    records = [gts] if one else gts
-    if one:
-        dn_rows = [0 if dn_cw is None else len(dn_cw.data)]
+    `layer` holds ``ModelOutput`` rows, record after record; `gts` is one
+    target list per record, the records sharing the query rows equally, and
+    `dn_rows` each record's DN row count (None: no DN rows). Each record is
+    matched (learnable queries only; DN rows pair with their own targets)
+    and scored on its own rows. Span L1 and gIoU are computed once over every
+    (query, target) pair, for the match cost and the matched terms alike.
+    Total and gradients are bitwise those of the same objective built from
+    elementwise tensor ops. Non-finite predictions raise ``NumericalError``,
+    carrying the position of its record, before matching."""
     cw, logits = layer.cw, layer.logits
-    nq = cw.shape[0] // len(records)
-    totals, terms, vjps = [], [], []
-    start = 0
-    for r, (targets, d) in enumerate(zip(records, dn_rows)):
+    if not (isinstance(gts, (list, tuple)) and gts and cw.shape[0] % len(gts) == 0
+            and all(isinstance(g, (list, tuple)) for g in gts)):
+        kinds = [type(g).__name__ for g in gts] if isinstance(gts, (list, tuple)) else ""
+        raise T.ShapeError(f"composite_loss takes one target list per record, the records "
+                           f"sharing {cw.shape[0]} query rows equally; got a "
+                           f"{type(gts).__name__} {kinds}".rstrip())
+    dn_rows, n_dn = dn_rows or [0] * len(gts), 0 if dn_cw is None else dn_cw.shape[0]
+    if len(dn_rows) != len(gts) or sum(dn_rows) != n_dn:
+        raise T.ShapeError(f"composite_loss: dn_rows {dn_rows} do not split {n_dn} DN rows "
+                           f"over {len(gts)} records")
+    nq = cw.shape[0] // len(gts)
+    records = []
+    for r, (targets, d, start) in enumerate(zip(gts, dn_rows, np.cumsum([0, *dn_rows]))):
         q, dn = slice(r * nq, (r + 1) * nq), slice(start, start + d)
-        start += d
         if not (np.isfinite(cw.data[q]).all() and np.isfinite(logits.data[q]).all()):
             raise NumericalError("non-finite predictions", record=r)
-        total, breakdown, vjp = _record_objective(
-            cw.data[q], logits.data[q], dn_cw.data[dn] if d else None,
-            dn_gt_index[dn] if d else None, targets, weights)
-        totals.append(total)
-        terms.append(breakdown)
-        vjps.append(vjp)
-    use_dn = start > 0
+        records.append(_record_objective(cw.data[q], logits.data[q], dn_cw.data[dn] if d else None,
+                                         dn_gt_index[dn] if d else None, targets, weights))
+    totals, terms, vjps = zip(*records)
 
     def vjp(g):
         g_cw, g_logits, g_dn = zip(*(f(g) for f in vjps))
-        q_rows = [nq] * len(records)
+        q_rows = [nq] * len(gts)
         return _stack_rows(g_cw, q_rows), _stack_rows(g_logits, q_rows), _stack_rows(g_dn, dn_rows)
 
-    node = T.custom(sum(totals), (cw, logits, dn_cw) if use_dn else (cw, logits), vjp,
+    node = T.custom(sum(totals), (cw, logits) if dn_cw is None else (cw, logits, dn_cw), vjp,
                     "objective")
-    return node, terms[0] if one else terms
+    return node, list(terms)
 
 
 def _record_objective(cw: np.ndarray, logits: np.ndarray, dn_cw: np.ndarray | None,
@@ -233,14 +229,12 @@ def _record_objective(cw: np.ndarray, logits: np.ndarray, dn_cw: np.ndarray | No
 
 
 def _stack_rows(blocks, rows: list[int]) -> np.ndarray | None:
-    """Per-record (rows, 2) or (rows, 1) gradient blocks stacked in record
-    order, zeros for a None block; None when every block is."""
+    """Per-record gradient blocks of `rows` rows each stacked in record order,
+    zeros for a None block; None when every block is."""
     if all(b is None for b in blocks):
         return None
-    if len(blocks) == 1:
-        return blocks[0]
-    width = next(b for b in blocks if b is not None).shape[1]
-    return np.concatenate([np.zeros((n, width)) if b is None else b
+    tail = next(b for b in blocks if b is not None).shape[1:]
+    return np.concatenate([np.zeros((n, *tail)) if b is None else b
                            for b, n in zip(blocks, rows)])
 
 
@@ -250,11 +244,11 @@ def _mean_terms(l1: np.ndarray, giou: np.ndarray) -> tuple[float, float]:
     return l1.sum() * inv, (1.0 - giou).sum() * inv
 
 
-def detection_loss(out: ModelOutput, gts: list, weights: LossWeights = LossWeights()):
-    """Sum of the composite objective over the auxiliary and final layers,
-    and each layer's breakdown, in decoder order. A micro-batch's output
-    (``out.dn_rows`` set) takes one target list per record in `gts` and gives
-    each record's list of layer breakdowns."""
+def detection_loss(out: ModelOutput, gts: list[list[Interval]],
+                   weights: LossWeights = LossWeights()):
+    """Sum of the composite objective over the auxiliary and final layers of
+    a micro-batch's output, one target list per record in `gts`, and each
+    record's list of layer breakdowns, in decoder order."""
     total = None
     layers = []
     for li, layer in enumerate(out.layers):
@@ -262,9 +256,7 @@ def detection_loss(out: ModelOutput, gts: list, weights: LossWeights = LossWeigh
         t, terms = composite_loss(layer, dn_cw, out.dn_gt_index, gts, weights, out.dn_rows)
         total = t if total is None else total + t
         layers.append(terms)
-    if out.dn_rows is not None:
-        layers = [list(record) for record in zip(*layers)]
-    return total, layers
+    return total, [list(record) for record in zip(*layers)]
 
 
 # -- optimizer and schedule ---------------------------------------------------
@@ -502,8 +494,7 @@ def train(split, provider: Provider, model_cfg: ModelConfig,
     def batch_loss(idxs):
         vecs, poss, gts = zip(*(cache[i] for i in idxs))
         dnbs = [make_denoising(g, model_cfg, rng) for g in gts]  # in record order
-        loss, records = detection_loss(model.forward(list(vecs), list(poss), dnbs),
-                                       list(gts), weights)
+        loss, records = detection_loss(model.forward(vecs, poss, dnbs), gts, weights)
         epoch_terms.extend(records)
         return loss, [sum(layer["total"] for layer in r) for r in records]
 
@@ -533,9 +524,9 @@ def train(split, provider: Provider, model_cfg: ModelConfig,
             with T.no_grad():
                 for mb in micro_batches(range(len(val_cache)), [len(c[0]) for c in val_cache]):
                     vecs, poss, gts = zip(*(val_cache[i] for i in mb))
-                    out = model.forward(list(vecs), list(poss), None)
+                    out = model.forward(vecs, poss, None)
                     try:
-                        _, records = detection_loss(out, list(gts), weights)
+                        _, records = detection_loss(out, gts, weights)
                     except NumericalError as e:
                         raise NumericalError(f"{e} on validation record "
                                              f"{split.val[mb[e.record or 0]].id} "

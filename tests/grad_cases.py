@@ -102,7 +102,7 @@ GRAD_CASES = {
         LayerPrediction(T.sigmoid(R.reshape(R.slice_(t, np.s_[0:2, :]), (4, 2))),
                         R.reshape(R.slice_(t, np.s_[2, :]), (4, 1))),
         T.sigmoid(R.reshape(R.mul(R.slice_(t, np.s_[1:3, :]), 0.5), (4, 2))),
-        np.array([0, 1, 0, 1]), a["gts"])[0],
+        np.array([0, 1, 0, 1]), [a["gts"]], dn_rows=[4])[0],
     # the classifier's loss on a (1, 12) row of logits
     "cross_entropy": lambda t, a: cross_entropy(R.reshape(t, (1, 12)), a["label"]),
     # the cross-attention's per-head interleave, 2 heads of width 2

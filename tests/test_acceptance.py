@@ -75,7 +75,7 @@ def test_c01_gradient_fidelity():
         dnb = make_denoising(gts, cfg, np.random.default_rng(seed))
 
         def build_loss():
-            return detection_loss(model.forward(vec, pos, dnb), gts)[0]
+            return detection_loss(model.forward([vec], [pos], [dnb]), [gts])[0]
 
         if _min_kink_distance(build_loss) < 1e-3:
             continue  # a kink within the straddle window: redraw
@@ -174,7 +174,7 @@ def test_c04_objective_oracle():
     for seed in range(50):
         cw, logits, dn, dn_idx, gts = random_instance(seed, n=3, m=2)
         layer = LayerPrediction(T.Tensor(cw), T.Tensor(logits))
-        total, _ = composite_loss(layer, T.Tensor(dn), dn_idx, gts, lw)
+        total, _ = composite_loss(layer, T.Tensor(dn), dn_idx, [gts], lw, [len(dn)])
         want = reference_objective([tuple(r) for r in cw], list(logits),
                                    [tuple(r) for r in dn], dn_idx,
                                    [(g.c, g.w) for g in gts], lw)
@@ -200,11 +200,11 @@ def test_c05_denoising_invariance():
     for groups in (0, 1, 5):
         gcfg = ModelConfig(**{**vars(cfg), "dn_groups": groups})
         dnb = make_denoising(gts, gcfg, np.random.default_rng(groups))
-        out = model.forward(vec, pos, dnb)
+        out = model.forward([vec], [pos], [dnb])
         outputs[groups] = [(l.cw.data.copy(), l.logits.data.copy()) for l in out.layers]
         # gradients of the learnable-query terms only
-        learnable_only = ModelOutput(out.layers, [], None)
-        loss, _ = detection_loss(learnable_only, gts)
+        learnable_only = ModelOutput(out.layers, [], None, [0])
+        loss, _ = detection_loss(learnable_only, [gts])
         model.zero_grad()
         loss.backward()
         grads[groups] = {k: (None if p.grad is None else p.grad.copy())

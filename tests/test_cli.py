@@ -593,3 +593,27 @@ def test_lines_that_are_not_json_objects_name_the_path_and_line(tiny_pipeline, t
     assert main(["convert", "--format", "roft", "--input", str(src), "--out", str(out),
                  "--overwrite", "--strict"]) == 2
     assert f"error: {src}:2: expected a JSON object, got int" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("meta, message", [
+    ("[1, 2]", "[1, 2] is not a JSON object"),
+    ('{"spec": [3]}', "spec [3] is not a JSON object"),
+    ('{"spec": {"embed_dim": "x"}}', "spec field embed_dim is 'x', not an int"),
+    ('{"spec": {"signal": true}}', "spec field signal is True, not a number"),
+    ('{"seed": 1,}', "not a JSON document: Expecting property name"),
+])
+def test_a_broken_dataset_meta_exits_2_naming_the_file_and_field(tiny_pipeline, tmp_path,
+                                                                 capsys, meta, message):
+    _, ds, run_dir, _ = tiny_pipeline
+    bad = tmp_path / "ds"
+    bad.mkdir()
+    for name in ("train", "val", "test"):
+        (bad / f"{name}.jsonl").write_bytes((ds / f"{name}.jsonl").read_bytes())
+    (bad / "meta.json").write_text(meta)
+    for argv in (["embed", "--dataset", str(bad), "--out", str(tmp_path / "emb")],
+                 ["train", "--dataset", str(bad), "--out", str(tmp_path / "run"),
+                  "--epochs", "1", "--overwrite"],
+                 ["predict", "--checkpoint", str(run_dir / "best.npz"), "--dataset", str(bad),
+                  "--out", str(tmp_path / "p.jsonl")]):
+        assert main(argv) == 2, argv[0]
+        assert f"error: {bad / 'meta.json'}: {message}" in capsys.readouterr().err, argv[0]

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import re
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -307,6 +308,18 @@ EMBED_TEXTS = {
 def test_toy_embed_is_bitwise_the_per_token_reference(case, d, seed):
     tk = tokenize(EMBED_TEXTS[case])
     assert np.array_equal(toy_embed(tk, d, seed), toy_embed_per_token(tk, d, seed))
+
+
+def test_toy_embed_of_a_5000_character_token_peaks_under_4_mb():
+    tk = tokenize(EMBED_TEXTS["long_token"])
+    toy_embed(tk, 1024, 0)  # the table is made once per (d, seed), outside the measurement
+    tracemalloc.start()
+    try:
+        toy_embed(tk, 1024, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6, f"peak {peak / 1e6:.1f} MB"
 
 
 @pytest.mark.parametrize("d, seed", [(8, 0), (32, 7)])

@@ -78,11 +78,26 @@ def test_projection_shape_and_zero_weights():
 def test_forward_rejects_bad_input():
     m = tiny_model()
     with pytest.raises(ValueError, match="empty"):
-        m.forward(np.zeros((0, 16)), np.zeros(0))
+        m.forward([np.zeros((0, 16))], [np.zeros(0)])
     with pytest.raises(T.ShapeError, match="d_model"):
-        m.forward(np.zeros((3, 8)), np.zeros(3))
+        m.forward([np.zeros((3, 8))], [np.zeros(3)])
     with pytest.raises(ValueError, match="max_tokens"):
-        m.forward(np.zeros((65, 16)), np.zeros(65))
+        m.forward([np.zeros((65, 16))], [np.zeros(65)])
+
+
+def test_forward_and_logits_take_only_lists_of_records_and_say_what_was_passed():
+    vec, pos = rand_input()
+    m, head = tiny_model(), ClassifierHead(16, 8, 3)
+    for call, where in ((lambda x: m.forward(x, pos), "forward"),
+                        (lambda x: head.logits(x), "logits")):
+        with pytest.raises(T.ShapeError, match=re.escape(
+                f"{where} takes a non-empty list of records' (n, d) features, got a ndarray "
+                f"of shape (10, 16)")):
+            call(vec)
+        with pytest.raises(T.ShapeError, match=re.escape("got a list of shape (0,)")):
+            call([])
+    with pytest.raises(T.ShapeError, match=r"^forward: 1 denoising entries for 2 records$"):
+        m.forward([vec, vec], [pos, pos], [None])
 
 
 def test_check_features_is_the_rule_forward_applies():
@@ -92,7 +107,7 @@ def test_check_features_is_the_rule_forward_applies():
              (np.zeros((65, 16)), ValueError, "65 tokens exceed max_tokens 64")]
     for vectors, kind, message in cases:
         for check in (lambda: check_features(vectors, cfg),
-                      lambda: tiny_model().forward(vectors, np.zeros(len(vectors)))):
+                      lambda: tiny_model().forward([vectors], [np.zeros(len(vectors))])):
             with pytest.raises(kind, match=f"^{re.escape(message)}$"):
                 check()
     check_features(np.zeros((64, 16)), cfg)
@@ -175,7 +190,7 @@ def test_encoder_permutation_equivariance():
 
 def test_single_token_input_finite():
     m = tiny_model()
-    out = m.forward(np.ones((1, 16)), np.array([0.5]))
+    out = m.forward([np.ones((1, 16))], [np.array([0.5])])
     assert np.isfinite(out.layers[-1].cw.data).all()
     assert np.isfinite(out.layers[-1].logits.data).all()
 
@@ -187,7 +202,7 @@ def test_untrained_predictions_are_valid_intervals():
     assert len(pred.intervals) == 2 and len(pred.scores) == 2
     for iv in pred.intervals:
         assert 0.0 < iv.c < 1.0 and 0.0 < iv.w < 1.0
-    for layer in m.forward(vec, pos).layers[:-1]:  # the auxiliary layers
+    for layer in m.forward([vec], [pos]).layers[:-1]:  # the auxiliary layers
         for c, w in layer.cw.data:
             assert 0.0 < c < 1.0 and 0.0 < w < 1.0
     assert all(0.0 < s < 1.0 for s in pred.scores)
@@ -206,11 +221,11 @@ def test_denoising_presence_leaves_learnable_outputs_bitwise_identical():
     m = DetectionModel(cfg, seed=5)
     vec, pos = rand_input(seed=6)
     gts = [Interval(0.3, 0.2), Interval(0.7, 0.25)]
-    base = m.forward(vec, pos, None)
+    base = m.forward([vec], [pos], None)
     for groups in (1, 3, 5):
         cfg_g = ModelConfig(**{**TINY, "dn_groups": groups})
         dnb = make_denoising(gts, cfg_g, np.random.default_rng(groups))
-        out = m.forward(vec, pos, dnb)
+        out = m.forward([vec], [pos], [dnb])
         assert len(out.dn_layers) == cfg.dec_layers
         assert out.dn_layers[-1].shape == (groups * 2, 2)
         for la, lb in zip(base.layers, out.layers):
@@ -226,7 +241,7 @@ def test_anchor_identity_update():
         lin.bias.data[:] = 0.0
     m.query_anchors.data[:] = 0.0
     vec, pos = rand_input(seed=8)
-    out = m.forward(vec, pos)
+    out = m.forward([vec], [pos])
     for layer in out.layers:
         assert np.array_equal(layer.cw.data, np.full((2, 2), 0.5))
 
@@ -263,7 +278,7 @@ def test_classifier_probs_sum_to_one():
 def test_classify_is_the_reference_softmax_of_the_logits():
     head = ClassifierHead(16, 8, 3, seed=5)
     x = np.random.default_rng(6).normal(size=(4, 16))
-    assert np.array_equal(head.classify(x), R.softmax(head.logits(x)).data[0])
+    assert np.array_equal(head.classify(x), R.softmax(head.logits([x])).data[0])
 
 
 def test_classify_rejects_an_empty_record_by_the_feature_contract():
@@ -424,17 +439,27 @@ def forward_per_group(m, vectors, positions, dn):
         content_d = dec.cross_ffn(content_d, pe_d, dec.cross_attn.keys_values(memory, pe_mem))
         anchor_d = anchor_d + m.span_head(content_d)
         dn_layers.append(T.sigmoid(anchor_d))
-    return ModelOutput(layers, dn_layers, dn.gt_index)
+    return ModelOutput(layers, dn_layers, dn.gt_index, [len(dn.anchors)])
 
 
 def test_dn_attention_mask_layout():
-    mask = dn_attention_mask(n_prefix=2, d_total=6, n_groups=3)
+    dnb = make_denoising([Interval(0.3, 0.2), Interval(0.7, 0.2)],
+                         ModelConfig(**{**TINY, "dn_groups": 3}), np.random.default_rng(0))
+    mask = dn_attention_mask(2, [dnb])
     assert mask.shape == (6, 8)
     visible = np.isfinite(mask)
     assert visible[:, :2].all()                       # every row sees the prefix
     group = np.repeat(np.arange(3), 2)
     assert np.array_equal(visible[:, 2:], group[:, None] == group[None, :])
     assert np.all(mask[visible] == 0.0)
+
+
+def test_dn_attention_mask_numbers_each_records_groups_after_the_previous_records():
+    cfg = ModelConfig(**{**TINY, "dn_groups": 2})
+    one, three = ([Interval(0.2 + 0.3 * j, 0.2) for j in range(n)] for n in (1, 3))
+    dns = [make_denoising(g, cfg, np.random.default_rng(0)) for g in (three, one)]
+    group = np.array([0, 0, 0, 1, 1, 1, 2, 3])
+    assert np.array_equal(np.isfinite(dn_attention_mask(0, dns)), group[:, None] == group)
 
 
 @pytest.mark.parametrize("groups", [1, 2, 5])
@@ -447,10 +472,11 @@ def test_masked_dn_matches_per_group_reference(groups, n_targets):
     dnb = make_denoising(gts, cfg, np.random.default_rng(groups * 10 + n_targets))
 
     results = []
-    for run in (m.forward, lambda v, p, d: forward_per_group(m, v, p, d)):
+    for run in (lambda v, p, d: m.forward([v], [p], [d]),
+                lambda v, p, d: forward_per_group(m, v, p, d)):
         out = run(vec, pos, dnb)
         m.zero_grad()
-        detection_loss(out, gts)[0].backward()
+        detection_loss(out, [gts])[0].backward()
         grads = {k: p.grad.copy() for k, p in m.parameters().items()}
         results.append((out, grads))
     (fast, g_fast), (ref, g_ref) = results
@@ -481,7 +507,7 @@ def forward_two_sigmoid(m, vectors, positions, dn):
     if use_dn:
         content_d = T.concat([m.dn_content] * len(dn.anchors), axis=0)
         anchor_d = T.Tensor(_logit(np.asarray(dn.anchors, dtype=np.float64)))
-        dn_mask = dn_attention_mask(cfg.num_queries, len(dn.anchors), dn.n_groups)
+        dn_mask = dn_attention_mask(cfg.num_queries, [dn])
     layers, dn_layers = [], []
     for dec in m.decoder:
         pe_l = T.anchor_encode(T.sigmoid(anchor_l), h, cfg.temperature)
@@ -500,7 +526,8 @@ def forward_two_sigmoid(m, vectors, positions, dn):
             content_d = dec.cross_ffn(content_d, pe_d, kv)
             anchor_d = anchor_d + m.span_head(content_d)
             dn_layers.append(T.sigmoid(anchor_d))
-    return ModelOutput(layers, dn_layers, dn.gt_index if use_dn else None)
+    return ModelOutput(layers, dn_layers, dn.gt_index if use_dn else None,
+                       [len(dn.anchors) if use_dn else 0])
 
 
 @pytest.mark.parametrize("groups", [0, 1, 5])
@@ -513,10 +540,11 @@ def test_one_sigmoid_per_box_matches_the_two_sigmoid_reference(groups, n_targets
     dnb = make_denoising(gts, cfg, np.random.default_rng(groups * 10 + n_targets))
 
     results = []
-    for run in (m.forward, lambda v, p, d: forward_two_sigmoid(m, v, p, d)):
+    for run in (lambda v, p, d: m.forward([v], [p], [d]),
+                lambda v, p, d: forward_two_sigmoid(m, v, p, d)):
         out = run(vec, pos, dnb)
         m.zero_grad()
-        detection_loss(out, gts)[0].backward()
+        detection_loss(out, [gts])[0].backward()
         results.append((out, {k: p.grad for k, p in m.parameters().items()}))
     (fast, g_fast), (ref, g_ref) = results
 
@@ -702,45 +730,20 @@ def test_tape_node_counts_at_the_c08_config():
                       dec_layers=3, num_queries=1, max_tokens=128, dn_groups=5)
     m = DetectionModel(cfg, seed=0)
     vec, pos = rand_input(n=60, d=32, seed=1)
-    out = m.forward(vec, pos)
+    out = m.forward([vec], [pos])
     assert len(tape_nodes([t for layer in out.layers for t in (layer.cw, layer.logits)])) == 269
     gts = [Interval(0.6, 0.5)]
-    out = m.forward(vec, pos, make_denoising(gts, cfg, np.random.default_rng(2)))
-    nodes = tape_nodes([detection_loss(out, gts)[0]])
+    out = m.forward([vec], [pos], [make_denoising(gts, cfg, np.random.default_rng(2))])
+    nodes = tape_nodes([detection_loss(out, [gts])[0]])
     assert len(nodes) == 352
     # one sigmoid per box: the initial learnable box, then each layer's box in both blocks
     assert sum(node._op == "sigmoid" for node in nodes) == 1 + 2 * cfg.dec_layers
 
 
-def test_a_one_record_micro_batch_is_the_one_record_path_bit_for_bit():
-    cfg = ModelConfig(d_model=32, hidden=32, heads=4, ffn_mult=4, enc_layers=3,
-                      dec_layers=3, num_queries=1, max_tokens=128, dn_groups=5)
-    m = DetectionModel(cfg, seed=0)
-    vec, pos = rand_input(n=60, d=32, seed=1)
-    gts = [Interval(0.6, 0.5)]
-    dnb = make_denoising(gts, cfg, np.random.default_rng(2))
-    runs = []
-    for batch in (False, True):
-        m.zero_grad()
-        out = m.forward([vec], [pos], [dnb]) if batch else m.forward(vec, pos, dnb)
-        loss, terms = detection_loss(out, [gts] if batch else gts)
-        nodes = len(tape_nodes([loss]))
-        loss.backward()
-        runs.append((out, float(loss.data), terms[0] if batch else terms, nodes,
-                     {k: p.grad.copy() for k, p in m.parameters().items()}))
-    (one, loss1, terms1, nodes1, grads1), (mb, loss2, terms2, nodes2, grads2) = runs
-    assert mb.dn_rows == [len(dnb.anchors)] and one.dn_rows is None
-    for a, b in zip(one.layers, mb.layers):
-        assert np.array_equal(a.cw.data, b.cw.data) and np.array_equal(a.logits.data, b.logits.data)
-    assert all(np.array_equal(a.data, b.data) for a, b in zip(one.dn_layers, mb.dn_layers))
-    assert loss1 == loss2 and terms1 == terms2 and nodes1 == nodes2 == 352
-    assert all(np.array_equal(grads1[k], grads2[k]) for k in grads1)
-
-
 def test_predict_builds_no_tape_and_matches_the_taped_forward():
     m = tiny_model(seed=13)
     vec, pos = rand_input(seed=14)
-    taped = m.forward(vec, pos)
+    taped = m.forward([vec], [pos])
     seen = []
     forward = m.forward
 
@@ -759,4 +762,4 @@ def test_predict_builds_no_tape_and_matches_the_taped_forward():
     final = taped.layers[-1]
     assert pred.intervals == [Interval(float(c), float(w)) for c, w in final.cw.data]
     assert pred.scores == [float(p) for p in T.sigmoid(final.logits).data[:, 0]]
-    assert m.forward(vec, pos).layers[-1].cw._parents  # the tape is back on
+    assert m.forward([vec], [pos]).layers[-1].cw._parents  # the tape is back on

@@ -472,8 +472,9 @@ def test_attention_at_llm_shapes_matches_the_normalized_formulation(seed):
 @pytest.mark.parametrize("seed", range(3))
 def test_attention_under_a_dn_mask_matches_the_normalized_formulation(seed):
     from spandet.model import dn_attention_mask
+    from spandet.training import DenoisingBatch
     rng = np.random.default_rng(seed)
-    mask = dn_attention_mask(n_prefix=3, d_total=20, n_groups=5)
+    mask = dn_attention_mask(3, [DenoisingBatch(np.zeros((20, 2)), np.zeros(20, int), 5)])
     _assert_attention_matches_normalized(_qkv(rng, 20, 23, 4, 8), 4, mask, seed=seed)
 
 

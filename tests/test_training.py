@@ -6,13 +6,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spandet import tensor as T
 from spandet import training
 from spandet.data import SynthSpec, synth_generate, synthetic_provider
 from spandet.geometry import Interval, clamp_interval, span_to_cw
 from spandet.matching import hungarian
-from spandet.model import LayerPrediction, ModelConfig, ModelOutput
+from spandet.model import LayerPrediction, ModelConfig, ModelOutput, dn_attention_mask
 from spandet.training import (ADAM_EPS, WEIGHT_DECAY, AdamW, LossWeights, NumericalError,
                               TrainConfig, clip_grad_norm, composite_loss, cosine_lr,
                               cross_entropy, detection_loss, focal_loss,
@@ -138,7 +140,8 @@ def test_composite_matches_independent_reference():
         cw, logits, dn, dn_idx, gts = random_instance(seed)
         layer = LayerPrediction(T.Tensor(cw), T.Tensor(logits))
         dn_t = T.Tensor(dn) if dn is not None else None
-        total, _ = composite_loss(layer, dn_t, dn_idx, gts, lw)
+        total, _ = composite_loss(layer, dn_t, dn_idx, [gts], lw,
+                                  None if dn is None else [len(dn)])
         want = reference_objective([tuple(r) for r in cw], list(logits),
                                    [tuple(r) for r in dn] if dn is not None else None,
                                    dn_idx, [(g.c, g.w) for g in gts], lw)
@@ -193,7 +196,9 @@ def test_gathered_objective_bitwise_equals_per_pair_reference():
         instances.append(random_instance(1000 + seed, n=n, m=int(rng.integers(1, n + 1)),
                                          dn_count=int(rng.integers(1, 8))))
     for k, inst in enumerate(instances):
-        total, grads = _loss_and_grads(lambda *a: composite_loss(*a)[0], *inst)
+        total, grads = _loss_and_grads(
+            lambda layer, dn, idx, gts: composite_loss(layer, dn, idx, [gts],
+                                                       dn_rows=[len(dn.data)])[0], *inst)
         ref, ref_grads = _loss_and_grads(composite_loss_per_pair, *inst)
         assert total == ref, f"instance {k}"
         for name, g, want in zip(("cw", "logits", "dn"), grads, ref_grads):
@@ -212,7 +217,7 @@ def test_match_probabilities_do_not_overflow(monkeypatch):
     layer = LayerPrediction(T.Tensor([[0.5, 0.2], [0.3, 0.2]]), T.Tensor([-800.0, 0.0]))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        composite_loss(layer, None, None, [Interval(0.5, 0.2)])
+        composite_loss(layer, None, None, [[Interval(0.5, 0.2)]])
     assert seen["probs"][0] == 0.0 and seen["probs"][1] == 0.5
 
 
@@ -221,7 +226,7 @@ def test_composite_perfect_prediction_hits_focal_floor():
     cw = np.array([[0.3, 0.2], [0.7, 0.2], [0.5, 0.1]])
     logits = np.array([40.0, 40.0, -40.0])     # matched certain, unmatched zero
     layer = LayerPrediction(T.Tensor(cw), T.Tensor(logits))
-    total, terms = composite_loss(layer, None, None, gts)
+    total, [terms] = composite_loss(layer, None, None, [gts])
     assert terms["span"] == 0.0
     assert abs(terms["giou"]) < 1e-12
     assert float(total.data) < 1e-8
@@ -231,7 +236,7 @@ def test_composite_no_targets_only_background_focal():
     cw = np.array([[0.4, 0.2]])
     logits = np.array([0.7])
     layer = LayerPrediction(T.Tensor(cw), T.Tensor(logits))
-    total, terms = composite_loss(layer, None, None, [])
+    total, [terms] = composite_loss(layer, None, None, [[]])
     assert terms["span"] == 0.0 and terms["giou"] == 0.0
     assert terms["dn_span"] == 0.0 and terms["dn_giou"] == 0.0
     want = focal_loss(0.7, 0)
@@ -243,29 +248,29 @@ def test_breakdown_reports_the_matched_iou():
     gts = [Interval(0.3, 0.2), Interval(0.7, 0.2)]
     cw = np.array([[0.3, 0.2], [0.5, 0.1], [0.75, 0.2]])
     layer = LayerPrediction(T.Tensor(cw), T.Tensor([3.0, -3.0, 3.0]))
-    _, terms = composite_loss(layer, None, None, gts)
+    _, [terms] = composite_loss(layer, None, None, [gts])
     # query 0 covers target 0 exactly; query 2 overlaps target 1 on [0.65, 0.8]
     assert terms["iou"] == pytest.approx((1.0 + 0.15 / 0.25) / 2, abs=1e-12)
-    _, terms = composite_loss(layer, None, None, [])
+    _, [terms] = composite_loss(layer, None, None, [[]])
     assert math.isnan(terms["iou"])
 
 
 def test_objective_linear_in_weights():
     cw, logits, dn, dn_idx, gts = random_instance(99)
     layer = LayerPrediction(T.Tensor(cw), T.Tensor(logits))
-    base, _ = composite_loss(layer, T.Tensor(dn), dn_idx, gts, LossWeights())
+    base, _ = composite_loss(layer, T.Tensor(dn), dn_idx, [gts], LossWeights(), [len(dn)])
     doubled, _ = composite_loss(LayerPrediction(T.Tensor(cw), T.Tensor(logits)),
-                                T.Tensor(dn), dn_idx, gts,
-                                LossWeights(20.0, 2.0, 8.0, 18.0, 6.0))
+                                T.Tensor(dn), dn_idx, [gts],
+                                LossWeights(20.0, 2.0, 8.0, 18.0, 6.0), [len(dn)])
     assert abs(float(doubled.data) - 2 * float(base.data)) < 1e-9
 
 
 def test_removing_dn_leaves_learnable_terms_unchanged():
     cw, logits, dn, dn_idx, gts = random_instance(17)
     with_dn = composite_loss(LayerPrediction(T.Tensor(cw), T.Tensor(logits)),
-                             T.Tensor(dn), dn_idx, gts)[1]
+                             T.Tensor(dn), dn_idx, [gts], dn_rows=[len(dn)])[1][0]
     without = composite_loss(LayerPrediction(T.Tensor(cw), T.Tensor(logits)),
-                             None, None, gts)[1]
+                             None, None, [gts])[1][0]
     for key in ("span", "giou", "focal"):
         assert with_dn[key] == without[key]
 
@@ -275,9 +280,25 @@ def test_composite_gradient_on_two_query_instance():
     cw_t, logits_t = T.Tensor(cw, requires_grad=True), T.Tensor(logits, requires_grad=True)
 
     def build_loss():
-        return composite_loss(LayerPrediction(cw_t, logits_t), None, None, gts)[0]
+        return composite_loss(LayerPrediction(cw_t, logits_t), None, None, [gts])[0]
 
     assert T.grad_check(build_loss, [cw_t, logits_t], 1e-5) < 1e-4
+
+
+def test_composite_loss_takes_one_target_list_per_record_and_says_what_was_passed():
+    layer = LayerPrediction(T.Tensor(np.tile([[0.5, 0.2]], (4, 1))), T.Tensor(np.zeros((4, 1))))
+    for gts, got in (([Interval(0.5, 0.2)], "a list ['Interval']"),
+                     ([[], [], []], "a list ['list', 'list', 'list']"),
+                     ([], "a list []"), (np.zeros(4), "a ndarray")):
+        with pytest.raises(T.ShapeError, match=re.escape(
+                f"one target list per record, the records sharing 4 query rows equally; "
+                f"got {got}")):
+            composite_loss(layer, None, None, gts)
+    dn = T.Tensor(np.full((3, 2), 0.5))
+    with pytest.raises(T.ShapeError, match=re.escape("dn_rows [2, 0] do not split 3 DN rows")):
+        composite_loss(layer, dn, np.zeros(3, int), [[Interval(0.5, 0.2)], []], dn_rows=[2, 0])
+    with pytest.raises(T.ShapeError, match=re.escape("dn_rows [0, 0] do not split 3 DN rows")):
+        composite_loss(layer, dn, np.zeros(3, int), [[Interval(0.5, 0.2)], []])
 
 
 def test_weights_validated():
@@ -685,12 +706,12 @@ def test_training_run_directory(tmp_path):
 def test_detection_loss_sums_layers():
     cw, logits, _, _, gts = random_instance(31, n=2, m=1, with_dn=False)
     layer = LayerPrediction(T.Tensor(cw), T.Tensor(logits))
-    out1 = ModelOutput([layer], [], None)
+    out1 = ModelOutput([layer], [], None, [0])
     layer_a = LayerPrediction(T.Tensor(cw), T.Tensor(logits))
     layer_b = LayerPrediction(T.Tensor(cw), T.Tensor(logits))
-    out2 = ModelOutput([layer_a, layer_b], [], None)
-    one, _ = detection_loss(out1, gts)
-    two, _ = detection_loss(out2, gts)
+    out2 = ModelOutput([layer_a, layer_b], [], None, [0])
+    one, _ = detection_loss(out1, [gts])
+    two, _ = detection_loss(out2, [gts])
     assert abs(float(two.data) - 2 * float(one.data)) < 1e-12
 
 
@@ -738,8 +759,8 @@ def test_a_micro_batched_step_matches_per_record_steps(seed):
         nq = model.cfg.num_queries
         singles, losses, terms = [], [], []
         for (vec, pos, gts), dnb in zip(records, dnbs):
-            out = model.forward(vec, pos, dnb)
-            loss, layer_terms = detection_loss(out, gts)
+            out = model.forward([vec], [pos], [dnb])
+            loss, [layer_terms] = detection_loss(out, [gts])
             loss.backward()  # summed over the records, as a step sums them
             singles.append(out)
             losses.append(float(loss.data))
@@ -770,6 +791,64 @@ def test_a_micro_batched_step_matches_per_record_steps(seed):
         assert _close(p.grad, want[k]), k
 
 
+@given(st.lists(st.tuples(st.integers(1, 20), st.integers(0, 3)), min_size=1, max_size=4),
+       st.integers(0, 5), st.integers(0, 2 ** 16))
+@settings(max_examples=50, deadline=None, derandomize=True)
+def test_generated_micro_batches_match_their_records_alone(shapes, dn_groups, seed):
+    """1-4 records of 1-20 tokens and 0-3 targets, DN groups 0-5: each record's
+    rows and keys of the micro-batch's DN mask are its one-record mask, and the
+    micro-batch's outputs, loss terms and gradients are the per-record ones."""
+    cfg = ModelConfig(d_model=8, hidden=8, heads=2, ffn_mult=2, enc_layers=1, dec_layers=2,
+                      num_queries=3, max_tokens=20, dn_groups=dn_groups)
+    rng = np.random.default_rng(seed)
+    records = []
+    for n, m in shapes:
+        w = rng.uniform(0.05, 0.3, size=m)
+        records.append((rng.normal(size=(n, 8)), np.sort(rng.uniform(size=n)),
+                        [Interval(rng.uniform(x / 2, 1 - x / 2), x) for x in w]))
+    dnbs = [make_denoising(gts, cfg, rng) for _, _, gts in records]
+    b, nq = len(records), cfg.num_queries
+
+    live = [d for d in dnbs if d is not None]
+    mask = dn_attention_mask(b * nq, live) if live else None
+    off = 0
+    for r, d in enumerate(dnbs):
+        if d is not None:
+            rows = np.arange(off, off + len(d.anchors))
+            keys = np.r_[r * nq:(r + 1) * nq, b * nq + rows]
+            assert np.array_equal(mask[rows][:, keys], dn_attention_mask(nq, [d]))
+            off += len(d.anchors)
+
+    model = training.DetectionModel(cfg, seed=seed % 5)
+    singles, terms = [], []
+    for (vec, pos, gts), dnb in zip(records, dnbs):
+        out = model.forward([vec], [pos], [dnb])
+        loss, [layer_terms] = detection_loss(out, [gts])
+        loss.backward()  # summed over the records, as a step sums them
+        singles.append(out)
+        terms.append(layer_terms)
+    want = {k: p.grad for k, p in model.parameters().items()}
+    model.zero_grad()
+    out = model.forward([r[0] for r in records], [r[1] for r in records], dnbs)
+    loss, batch_terms = detection_loss(out, [r[2] for r in records])
+    loss.backward()
+
+    for li, layer in enumerate(out.layers):
+        assert _close(layer.cw.data, np.concatenate([o.layers[li].cw.data for o in singles]))
+        assert _close(layer.logits.data,
+                      np.concatenate([o.layers[li].logits.data for o in singles]))
+        if live:
+            assert _close(out.dn_layers[li].data, np.concatenate(
+                [o.dn_layers[li].data for o in singles if o.dn_layers]))
+    for got, ref in zip(batch_terms, terms, strict=True):
+        for g, w in zip(got, ref, strict=True):
+            for key in w:
+                assert (math.isnan(g[key]) and math.isnan(w[key])) or _close(g[key], w[key]), key
+    for k, p in model.parameters().items():
+        assert (p.grad is None) == (want[k] is None), k
+        assert p.grad is None or _close(p.grad, want[k]), k
+
+
 def test_a_micro_batched_classifier_step_matches_per_record_steps():
     rng = np.random.default_rng(5)
     head = training.ClassifierHead(16, 8, 3, seed=2)
@@ -779,7 +858,7 @@ def test_a_micro_batched_classifier_step_matches_per_record_steps():
         warnings.simplefilter("error")
         singles, total = [], 0.0
         for v, y in zip(feats, labels):
-            logits = head.logits(v)
+            logits = head.logits([v])
             loss = cross_entropy(logits, y)
             loss.backward()
             singles.append(logits.data[0])
