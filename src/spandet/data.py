@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .geometry import CharSpan, merge_spans
-from .textproc import token_positions, tokenize, toy_embed
+from .textproc import check_embed_dim, token_positions, tokenize, toy_embed
 
 LABEL_HUMAN = 0
 LABEL_MACHINE = 1
@@ -382,9 +382,15 @@ def embed_with_signal(sample: AnnotatedText, d: int, seed: int,
 
 
 def synthetic_provider(meta: dict):
-    """Build the embedding provider recorded in a generated dataset's meta."""
+    """Build the embedding provider recorded in a generated dataset's meta.
+    An ``embed_dim`` that ``toy_embed`` cannot take raises ``ValueError``
+    here, naming the field, before any record is embedded."""
     spec = meta.get("spec", {})
     d = int(spec.get("embed_dim", 32))
+    try:
+        check_embed_dim(d)
+    except ValueError as e:
+        raise ValueError(f"spec field embed_dim: {e}") from e
     seed = int(spec.get("embed_seed", 0))
     sigma = float(spec.get("signal", 0.0))
 

@@ -327,8 +327,8 @@ def _read_checkpoint(path, kind: str, types: dict[str, type],
     with the checkpoint's weights loaded. The config's keys must be exactly
     those of `types`, each value a number (not a bool), and an int where its
     type is ``int``. Any other fault, including a ``ValueError`` from `build`
-    or from loading the weights, raises ``ValueError`` naming `path`; a
-    missing file raises ``FileNotFoundError``."""
+    or from loading the weights and a weight that is not finite, raises
+    ``ValueError`` naming `path`; a missing file raises ``FileNotFoundError``."""
     try:
         with np.load(path, allow_pickle=False) as z:
             meta = json.loads(str(z["__meta__"]))
@@ -353,6 +353,9 @@ def _read_checkpoint(path, kind: str, types: dict[str, type],
     try:
         model = build(**config)
         model.load_state(state)
+        for name, p in model.parameters().items():
+            if not np.isfinite(p.data).all():
+                raise ValueError(f"weight {name} is not finite")
     except ValueError as e:
         raise ValueError(f"{path}: {kind} {e}") from e
     return model

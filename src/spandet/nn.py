@@ -46,7 +46,7 @@ class Module:
         for k, p in params.items():
             if p.data.shape != state[k].shape:
                 raise ValueError(f"{k}: shape {state[k].shape} != expected {p.data.shape}")
-            p.data = np.array(state[k], dtype=np.float64)
+            p.data[...] = state[k]  # in place: an optimizer may hold p.data as a view
 
     def state(self) -> dict[str, np.ndarray]:
         return {k: p.data.copy() for k, p in self.parameters().items()}

@@ -7,9 +7,14 @@ creation order, are the tape; ``backward`` replays it once in reverse, which
 is topological since a node is created after its parents. ``backward`` alone
 stores gradients: it skips parents that need none, stores a first
 contribution without a copy, and copies an array an earlier parent of the
-same node already stored. Interior nodes drop their gradient once passed on,
-so only leaves end a backward holding one, never two the same buffer. Every
-tensor holds double precision, so finite difference checks have headroom.
+same node already stored; a tensor with a ``grad_slot`` (a parameter that
+``training.AdamW`` holds) copies its first contribution into that slot
+instead. Later contributions add in place. Interior nodes drop their
+gradient once passed on, so only leaves end a backward holding one, never
+two the same buffer. A parameter's ``grad`` is then its slice of the
+optimizer's gradient vector, which the next backward overwrites: copy it to
+keep it. Every tensor holds double precision, so finite difference checks
+have headroom.
 
 The cost of the engine is Python per tape node, not arithmetic, so it holds
 only the ops the detector calls, and the layers it repeats are fused: one
@@ -79,7 +84,8 @@ def no_grad() -> Iterator[None]:
 
 
 class Tensor:
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "_op", "_id")
+    __slots__ = ("data", "requires_grad", "grad", "grad_slot", "_parents", "_backward", "_op",
+                 "_id")
 
     def __init__(self, data, requires_grad: bool = False):
         if isinstance(data, Tensor):
@@ -87,6 +93,7 @@ class Tensor:
         self.data = np.array(data, dtype=np.float64)
         self.requires_grad = requires_grad
         self.grad: np.ndarray | None = None
+        self.grad_slot: np.ndarray | None = None  # where a first gradient goes, if set
         self._parents: tuple[Tensor, ...] = ()
         self._backward: Callable[[np.ndarray], Sequence] | None = None  # the vjp
         self._op = "leaf"
@@ -147,12 +154,16 @@ class Tensor:
             node._op = "consumed"
 
     def _accumulate(self, g: np.ndarray) -> None:
-        """Add a gradient contribution. The first one is stored as it is:
-        ``backward`` hands over an array that no other tensor holds."""
-        if self.grad is None:
-            self.grad = g if isinstance(g, np.ndarray) else np.asarray(g)
+        """Add a gradient contribution in place. The first one is copied into
+        ``grad_slot`` when there is one, else stored as it is: ``backward``
+        hands over an array that no other tensor holds."""
+        if self.grad is not None:
+            self.grad += g
+        elif self.grad_slot is not None:
+            self.grad = self.grad_slot
+            self.grad[...] = g
         else:
-            self.grad = self.grad + g
+            self.grad = g if isinstance(g, np.ndarray) else np.asarray(g)
 
     def __add__(self, other):
         return add(self, other)
@@ -179,7 +190,7 @@ def _result(data: np.ndarray, parents: Sequence[Tensor], vjp: Callable, op: str)
     out = Tensor.__new__(Tensor)
     out.data = data
     out.requires_grad = _grad_enabled and any(p.requires_grad for p in parents)
-    out.grad = None
+    out.grad = out.grad_slot = None
     out._id = next(_ids)
     if out.requires_grad:
         out._parents = tuple(parents)

@@ -75,6 +75,12 @@ def _vector_table(d: int, seed: int) -> np.ndarray:
     return _table_cache[key]
 
 
+def check_embed_dim(d: int) -> None:
+    """The floor on ``toy_embed``'s width."""
+    if d < 8:
+        raise ValueError(f"embedding dim must be >= 8, got {d}")
+
+
 def toy_embed(tk: TokenizedText, d: int, seed: int = 0) -> np.ndarray:
     """Hash-table embedding, (n, d): each token maps to the sum of its
     character trigrams' table vectors over the square root of their count,
@@ -87,8 +93,7 @@ def toy_embed(tk: TokenizedText, d: int, seed: int = 0) -> np.ndarray:
     block whatever the longest token. Nothing is kept between calls but the
     read-only table of each (d, seed).
     """
-    if d < 8:
-        raise ValueError(f"embedding dim must be >= 8, got {d}")
+    check_embed_dim(d)
     table = _vector_table(d, seed)
     row_of: dict[str, int] = {}
     inverse = [row_of.setdefault(tok, len(row_of)) for tok in tk.tokens]

@@ -269,41 +269,50 @@ WEIGHT_DECAY = 1e-4   # AdamW's decoupled decay, for both heads
 
 class AdamW:
     """Adam with bias correction and decoupled weight decay, at ``ADAM_BETAS``,
-    ``ADAM_EPS`` and ``WEIGHT_DECAY``; each step takes its learning rate."""
+    ``ADAM_EPS`` and ``WEIGHT_DECAY``; each step takes its learning rate. The
+    weights, their gradients and the moments are the flat vectors ``data``,
+    ``grad``, ``m`` and ``v``; each ``p.data`` and ``p.grad_slot`` views its slice."""
 
     def __init__(self, params: dict[str, T.Tensor]):
         self.params = params
         self.t = 0
-        self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
-        self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
+        self.data = np.concatenate([p.data.ravel() for p in params.values()])
+        self.grad, self.m, self.v, *self._scratch = (np.zeros_like(self.data) for _ in range(5))
+        self._sizes = [p.size for p in params.values()]
+        for p, end in zip(params.values(), np.cumsum(self._sizes)):
+            at = slice(end - p.size, end)
+            p.data, p.grad_slot = self.data[at].reshape(p.shape), self.grad[at].reshape(p.shape)
 
     def step(self, lr: float) -> None:
+        """``p *= 1 - lr wd; m = b1 m + (1 - b1) g; v = b2 v + (1 - b2) g g;
+        p -= lr (m / bc1) / (sqrt(v / bc2) + eps)`` in that order, over whole
+        vectors via two scratch ones; ``where`` skips parameters without a grad."""
         b1, b2 = ADAM_BETAS
         self.t += 1
         bc1 = 1.0 - b1 ** self.t
         bc2 = 1.0 - b2 ** self.t
-        for k, p in self.params.items():
-            g = p.grad
-            if g is None:
-                continue
-            p.data *= 1.0 - lr * WEIGHT_DECAY
-            self.m[k] = b1 * self.m[k] + (1.0 - b1) * g
-            self.v[k] = b2 * self.v[k] + (1.0 - b2) * g * g
-            p.data -= lr * (self.m[k] / bc1) / (np.sqrt(self.v[k] / bc2) + ADAM_EPS)
+        live = np.repeat([p.grad is not None for p in self.params.values()], self._sizes)
+        d, g, m, v, (s, u) = self.data, self.grad, self.m, self.v, self._scratch
+        np.multiply(d, 1.0 - lr * WEIGHT_DECAY, out=d, where=live)
+        np.add(np.multiply(b1, m, out=u), np.multiply(1.0 - b1, g, out=s), out=m, where=live)
+        np.multiply(np.multiply(1.0 - b2, g, out=s), g, out=s)
+        np.add(np.multiply(b2, v, out=u), s, out=v, where=live)
+        np.multiply(lr, np.divide(m, bc1, out=s), out=s)
+        np.add(np.sqrt(np.divide(v, bc2, out=u), out=u), ADAM_EPS, out=u)
+        np.subtract(d, np.divide(s, u, out=s), out=d, where=live)
 
     def zero_grad(self) -> None:
+        self.grad.fill(0.0)
         for p in self.params.values():
             p.zero_grad()
 
 
-def clip_grad_norm(params: dict[str, T.Tensor], max_norm: float) -> float:
-    total = math.sqrt(sum(float((p.grad * p.grad).sum())
-                          for p in params.values() if p.grad is not None))
+def clip_grad_norm(grad: np.ndarray, max_norm: float) -> float:
+    """The L2 norm of the flat gradient `grad`, scaled in place to `max_norm`
+    when longer (0 never rescales)."""
+    total = math.sqrt(float(grad @ grad))
     if max_norm > 0 and total > max_norm:
-        scale = max_norm / total
-        for p in params.values():
-            if p.grad is not None:
-                p.grad = p.grad * scale
+        grad *= max_norm / total
     return total
 
 
@@ -397,8 +406,8 @@ def micro_batches(idxs, rows) -> list[list[int]]:
     return runs
 
 
-def _fit(params: dict[str, T.Tensor], opt: AdamW, rng: np.random.Generator,
-         ids: list[str], rows: list[int], epochs: int, batch_size: int,
+def _fit(opt: AdamW, rng: np.random.Generator, ids: list[str], rows: list[int],
+         epochs: int, batch_size: int,
          batch_loss: Callable[[list[int]], tuple[T.Tensor, list[float]]],
          lr_at: Callable[[int], float], max_norm: float):
     """The mini-batch loop of both heads; yields ``(epoch, lr, pre-clip
@@ -433,11 +442,8 @@ def _fit(params: dict[str, T.Tensor], opt: AdamW, rng: np.random.Generator,
                     bad = next((i for i, x in zip(mb, losses) if not math.isfinite(x)), mb[0])
                     raise NumericalError(f"non-finite loss on sample {ids[bad]} at epoch {epoch}")
                 loss.backward()
-            inv = 1.0 / len(idxs)
-            for p in params.values():
-                if p.grad is not None:
-                    p.grad = p.grad * inv
-            norm = clip_grad_norm(params, max_norm)
+            opt.grad *= 1.0 / len(idxs)
+            norm = clip_grad_norm(opt.grad, max_norm)
             norms.append(norm)
             step += 1
             if not math.isfinite(norm):
@@ -468,8 +474,7 @@ def train(split, provider: Provider, model_cfg: ModelConfig,
     if not split.train:
         raise ValueError("training split is empty")
     model = DetectionModel(model_cfg, seed=train_cfg.seed)
-    params = model.parameters()
-    opt = AdamW(params)
+    opt = AdamW(model.parameters())
     rng = np.random.default_rng(train_cfg.seed)
 
     cache = _prepare(split.train, provider, model_cfg)
@@ -503,7 +508,7 @@ def train(split, provider: Provider, model_cfg: ModelConfig,
     best_epoch = -1
     best_state = None
     for epoch, lr, norms, count in _fit(
-            params, opt, rng, [s.id for s in split.train], [len(c[0]) for c in cache],
+            opt, rng, [s.id for s in split.train], [len(c[0]) for c in cache],
             train_cfg.epochs, train_cfg.batch_size, batch_loss,
             lambda step: cosine_lr(step, total_steps, train_cfg.lr, warmup), train_cfg.grad_clip):
         record = {"epoch": epoch, "lr": lr, "micro_batches": count,
@@ -553,25 +558,21 @@ def train(split, provider: Provider, model_cfg: ModelConfig,
     return TrainResult(model, log, best_epoch, best_val)
 
 
-def cross_entropy(logits: T.Tensor, label) -> T.Tensor:
-    """``-log softmax(logits)[label]`` of one row of logits, ``(C,)`` or
-    ``(1, C)``, as one 0-d node; the log is clamped at ``LOG_EPS`` and passes
-    no gradient below it. Forward and backward are the expressions of the
-    softmax, index, clamped log and negation chain, in its order, so value
-    and gradient are bitwise that chain's. A micro-batch's ``(B, C)`` logits
-    take one label per row, and the node's value is the sum of the rows'."""
+def cross_entropy(logits: T.Tensor, labels: list[int]) -> T.Tensor:
+    """The sum over a micro-batch's ``(B, C)`` logits, one label per row, of
+    ``-log softmax(row)[label]``, as one 0-d node; the log is clamped at
+    ``LOG_EPS`` and passes no gradient below it. Forward and backward are the
+    expressions of the softmax, index, clamped log and negation chain, in its
+    order, so value and gradient are bitwise that chain's."""
     probs = softmax(logits.data)
-    labels = np.atleast_1d(label)
-    rows = probs.reshape(len(labels), -1)
     at = (np.arange(len(labels)), labels)
-    p = rows[at]
+    p = probs[at]
     x = np.maximum(p, T.LOG_EPS)
     dydx = np.where(p > T.LOG_EPS, 1.0 / x, 0.0)
 
     def vjp(g):
-        g_probs = np.zeros_like(rows)
+        g_probs = np.zeros_like(probs)
         g_probs[at] += g * -1.0 * dydx
-        g_probs = g_probs.reshape(probs.shape)
         dot = (g_probs * probs).sum(axis=-1, keepdims=True)
         return ((g_probs - dot) * probs,)
 
@@ -603,14 +604,13 @@ def train_classifier(samples, labels: list[int], provider: Provider,
             raise ValueError(f"record {s.id}: embedding dim {v.shape[1]} != {width}, "
                              f"the width of the first record {samples[0].id}")
     head = ClassifierHead(width, hidden, n_classes, seed=seed)
-    params = head.parameters()
-    opt = AdamW(params)
+    opt = AdamW(head.parameters())
 
     def batch_loss(idxs):  # no per-record losses: a non-finite loss names the first record
         logits = head.logits([feats[i] for i in idxs])
         return cross_entropy(logits, [int(labels[i]) for i in idxs]), ()
 
-    for _ in _fit(params, opt, np.random.default_rng(seed), [s.id for s in samples],
+    for _ in _fit(opt, np.random.default_rng(seed), [s.id for s in samples],
                   [len(v) for v in feats], epochs, batch_size, batch_loss,
                   lambda step: lr, 0.0):
         pass

@@ -104,7 +104,7 @@ GRAD_CASES = {
         T.sigmoid(R.reshape(R.mul(R.slice_(t, np.s_[1:3, :]), 0.5), (4, 2))),
         np.array([0, 1, 0, 1]), [a["gts"]], dn_rows=[4])[0],
     # the classifier's loss on a (1, 12) row of logits
-    "cross_entropy": lambda t, a: cross_entropy(R.reshape(t, (1, 12)), a["label"]),
+    "cross_entropy": lambda t, a: cross_entropy(R.reshape(t, (1, 12)), [a["label"]]),
     # the cross-attention's per-head interleave, 2 heads of width 2
     "concat_per_head": lambda t, a: R.sum_(R.mul(
         _concat_per_head(t, R.mul(t, 0.7) + a["w"], 2), a["w38"])),

@@ -391,6 +391,17 @@ def _without_weight(name):
     return write
 
 
+def _with_weight_entry(name, value):
+    """A writer of checkpoint `best` to `bad`, with `value` at entry 0 of
+    weight `name`."""
+    def write(bad, best):
+        with np.load(best) as z:
+            arrays = {k: z[k] for k in z.files}
+        arrays[f"param/{name}"].flat[0] = value
+        np.savez(bad, **arrays)
+    return write
+
+
 @pytest.mark.parametrize("write, message", [
     (lambda bad, best: bad.write_bytes(best.read_bytes()[:300]),
      "not a readable checkpoint archive with a JSON __meta__"),
@@ -405,9 +416,12 @@ def _without_weight(name):
     (_with_config(d_model=-5), "detector d_model must be at least 1, got -5"),
     (_without_weight("proj.weight"),
      "detector state mismatch: missing ['proj.weight'], extra []"),
+    (_with_weight_entry("class_head.bias", np.nan),
+     "detector weight class_head.bias is not finite"),
+    (_with_weight_entry("proj.weight", np.inf), "detector weight proj.weight is not finite"),
 ], ids=["truncated", "plain-text", "string-heads", "null-d_model", "zero-heads",
         "indivisible-heads", "zero-ffn_mult", "zero-max_tokens", "negative-d_model",
-        "missing-weight"])
+        "missing-weight", "nan-weight", "inf-weight"])
 def test_unreadable_or_mistyped_checkpoint_exits_2_naming_the_path(tiny_pipeline, tmp_path,
                                                                    capsys, write, message):
     _, ds, run_dir, _ = tiny_pipeline
@@ -600,6 +614,7 @@ def test_lines_that_are_not_json_objects_name_the_path_and_line(tiny_pipeline, t
     ('{"spec": [3]}', "spec [3] is not a JSON object"),
     ('{"spec": {"embed_dim": "x"}}', "spec field embed_dim is 'x', not an int"),
     ('{"spec": {"signal": true}}', "spec field signal is True, not a number"),
+    ('{"spec": {"embed_dim": 4}}', "spec field embed_dim: embedding dim must be >= 8, got 4"),
     ('{"seed": 1,}', "not a JSON document: Expecting property name"),
 ])
 def test_a_broken_dataset_meta_exits_2_naming_the_file_and_field(tiny_pipeline, tmp_path,

@@ -15,7 +15,8 @@ from spandet.data import SynthSpec, synth_generate, synthetic_provider
 from spandet.geometry import Interval, clamp_interval, span_to_cw
 from spandet.matching import hungarian
 from spandet.model import LayerPrediction, ModelConfig, ModelOutput, dn_attention_mask
-from spandet.training import (ADAM_EPS, WEIGHT_DECAY, AdamW, LossWeights, NumericalError,
+from spandet.training import (ADAM_BETAS, ADAM_EPS, WEIGHT_DECAY, AdamW, LossWeights,
+                              NumericalError,
                               TrainConfig, clip_grad_norm, composite_loss, cosine_lr,
                               cross_entropy, detection_loss, focal_loss,
                               make_denoising, train, train_classifier)
@@ -315,17 +316,17 @@ def test_cross_entropy_bitwise_equals_the_reference_chain():
     cases.append((np.array([0.0, 40.0, -3.0]), 0))  # p(label) ~ 4e-18: the log clamps
     assert R.softmax(T.Tensor(cases[-1][0])).data[0] < T.LOG_EPS
     for k, (z, y) in enumerate(cases):
-        for row, idx in ((z, y), (z[None, :], (0, y))):  # (C,) and the head's (1, C)
-            results = []
-            for loss_fn in (lambda t: cross_entropy(t, y),
-                            lambda t: R.scale(R.log(R.slice_(R.softmax(t), idx)), -1.0)):
-                logits = T.Tensor(row, requires_grad=True)
-                loss = loss_fn(logits)
-                loss.backward()
-                results.append((loss.data, logits.grad))
-            (value, grad), (ref_value, ref_grad) = results
-            assert value.shape == () and grad.shape == row.shape
-            assert np.array_equal(value, ref_value) and np.array_equal(grad, ref_grad), k
+        row = z[None, :]  # a micro-batch of one: the head's (1, C)
+        results = []
+        for loss_fn in (lambda t: cross_entropy(t, [y]),
+                        lambda t: R.scale(R.log(R.slice_(R.softmax(t), (0, y))), -1.0)):
+            logits = T.Tensor(row, requires_grad=True)
+            loss = loss_fn(logits)
+            loss.backward()
+            results.append((loss.data, logits.grad))
+        (value, grad), (ref_value, ref_grad) = results
+        assert value.shape == () and grad.shape == row.shape
+        assert np.array_equal(value, ref_value) and np.array_equal(grad, ref_grad), k
     assert not grad.any()  # no gradient below the clamp
 
 
@@ -489,15 +490,16 @@ def test_more_intervals_than_queries_are_rejected_before_the_first_step(monkeypa
 
 def test_adamw_zero_gradient_moves_p_by_the_decay_alone():
     p = T.Tensor(np.array([1.0, -2.0]), requires_grad=True)
-    p.grad = np.zeros(2)
-    AdamW({"p": p}).step(0.1)
+    opt = AdamW({"p": p})
+    p._accumulate(np.zeros(2))  # as backward hands a gradient over: into p's slot
+    opt.step(0.1)
     assert np.array_equal(p.data, np.array([1.0, -2.0]) * (1.0 - 0.1 * WEIGHT_DECAY))
 
 
 def test_adamw_first_step_magnitude_is_lr():
     p = T.Tensor(np.array([0.0]), requires_grad=True)
-    p.grad = np.array([3.7])
     opt = AdamW({"p": p})
+    p._accumulate(np.array([3.7]))
     opt.step(0.01)
     assert abs(abs(p.data[0]) - 0.01) < 1e-6   # bias-corrected sign step
     assert p.data[0] < 0
@@ -506,20 +508,159 @@ def test_adamw_first_step_magnitude_is_lr():
 def test_adamw_decoupled_decay():
     # the decay scales p and stays out of the moments, which see the raw gradient
     p = T.Tensor(np.array([2.0]), requires_grad=True)
-    p.grad = np.array([3.7])
     opt = AdamW({"p": p})
+    p._accumulate(np.array([3.7]))
     opt.step(0.1)
     assert abs(p.data[0] - (2.0 * (1 - 0.1 * WEIGHT_DECAY) - 0.1 * 3.7 / (3.7 + ADAM_EPS))) < 1e-12
 
 
 def test_clip_grad_norm():
     p = T.Tensor(np.array([0.0, 0.0]), requires_grad=True)
-    p.grad = np.array([3.0, 4.0])
-    total = clip_grad_norm({"p": p}, 0.1)
+    opt = AdamW({"p": p})
+    p._accumulate(np.array([3.0, 4.0]))
+    total = clip_grad_norm(opt.grad, 0.1)
     assert abs(total - 5.0) < 1e-12
     assert abs(np.linalg.norm(p.grad) - 0.1) < 1e-12
 
 
+class PerTensorAdamW:
+    """The per-tensor AdamW that the flat one replaced, as the reference: a
+    loop over the parameters with name-keyed moments, skipping a parameter
+    without a gradient."""
+
+    def __init__(self, params):
+        self.params = params
+        self.t = 0
+        self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
+        self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
+
+    def step(self, lr):
+        b1, b2 = ADAM_BETAS
+        self.t += 1
+        bc1 = 1.0 - b1 ** self.t
+        bc2 = 1.0 - b2 ** self.t
+        for k, p in self.params.items():
+            g = p.grad
+            if g is None:
+                continue
+            p.data *= 1.0 - lr * WEIGHT_DECAY
+            self.m[k] = b1 * self.m[k] + (1.0 - b1) * g
+            self.v[k] = b2 * self.v[k] + (1.0 - b2) * g * g
+            p.data -= lr * (self.m[k] / bc1) / (np.sqrt(self.v[k] / bc2) + ADAM_EPS)
+
+
+def clip_grad_norm_per_tensor(params, max_norm):
+    """The per-tensor clip that the flat one replaced, as the reference."""
+    total = math.sqrt(sum(float((p.grad * p.grad).sum())
+                          for p in params.values() if p.grad is not None))
+    if max_norm > 0 and total > max_norm:
+        scale = max_norm / total
+        for p in params.values():
+            if p.grad is not None:
+                p.grad = p.grad * scale
+    return total
+
+
+def _flat(arrays):
+    return np.concatenate([a.ravel() for a in arrays])
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_the_flat_adamw_step_is_bitwise_the_per_tensor_one(seed):
+    """Mixed shapes (0-d to 3-d) over four steps; in steps 3 and 4 one
+    parameter, which had gradients before, has none: its value, m and v stay
+    bitwise as they were, as the per-tensor loop skips it."""
+    rng = np.random.default_rng(seed)
+    shapes = [(), (1,), (5,), (3, 4), (2, 3, 2), (7, 1)]
+    init = {f"p{i}": rng.normal(size=s) for i, s in enumerate(shapes)}
+    flat = {k: T.Tensor(a, requires_grad=True) for k, a in init.items()}
+    ref = {k: T.Tensor(a, requires_grad=True) for k, a in init.items()}
+    opt, ref_opt = AdamW(flat), PerTensorAdamW(ref)
+    idle = f"p{rng.integers(len(shapes))}"
+    for step, lr in enumerate((1e-3, 0.05, 0.2, 1e-2), start=1):
+        opt.zero_grad()
+        for k in init:
+            ref[k].grad = None
+            if step > 2 and k == idle:
+                continue
+            g = rng.normal(size=shapes[int(k[1:])]) * 10.0 ** rng.integers(-3, 3)
+            flat[k]._accumulate(g)  # copied into its slot of opt.grad
+            ref[k].grad = g
+        at = _offsets(opt, idle)
+        kept = [a.copy() for a in (flat[idle].data, opt.m[at], opt.v[at])]
+        opt.step(lr)
+        ref_opt.step(lr)
+        assert np.array_equal(opt.data, _flat(p.data for p in ref.values())), step
+        assert np.array_equal(opt.m, _flat(ref_opt.m.values())), step
+        assert np.array_equal(opt.v, _flat(ref_opt.v.values())), step
+        if step > 2:
+            now = (flat[idle].data, opt.m[at], opt.v[at])
+            assert all(np.array_equal(a, b) for a, b in zip(now, kept)), step
+        for k, p in flat.items():
+            assert np.shares_memory(p.data, opt.data) and p.data.shape == shapes[int(k[1:])]
+
+
+@pytest.mark.parametrize("max_norm", [0.0, 0.1, 1e9])
+def test_the_flat_clip_is_the_per_tensor_one_up_to_summation_order(max_norm):
+    rng = np.random.default_rng(3)
+    grads = {f"p{i}": rng.normal(size=s) for i, s in enumerate([(3, 4), (), (6,), (2, 5)])}
+    params = {k: T.Tensor(np.zeros(g.shape), requires_grad=True) for k, g in grads.items()}
+    ref = {k: T.Tensor(np.zeros(g.shape), requires_grad=True) for k, g in grads.items()}
+    opt = AdamW(params)
+    for k, g in grads.items():
+        if k != "p2":  # no gradient: a zero slice in the flat vector, skipped by the loop
+            params[k]._accumulate(g)
+            ref[k].grad = g
+    total = clip_grad_norm(opt.grad, max_norm)
+    assert math.isclose(total, clip_grad_norm_per_tensor(ref, max_norm), rel_tol=1e-14)
+    for k, p in params.items():
+        want = np.zeros(grads[k].shape) if ref[k].grad is None else ref[k].grad
+        assert np.allclose(opt.grad[_offsets(opt, k)], want.ravel(), rtol=1e-14, atol=0), k
+        assert p.grad is None or np.shares_memory(p.grad, opt.grad)
+
+
+def _offsets(opt, name):
+    """`name`'s slice of the optimizer's flat vectors."""
+    end = np.cumsum([p.size for p in opt.params.values()])[list(opt.params).index(name)]
+    return slice(end - opt.params[name].size, end)
+
+
+def test_a_parameter_read_three_times_through_concat_ends_with_the_sum_of_its_gradients():
+    rng = np.random.default_rng(8)
+    w = rng.normal(size=(6, 3))
+    for held in (False, True):
+        p = T.Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+        opt = AdamW({"p": p}) if held else None
+        for _ in range(2):  # after zero_grad, the next backward starts afresh
+            if held:
+                opt.zero_grad()
+            else:
+                p.zero_grad()
+            R.sum_(R.mul(T.concat([p, p, p]), w)).backward()
+            assert np.array_equal(p.grad, w[:2] + w[2:4] + w[4:]), held
+        assert not held or (np.shares_memory(p.grad, opt.grad)
+                            and np.array_equal(opt.grad, p.grad.ravel()))
+
+
+def test_after_training_each_weight_views_the_optimizer_and_holds_the_best_epoch(monkeypatch,
+                                                                                tmp_path):
+    """``train`` loads the best epoch's state back into the weights the
+    optimizer holds, not into fresh arrays."""
+    split, prov = small_corpus(n=24)
+    saved = []
+    monkeypatch.setattr(_KeptAdamW, "made", [])
+    monkeypatch.setattr(training, "AdamW", _KeptAdamW)
+    monkeypatch.setattr(training, "save_detector",
+                        lambda path, model: saved.append((path.name, model.state())))
+    res = train(split, prov, ModelConfig(**SMALL_MODEL),
+                TrainConfig(epochs=3, batch_size=8, lr=1e-3, seed=0), run_dir=tmp_path)
+    assert res.best_epoch == 1 and [name for name, _ in saved] == ["last.npz"] * 3 + ["best.npz"]
+    best = saved[res.best_epoch - 1][1]
+    opt = _KeptAdamW.made[0]
+    for k, p in res.model.parameters().items():
+        assert np.shares_memory(p.data, opt.data) and np.shares_memory(p.grad_slot, opt.grad), k
+        assert np.array_equal(p.data, best[k]), k
+    assert not np.array_equal(best["class_head.bias"], saved[-2][1]["class_head.bias"])
 def test_cosine_schedule_milestones():
     assert cosine_lr(100, 1000, 1e-3, warmup_steps=100) == 1e-3
     assert cosine_lr(1000, 1000, 1e-3, warmup_steps=100) < 1e-18
@@ -562,16 +703,28 @@ def test_training_deterministic():
     assert all(np.array_equal(s1[k], s2[k]) for k in s1)
 
 
+class _KeptAdamW(AdamW):
+    """AdamW that keeps each instance in ``made``, for tests to reach the
+    optimizer that ``train`` builds."""
+    made: list = []
+
+    def __init__(self, params):
+        super().__init__(params)
+        self.made.append(self)
+
+
 def test_non_finite_gradient_stops_training_before_the_weights_move(monkeypatch):
     split, prov = small_corpus(n=24)
     seen = {}
     clip = training.clip_grad_norm
+    monkeypatch.setattr(_KeptAdamW, "made", [])
+    monkeypatch.setattr(training, "AdamW", _KeptAdamW)
 
-    def plant_nan(params, max_norm):
-        seen["params"] = params
-        seen["before"] = {k: p.data.copy() for k, p in params.items()}
-        params["class_head.bias"].grad[0] = np.nan  # the loss itself stays finite
-        return clip(params, max_norm)
+    def plant_nan(grad, max_norm):
+        seen["params"] = _KeptAdamW.made[0].params
+        seen["before"] = {k: p.data.copy() for k, p in seen["params"].items()}
+        seen["params"]["class_head.bias"].grad[0] = np.nan  # the loss itself stays finite
+        return clip(grad, max_norm)
 
     monkeypatch.setattr(training, "clip_grad_norm", plant_nan)
     with pytest.raises(NumericalError, match="epoch 1, step 1"):
@@ -641,8 +794,8 @@ def test_log_records_preclip_gradient_norms_and_clip_fraction(monkeypatch, grad_
     norms = []
     clip = training.clip_grad_norm
 
-    def record(params, max_norm):
-        norms.append(clip(params, max_norm))
+    def record(grad, max_norm):
+        norms.append(clip(grad, max_norm))
         return norms[-1]
 
     monkeypatch.setattr(training, "clip_grad_norm", record)
@@ -859,7 +1012,7 @@ def test_a_micro_batched_classifier_step_matches_per_record_steps():
         singles, total = [], 0.0
         for v, y in zip(feats, labels):
             logits = head.logits([v])
-            loss = cross_entropy(logits, y)
+            loss = cross_entropy(logits, [y])
             loss.backward()
             singles.append(logits.data[0])
             total += float(loss.data)
@@ -938,7 +1091,7 @@ def test_fit_names_the_record_of_its_micro_batch_that_failed():
 
     def run(batch_loss):
         p = T.Tensor(np.zeros(1), requires_grad=True)
-        fit = training._fit({"p": p}, AdamW({"p": p}), np.random.default_rng(0), ids, rows,
+        fit = training._fit(AdamW({"p": p}), np.random.default_rng(0), ids, rows,
                             1, 4, batch_loss, lambda step: 0.1, 0.0)
         return next(fit)
 
