@@ -296,6 +296,10 @@ class SynthSpec:
             raise ValueError(f"unknown style {self.style!r}")
         if self.n_texts < 1:
             raise ValueError("need at least one text")
+        try:  # the toy provider's floor, before any dataset records the width
+            check_embed_dim(self.embed_dim)
+        except ValueError as e:
+            raise ValueError(f"embed_dim: {e}") from e
 
 
 def _make_vocab(rng: np.random.Generator, size: int) -> list[str]:

@@ -193,8 +193,8 @@ class DetectionModel(Module):
         tok, lrn, dnr = (np.repeat(np.arange(b), c)  # the record of each token, query, dn row
                          for c in ([len(v) for v in vectors], nq, dn_rows))
 
-        def segments(q_ids, *k_blocks):  # one record needs none
-            return None if b == 1 else (q_ids, np.concatenate(k_blocks))
+        def segments(q_ids, *k_blocks):  # resolved once, for every layer; one record needs none
+            return None if b == 1 else T.segments(q_ids, np.concatenate(k_blocks))
 
         memory = self.proj(T.Tensor(stack(vectors)))
         pe_mem = T.Tensor(T.sinusoidal_encode(stack(positions), h, cfg.temperature))

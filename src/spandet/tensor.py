@@ -45,16 +45,16 @@ bias only. Anything else raises ``ShapeError``.
 A micro-batch of records runs as one tape by stacking the records row by
 row. Every op but ``attention`` acts on rows (or sums over them, for a
 parameter's gradient), so it needs no notion of records. ``attention`` takes
-the rows' record ids as its optional ``segments`` and keeps each record's
-queries to its own keys; the training objective, a ``custom`` node, splits
-the rows by record itself. One record needs no segments.
+the rows' record ids, resolved once per forward by ``segments``, and keeps
+each record's queries to its own keys; the training objective, a ``custom``
+node, splits the rows by record itself. One record needs no segments.
 """
 
 from __future__ import annotations
 
 import itertools
 from contextlib import contextmanager
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -270,9 +270,9 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor,
     if ins[-1].shape != x.shape:
         raise ShapeError(f"layer_norm: residual {ins[-1].shape} is not x's {x.shape}")
     xs = x.data if residual is None else x.data + ins[1].data
-    mu = xs.mean(axis=-1, keepdims=True)
+    mu = xs.sum(axis=-1, keepdims=True) / d  # np.mean's arithmetic, without its wrapper
     xc = xs - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    var = (xc * xc).sum(axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + LAYERNORM_EPS)
     xhat = xc * inv
     data = xhat * gain.data + bias.data
@@ -282,8 +282,8 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor,
         if any(t.requires_grad for t in ins):
             gxhat = g * gain.data
             # d/dx of (x - mu) * inv with mu, inv functions of the row
-            term = gxhat - gxhat.mean(axis=-1, keepdims=True) \
-                - xhat * (gxhat * xhat).mean(axis=-1, keepdims=True)
+            term = gxhat - gxhat.sum(axis=-1, keepdims=True) / d \
+                - xhat * (gxhat * xhat).sum(axis=-1, keepdims=True) / d
             gx = term * inv
         return (gx,
                 (g * xhat).reshape(-1, d).sum(axis=0) if gain.requires_grad else None,
@@ -327,8 +327,57 @@ def linear(x, w, b) -> Tensor:
     return _result(xd @ wd + b.data, (x, w, b), vjp, "linear")
 
 
+EXP_LIMIT = 128.0  # scores bounded by this in magnitude are exponentiated unshifted
+
+
+class Segments(NamedTuple):
+    """The record ids of a micro-batch's stacked query and key rows, resolved
+    once by ``segments`` for every ``attention`` call over those rows:
+    `shape` is (query rows, key rows) and `parts` the (query rows, key rows)
+    of each record that has query rows, in record order; rows are a slice
+    when contiguous."""
+
+    shape: tuple[int, int]
+    parts: list[tuple]
+
+
+def segments(q_ids, k_ids) -> Segments:
+    """``attention``'s `segments`: the record id of each query row and each key
+    row when a micro-batch's records are stacked row by row; a record's rows
+    need not be contiguous. A record with query rows and no keys is a
+    ``ShapeError``. Resolve each (queries, keys) pairing once per forward and
+    pass the result to every attention call over those rows."""
+    q_ids, k_ids = np.asarray(q_ids), np.asarray(k_ids)
+    if q_ids.ndim != 1 or k_ids.ndim != 1:
+        raise ShapeError(f"segments: record ids {q_ids.shape} and {k_ids.shape} are not 1-D")
+    parts = []
+    for r in np.unique(q_ids):
+        rows = [np.flatnonzero(ids == r) for ids in (q_ids, k_ids)]
+        if not len(rows[1]):
+            raise ShapeError(f"segments: record {r} has query rows but no keys")
+        parts.append(tuple(slice(int(i[0]), int(i[-1]) + 1) if i[-1] - i[0] + 1 == len(i)
+                           else i for i in rows))
+    return Segments((len(q_ids), len(k_ids)), parts)
+
+
+def _must_shift(q: np.ndarray, k: np.ndarray, dk: int, mask: np.ndarray | None) -> bool:
+    """Whether ``attention`` shifts its scores by the row max: unless the
+    bound on |score| over every entry of q k^T / sqrt(dk) + mask that the
+    mask does not hide (dk terms of at most max|q| max|k| / sqrt(dk) each,
+    plus the largest magnitude among the mask's entries other than -inf) is
+    at most ``EXP_LIMIT``. A NaN or infinite bound shifts."""
+    bound = dk * float(1.0 / np.sqrt(dk)) * _absmax(q) * _absmax(k)
+    if mask is not None:
+        bound += _absmax(mask[mask != -np.inf])
+    return not bound <= EXP_LIMIT
+
+
+def _absmax(x: np.ndarray) -> float:
+    return float(max(x.max(initial=0.0), -x.min(initial=0.0)))  # no |x| temporary
+
+
 def attention(q, k, v, heads: int, mask: np.ndarray | None = None,
-              segments: tuple[np.ndarray, np.ndarray] | None = None) -> Tensor:
+              segments: Segments | None = None) -> Tensor:
     """Multi-head scaled-dot attention as one node.
 
     q (n, heads*dk), k (m, heads*dk) and v (m, heads*dv) are split into heads
@@ -337,17 +386,29 @@ def attention(q, k, v, heads: int, mask: np.ndarray | None = None,
     array added to every head's scores; -inf hides a key, and hiding every key
     of a query row is a ``ShapeError`` naming the row. The (heads, n, m) scores
     are never scaled or divided: q is scaled, and the context is (e v) / z for
-    e = exp(scores - row max) and z its row sums. Backward keeps e and z and
-    reads the softmax's row term from the output: with gz = g / z, the score
-    gradient is (gz v^T - rowsum(gz * out)) * e, scaled through gz.
+    e = exp(scores) and z its row sums. Backward keeps e and z and reads the
+    softmax's row term from the output: with gz = g / z, the score gradient
+    is (gz v^T - rowsum(gz * out)) * e, scaled through gz.
 
-    `segments`: optional ``(q_ids, k_ids)``, the record id of each query row
-    and each key row when a micro-batch's records are stacked row by row; a
-    record's rows need not be contiguous. The node then works record by
-    record: a record's queries see only its own keys, under its own entries
-    of `mask`, so each record gets what attention over that record alone
-    computes. Keys of a record without query rows get zero gradients; a
-    record with query rows and no keys is a ``ShapeError``. (One padded
+    Softmax is unchanged when a row's scores all move by one amount, so the
+    row max is subtracted before exp only when the scores might leave exp's
+    range. Before any score exists the node bounds them (``_must_shift``:
+    dk * max|q| * max|k| / sqrt(dk), plus the mask's largest entry other than
+    -inf, in magnitude). When that bound is at most ``EXP_LIMIT`` (128), every
+    unmasked score lies in [-128, 128], so its exp lies in [2.6e-56, 3.9e55]:
+    a finite normal number. A row sum is then positive whenever the mask
+    leaves a key of the row visible and finite up to ~1e250 keys; e v and
+    the backward's products overflow only where v or the gradient nears
+    1e250. So the raw scores are exponentiated. Otherwise, and when the
+    bound is not finite, each row is shifted by its max first. Both paths
+    agree to rounding, and backward is the same.
+
+    `segments`: optional ``Segments`` from ``segments(q_ids, k_ids)``, the
+    record id of each query row and each key row of a micro-batch; it must
+    be resolved for (n, m) rows. The node then works record by record: a
+    record's queries see only its own keys, under its own entries of `mask`,
+    so each record gets what attention over that record alone computes. Keys
+    of a record without query rows get zero gradients. (One padded
     ``(records, heads, n_max, m_max)`` block makes fewer numpy calls but ran
     no faster at C08 width: its score arrays page-fault on every allocation.)
     """
@@ -359,25 +420,41 @@ def attention(q, k, v, heads: int, mask: np.ndarray | None = None,
     n, m = q.shape[0], k.shape[0]
     if mask is not None and np.shape(mask) != (n, m):
         raise ShapeError(f"attention: mask {np.shape(mask)} is not ({n}, {m})")
-    parts = [_WHOLE] if segments is None else _segments(segments, n, m)
+    if segments is None:
+        parts = [_WHOLE]
+    elif not isinstance(segments, Segments):
+        raise TypeError(f"attention: segments must come from tensor.segments, "
+                        f"got a {type(segments).__name__}")
+    elif segments.shape != (n, m):
+        raise ShapeError(f"attention: segment ids for {segments.shape} rows "
+                         f"are not for ({n}, {m})")
+    else:
+        parts = segments.parts
+    if mask is None:
+        masks = [None] * len(parts)
+    else:  # each record's own block, checked before either path runs
+        masks = [mask[qi][:, ki] for qi, ki in parts]
+        for (qi, _), blk in zip(parts, masks):
+            hidden = np.isneginf(blk).all(axis=-1)
+            if hidden.any():
+                raise ShapeError(f"attention: mask hides every key of query row "
+                                 f"{np.arange(n)[qi][hidden.argmax()]}")
     dk, dv = q.shape[1] // heads, v.shape[1] // heads
     s = float(1.0 / np.sqrt(dk))
+    shift = _must_shift(q.data, k.data, dk, mask)
 
     def split(x, rows, d):  # rows of (r, heads*d) as (heads, r, d)
         return x[rows].reshape(-1, heads, d).transpose(1, 0, 2)
 
     blocks, ctx = [], []  # per record: qh (h, n, dk), kt (h, dk, m), vh (h, m, dv), e, z
-    for qi, ki in parts:
+    for (qi, ki), blk in zip(parts, masks):
         qh, kt, vh = split(q.data, qi, dk), split(k.data, ki, dk).swapaxes(-1, -2), \
             split(v.data, ki, dv)
         e = (qh * s) @ kt
-        if mask is not None:
-            e += mask[qi][:, ki]
-        top = e.max(axis=-1, keepdims=True)
-        if mask is not None and top.min() == -np.inf:  # finite scores: the mask's doing
-            row = np.arange(n)[qi][np.isneginf(top).any(axis=0).argmax()]
-            raise ShapeError(f"attention: mask hides every key of query row {row}")
-        e -= top
+        if blk is not None:
+            e += blk
+        if shift:
+            e -= e.max(axis=-1, keepdims=True)
         np.exp(e, out=e)
         z = e.sum(axis=-1, keepdims=True)
         c = e @ vh
@@ -410,23 +487,6 @@ def attention(q, k, v, heads: int, mask: np.ndarray | None = None,
 
 
 _WHOLE = (slice(None), slice(None))  # the query and key rows of one record, unsegmented
-
-
-def _segments(segments, n: int, m: int) -> list[tuple]:
-    """``attention``'s segments as (query rows, key rows) per record that has
-    query rows, in record order; rows are a slice when contiguous."""
-    q_ids, k_ids = np.asarray(segments[0]), np.asarray(segments[1])
-    if q_ids.shape != (n,) or k_ids.shape != (m,):
-        raise ShapeError(f"attention: segment ids {q_ids.shape} and {k_ids.shape} "
-                         f"are not ({n},) and ({m},)")
-    parts = []
-    for r in np.unique(q_ids):
-        rows = [np.flatnonzero(ids == r) for ids in (q_ids, k_ids)]
-        if not len(rows[1]):
-            raise ShapeError(f"attention: record {r} has query rows but no keys")
-        parts.append(tuple(slice(int(i[0]), int(i[-1]) + 1) if i[-1] - i[0] + 1 == len(i)
-                           else i for i in rows))
-    return parts
 
 
 def _merge(parts, side: int, blocks: list[np.ndarray], rows: int) -> np.ndarray:

@@ -39,10 +39,14 @@ BLOCK_MASK = np.array([[0.0, -np.inf, 0.0, -np.inf],
                        [0.0, 0.0, -np.inf, -np.inf],
                        [-np.inf, 0.0, 0.0, 0.0]])
 
+# BLOCK_MASK with each row's visible scores raised by its own offset: the
+# scores pass tensor.EXP_LIMIT, and row 2's exp would overflow unshifted
+SHIFTED_MASK = BLOCK_MASK + np.array([[200.0], [500.0], [800.0]])
+
 # record ids of stacked rows, for attention over a micro-batch's segments
-UNEVEN = (np.array([0, 0, 1]), np.array([0, 1, 1, 0]))      # 2 queries/2 keys, 1/2
-IN_RECORD = (np.array([0, 0, 1]), np.array([0, 0, 0, 1]))   # 2 queries/3 keys, 1/1
-NO_QUERIES = (np.array([0, 0, 2]), np.array([0, 1, 2, 0]))  # record 1: a key, no query
+UNEVEN = T.segments([0, 0, 1], [0, 1, 1, 0])      # 2 queries/2 keys, 1/2
+IN_RECORD = T.segments([0, 0, 1], [0, 0, 0, 1])   # 2 queries/3 keys, 1/1
+NO_QUERIES = T.segments([0, 0, 2], [0, 1, 2, 0])  # record 1: a key, no query
 # DN-style: record 0's queries see its first key (the prefix) and their own
 # group's key; record 1's query its one key; entries across records are unread
 DN_BLOCKS = np.array([[0.0, 0.0, -np.inf, -np.inf],
@@ -84,6 +88,9 @@ GRAD_CASES = {
     "attention_masked": lambda t, a: R.sum_(R.mul(
         T.attention(t, T.concat([R.mul(t, 0.5), a["row"]], axis=0),
                     T.concat([a["row"], t], axis=0), 2, BLOCK_MASK), a["w"])),
+    "attention_shifted": lambda t, a: R.sum_(R.mul(
+        T.attention(R.mul(t, 3.0), T.concat([R.mul(t, 0.5), a["row"]], axis=0),
+                    T.concat([a["row"], t], axis=0), 2, SHIFTED_MASK), a["w"])),
     "attention_segments_uneven": lambda t, a: R.sum_(R.mul(
         T.attention(t, T.concat([R.mul(t, 0.7) + a["w"], a["row"]], axis=0),
                     T.concat([a["row"], R.sin(t)], axis=0), 2, None, UNEVEN), a["w"])),

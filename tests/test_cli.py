@@ -39,6 +39,15 @@ def test_generate_rejects_negative_signal(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("dim", ["4", "0"])
+def test_generate_rejects_an_embed_dim_below_the_floor_and_writes_nothing(tmp_path, capsys,
+                                                                          dim):
+    out = tmp_path / "x"
+    assert run(["generate", "--n", "5", "--dim", dim, "--out", str(out)]) == 2
+    assert f"error: embed_dim: embedding dim must be >= 8, got {dim}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_generate_refuses_to_clobber(tmp_path):
     out = tmp_path / "d"
     assert run(["generate", "--n", "5", "--out", str(out)]) == 0

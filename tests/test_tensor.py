@@ -3,6 +3,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spandet import tensor as T
 
@@ -318,9 +320,13 @@ def test_fused_primitives_reject_bad_shapes():
     with pytest.raises(T.ShapeError, match="mask"):
         T.attention(x, x, x, 2, np.zeros((3, 2)))
     with pytest.raises(T.ShapeError, match="segment ids"):
-        T.attention(x, x, x, 2, None, (np.zeros(3, int), np.zeros(2, int)))
+        T.attention(x, x, x, 2, None, T.segments(np.zeros(3, int), np.zeros(2, int)))
+    with pytest.raises(TypeError, match="tensor.segments"):
+        T.attention(x, x, x, 2, None, (np.zeros(3, int), np.zeros(3, int)))
     with pytest.raises(T.ShapeError, match="record 1 has query rows but no keys"):
-        T.attention(x, x, x, 2, None, (np.array([0, 1, 1]), np.array([0, 0, 2])))
+        T.segments(np.array([0, 1, 1]), np.array([0, 0, 2]))
+    with pytest.raises(T.ShapeError, match="not 1-D"):
+        T.segments(np.zeros((3, 1), int), np.zeros(3, int))
     with pytest.raises(T.ShapeError, match="mask hides every key of query row 1"):
         T.attention(x, x, x, 2, np.array([[0.0] * 3, [-np.inf] * 3, [0.0] * 3]))
     with pytest.raises(T.ShapeError, match="anchor_encode"):
@@ -360,7 +366,7 @@ def test_segmented_attention_is_attention_record_by_record(masked, layout):
     for seed in range(5):
         q, k, v, mask, q_ids, k_ids, w = _segment_case(seed, layout)
         mask = mask if masked else None
-        out = T.attention(q, k, v, 2, mask, (q_ids, k_ids))
+        out = T.attention(q, k, v, 2, mask, T.segments(q_ids, k_ids))
         R.sum_(R.mul(out, T.Tensor(w))).backward()
         got = [t.grad for t in (q, k, v)]
         want_out = np.zeros_like(out.data)
@@ -395,7 +401,7 @@ def attention_normalized(q, k, v, heads, mask=None, segments=None):
     array itself and keeps the probabilities for backward, where the score
     gradient is ``(gp - rowsum(gp * p)) * p * s`` with ``gp = g v^T``."""
     n, m = q.shape[0], k.shape[0]
-    parts = [T._WHOLE] if segments is None else T._segments(segments, n, m)
+    parts = [T._WHOLE] if segments is None else segments.parts
     dk, dv = q.shape[1] // heads, v.shape[1] // heads
     s = float(1.0 / np.sqrt(dk))
 
@@ -484,28 +490,163 @@ def test_segmented_attention_matches_the_normalized_formulation(masked, layout):
     for seed in range(3):
         q, k, v, mask, q_ids, k_ids, _ = _segment_case(seed, layout)
         _assert_attention_matches_normalized((q.data, k.data, v.data), 2,
-                                             mask if masked else None, (q_ids, k_ids), seed)
+                                             mask if masked else None,
+                                             T.segments(q_ids, k_ids), seed)
 
 
-def test_attention_with_scores_near_500_stays_finite_and_matches():
+def _scores_near_500():
     rng = np.random.default_rng(5)
     q, k, v = _qkv(rng, 40, 50, 4, 8)
     q *= 500 / np.abs(q @ k.T / np.sqrt(8)).max()  # scaled scores reach 500 in magnitude
-    _assert_attention_matches_normalized((q, k, v), 4)
+    return q, k, v
+
+
+def test_attention_with_scores_near_500_stays_finite_and_matches():
+    _assert_attention_matches_normalized(_scores_near_500(), 4)
+
+
+# -- which softmax path attention takes -------------------------------------------
+
+
+@pytest.fixture
+def shifts(monkeypatch):
+    """Whether each attention call made while the test runs shifted its
+    scores by the row max, in call order."""
+    taken, real = [], T._must_shift
+
+    def spy(*args):
+        taken.append(real(*args))
+        return taken[-1]
+
+    monkeypatch.setattr(T, "_must_shift", spy)
+    return taken
+
+
+def _fixed_attention_cases():
+    """The fixed cases above, by name: (q, k, v, heads, mask, segments)
+    and whether their scores are shifted."""
+    from spandet.model import dn_attention_mask
+    from spandet.training import DenoisingBatch
+    dn = dn_attention_mask(3, [DenoisingBatch(np.zeros((20, 2)), np.zeros(20, int), 5)])
+    cases = {}
+    for seed in range(2):
+        cases[f"llm shapes, seed {seed}"] = (*_qkv(np.random.default_rng(seed), 300, 300, 8, 8),
+                                             8, None, None, False)
+    for seed in range(3):
+        cases[f"dn mask, seed {seed}"] = (*_qkv(np.random.default_rng(seed), 20, 23, 4, 8), 4,
+                                          dn, None, False)
+        for layout in ("several", "one"):
+            q, k, v, mask, q_ids, k_ids, _ = _segment_case(seed, layout)
+            cases[f"segments {layout}, seed {seed}"] = (q.data, k.data, v.data, 2, mask,
+                                                       T.segments(q_ids, k_ids), False)
+    cases["scores near 500"] = (*_scores_near_500(), 4, None, None, True)
+    return cases
+
+
+def test_each_fixed_attention_case_takes_the_path_its_scores_call_for(shifts):
+    for name, (q, k, v, heads, mask, segments, shifted) in _fixed_attention_cases().items():
+        T.attention(q, k, v, heads, mask, segments)
+        assert shifts[-1] == shifted, name
+    assert T._must_shift(np.array([[np.nan]]), np.ones((1, 1)), 1, None)
+    assert T._must_shift(np.ones((1, 1)), np.ones((1, 1)), 1, np.array([[np.inf]]))
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_attention_with_scores_up_to_the_limit_skips_the_shift_and_matches(shifts, sign):
+    """Scores of one sign reaching EXP_LIMIT in magnitude, the bound's own
+    extreme: exp stays finite and normal without the shift."""
+    rng = np.random.default_rng(3)
+    q = sign * 8.0 * rng.uniform(0.5, 1.0, size=(6, 1))
+    k = T.EXP_LIMIT / 8.0 * rng.uniform(0.5, 1.0, size=(50, 1))
+    q[0, 0], k[0, 0] = sign * 8.0, T.EXP_LIMIT / 8.0  # a score of exactly the limit
+    _assert_attention_matches_normalized((q, k, rng.normal(size=(50, 2))), 1)
+    assert shifts == [False]
+
+
+def test_only_the_shifted_gradient_case_passes_the_limit(shifts):
+    """C01 grad-checks both softmax paths: every attention case of
+    ``grad_cases`` stays under the limit, except ``attention_shifted``."""
+    from grad_cases import GRAD_CASES, make_aux
+    for name, fn in GRAD_CASES.items():
+        if name.startswith("attention"):
+            for seed in range(10):
+                aux = make_aux(seed)
+                shifts.clear()
+                fn(T.Tensor(aux["x"]), aux)
+                assert shifts == [name == "attention_shifted"], (name, seed)
+
+
+@st.composite
+def _attention_cases(draw):
+    """heads, dk, dv; per record its query and key row counts (at least one
+    record with queries, every one with keys); a seed; the mask kind; and a
+    target score bound on either side of ``T.EXP_LIMIT``."""
+    sizes = draw(st.lists(st.tuples(st.integers(0, 4), st.integers(1, 4)), min_size=1,
+                          max_size=4).filter(lambda s: any(n for n, _ in s)))
+    return (draw(st.integers(1, 3)), draw(st.integers(1, 4)), draw(st.integers(1, 3)), sizes,
+            draw(st.integers(0, 2 ** 16)), draw(st.sampled_from(["none", "hidden", "finite"])),
+            draw(st.floats(0.1, 2000.0)))
+
+
+@given(_attention_cases())
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_generated_attention_matches_the_normalized_formulation(case):
+    """Records stacked in shuffled row order (segmented when there are several),
+    a mask that hides keys (leaving one of the row's own record visible) and
+    may add finite scores, and q scaled so the score bound lands at the drawn
+    target: outputs within 1e-12 and gradients within 1e-10 of the reference,
+    with no overflow, invalid value or division by zero. The tolerances are
+    relative to the reference's largest entry, or, where that vanishes (a row
+    with one visible key, or a softmax saturated to one key), to the size the
+    computation rounds at: max|v| for outputs, and the product of the
+    cotangent, v, the other side's rows and 1/sqrt(dk) for q and k."""
+    heads, dk, dv, sizes, seed, masking, target = case
+    rng = np.random.default_rng(seed)
+    q_ids, k_ids = (rng.permutation(np.repeat(np.arange(len(sizes)), [s[j] for s in sizes]))
+                    for j in (0, 1))
+    n, m = len(q_ids), len(k_ids)
+    q, k, v = (rng.normal(size=(r, heads * d)) for r, d in ((n, dk), (m, dk), (m, dv)))
+    q *= target / (np.sqrt(dk) * np.abs(q).max() * np.abs(k).max())  # the bound w/o mask
+    mask = None
+    if masking != "none":
+        mask = np.where(rng.uniform(size=(n, m)) < 0.4, -np.inf,
+                        rng.uniform(-20, 20, size=(n, m)) if masking == "finite" else 0.0)
+        for i, r in enumerate(q_ids):
+            mask[i, rng.choice(np.flatnonzero(k_ids == r))] = 0.0
+    segments = T.segments(q_ids, k_ids) if len(sizes) > 1 else None
+    w = rng.normal(size=(n, heads * dv))
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        out, grads = _attention_outputs_and_grads(T.attention, (q, k, v), heads, mask,
+                                                  segments, w)
+    ref_out, ref_grads = _attention_outputs_and_grads(attention_normalized, (q, k, v), heads,
+                                                      mask, segments, w)
+
+    def top(x):
+        return np.abs(x).max()
+
+    s = 1.0 / np.sqrt(dk)
+    assert np.abs(out - ref_out).max() <= 1e-12 * max(top(ref_out), top(v))
+    for got, want, floor in zip(grads, ref_grads, (s * top(w) * top(v) * top(k),
+                                                   s * top(w) * top(v) * top(q), top(w))):
+        assert np.isfinite(got).all()
+        assert np.abs(got - want).max() <= 1e-10 * max(top(want), floor)
 
 
 # -- a mask that hides a whole query row ------------------------------------------
 
 
-def test_segmented_attention_rejects_a_row_whose_own_record_keys_are_all_hidden():
+def test_segmented_attention_rejects_a_row_whose_own_record_keys_are_all_hidden(shifts):
     """Row 2 (record 1) still sees record 0's keys, but attention reads only
-    its own record's block, where every key is hidden."""
-    rng = np.random.default_rng(1)
-    q, k = T.Tensor(rng.normal(size=(4, 4))), T.Tensor(rng.normal(size=(5, 4)))
-    q_ids, k_ids = np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1, 1])
-    mask = np.zeros((4, 5))
-    mask[2, [1, 3, 4]] = -np.inf
-    with pytest.raises(T.ShapeError, match="hides every key of query row 2"):
-        T.attention(q, k, k, 2, mask, (q_ids, k_ids))
-    mask[2, 3] = 0.0  # one key of its own record visible again
-    assert np.isfinite(T.attention(q, k, k, 2, mask, (q_ids, k_ids)).data).all()
+    its own record's block, where every key is hidden; on either softmax
+    path, the shifted one taken when q is scaled 1000-fold."""
+    for scale, shifted in ((1.0, False), (1e3, True)):
+        rng = np.random.default_rng(1)
+        q, k = T.Tensor(scale * rng.normal(size=(4, 4))), T.Tensor(rng.normal(size=(5, 4)))
+        q_ids, k_ids = np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1, 1])
+        mask = np.zeros((4, 5))
+        mask[2, [1, 3, 4]] = -np.inf
+        with pytest.raises(T.ShapeError, match="hides every key of query row 2"):
+            T.attention(q, k, k, 2, mask, T.segments(q_ids, k_ids))
+        mask[2, 3] = 0.0  # one key of its own record visible again
+        out = T.attention(q, k, k, 2, mask, T.segments(q_ids, k_ids))
+        assert np.isfinite(out.data).all() and shifts[-1] == shifted
