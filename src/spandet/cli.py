@@ -53,11 +53,7 @@ def _provider_for(dataset: str, embeddings: str | None):
     if not meta_path.is_file():
         raise ValueError("no --embeddings given and the dataset has no meta.json "
                          "describing a toy provider")
-    meta = D.read_meta(meta_path)
-    try:
-        return D.synthetic_provider(meta)
-    except ValueError as e:
-        raise ValueError(f"{meta_path}: {e}") from e
+    return D.synthetic_provider(D.read_meta(meta_path))
 
 
 # -- commands -----------------------------------------------------------------

@@ -8,6 +8,7 @@ time; sentence/token snapping happens inside evaluation post-processing.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -151,7 +152,8 @@ def load_split(dirpath) -> DatasetSplit:
 def read_meta(path) -> dict:
     """A dataset's ``meta.json``, checked: a JSON object whose ``spec``, if
     any, is an object with an int ``embed_dim`` and ``embed_seed`` and a
-    number ``signal`` where it gives them (what ``synthetic_provider`` reads).
+    number ``signal`` where it gives them (what ``synthetic_provider`` reads),
+    the width passing ``check_embed_dim`` and the signal ``check_signal``.
     Raises ``ValueError`` naming `path` and the bad field."""
     try:
         meta = json.loads(Path(path).read_text())
@@ -166,6 +168,12 @@ def read_meta(path) -> dict:
         if name in spec and type(spec[name]) not in kinds:
             raise ValueError(f"{path}: spec field {name} is {spec[name]!r}, not "
                              f"{'an int' if kinds == (int,) else 'a number'}")
+    for name, rule in (("embed_dim", check_embed_dim), ("signal", check_signal)):
+        if name in spec:
+            try:  # the rules ``SynthSpec`` applies before it writes a dataset
+                rule(spec[name])
+            except ValueError as e:
+                raise ValueError(f"{path}: spec field {name}: {e}") from e
     return meta
 
 
@@ -276,6 +284,12 @@ def split_sentences(text: str) -> list[CharSpan]:
 # -- synthetic corpus ---------------------------------------------------------
 
 
+def check_signal(signal: float) -> None:
+    """The rule for the synthetic corpus's signal strength: finite and >= 0."""
+    if not 0 <= signal < math.inf:
+        raise ValueError(f"signal strength {signal} must be a finite number >= 0")
+
+
 @dataclass
 class SynthSpec:
     n_texts: int = 2000
@@ -290,8 +304,7 @@ class SynthSpec:
     split_fracs: tuple[float, float] = (0.7, 0.15)   # train, val (rest = test)
 
     def __post_init__(self):
-        if self.signal < 0:
-            raise ValueError(f"signal strength {self.signal} must be >= 0")
+        check_signal(self.signal)
         if self.style not in ("roft", "binary", "multi"):
             raise ValueError(f"unknown style {self.style!r}")
         if self.n_texts < 1:
@@ -386,15 +399,10 @@ def embed_with_signal(sample: AnnotatedText, d: int, seed: int,
 
 
 def synthetic_provider(meta: dict):
-    """Build the embedding provider recorded in a generated dataset's meta.
-    An ``embed_dim`` that ``toy_embed`` cannot take raises ``ValueError``
-    here, naming the field, before any record is embedded."""
+    """Build the embedding provider recorded in a generated dataset's meta
+    (as ``read_meta`` checks it)."""
     spec = meta.get("spec", {})
     d = int(spec.get("embed_dim", 32))
-    try:
-        check_embed_dim(d)
-    except ValueError as e:
-        raise ValueError(f"spec field embed_dim: {e}") from e
     seed = int(spec.get("embed_seed", 0))
     sigma = float(spec.get("signal", 0.0))
 

@@ -23,8 +23,8 @@ class Interval:
     w: float
 
     def __post_init__(self):
-        # containment in [0,1] is guaranteed by clamp_interval, not demanded here:
-        # conversions clamp at the character level and absorb small overhangs
+        # containment of [x1, x2] in [0,1] is not demanded here: conversions
+        # clamp at the character level and absorb small overhangs
         if not 0.0 <= self.c <= 1.0:
             raise ValueError(f"interval center {self.c} outside [0, 1]")
         if not 0.0 < self.w <= 1.0:
@@ -63,13 +63,6 @@ def merge_spans(spans) -> list[CharSpan]:
         else:
             merged.append(sp)
     return merged
-
-
-def clamp_interval(c: float, w: float, min_w: float = 1e-4) -> Interval:
-    """Force (c, w) into a valid normalized interval."""
-    w = min(max(w, min_w), 1.0)
-    c = min(max(c, w / 2), 1.0 - w / 2)
-    return Interval(c, w)
 
 
 def _round_half_away(x: float) -> int:

@@ -118,14 +118,6 @@ def boundary_suite(preds: Sequence[int], gts: Sequence[int]) -> dict[str, float]
             "mse": float(np.mean((p - g) ** 2))}
 
 
-def mae_word_boundary(preds: Sequence[int], gts: Sequence[int]) -> float:
-    if len(preds) != len(gts):
-        raise ValueError(f"length mismatch: {len(preds)} predictions vs {len(gts)} targets")
-    p = np.asarray(preds, dtype=float)
-    g = np.asarray(gts, dtype=float)
-    return float(np.mean(np.abs(p - g)))
-
-
 def kappa(pred_labels: Sequence[int], gt_labels: Sequence[int]) -> float:
     """Cohen's kappa: (p0 - pe) / (1 - pe), pe from both raters' marginals."""
     if len(pred_labels) != len(gt_labels):

@@ -26,7 +26,7 @@ from __future__ import annotations
 import json
 import zipfile
 from dataclasses import asdict, dataclass
-from typing import Callable, get_type_hints
+from typing import get_type_hints
 
 import numpy as np
 
@@ -280,9 +280,6 @@ class ClassifierHead(Module):
             if value < 1:
                 raise ValueError(f"{name} must be at least 1, got {value}")
         rng = np.random.default_rng(seed)
-        self.d_model = d_model
-        self.hidden = hidden
-        self.n_classes = n_classes
         self.lin1 = Linear(d_model, hidden, rng)
         self.lin2 = Linear(hidden, n_classes, rng)
 
@@ -308,27 +305,26 @@ def softmax(z: np.ndarray) -> np.ndarray:
 # -- checkpoints --------------------------------------------------------------
 #
 # A checkpoint is an .npz archive: "__meta__" holds a JSON document with the
-# container version, the model kind, and its config; every weight is stored
-# under "param/<name>" in double precision.
+# container version, the model kind ("detector"), and its config; every weight
+# is stored under "param/<name>" in double precision.
 
 CHECKPOINT_VERSION = 1
 
 
-def save_checkpoint(path, model: Module, kind: str, config: dict) -> None:
+def save_detector(path, model: DetectionModel) -> None:
     meta = json.dumps({"checkpoint_version": CHECKPOINT_VERSION,
-                       "kind": kind, "config": config}, sort_keys=True)
+                       "kind": "detector", "config": asdict(model.cfg)}, sort_keys=True)
     arrays = {f"param/{k}": v for k, v in model.state().items()}
     np.savez(path, __meta__=np.array(meta), **arrays)
 
 
-def _read_checkpoint(path, kind: str, types: dict[str, type],
-                     build: Callable[..., Module]) -> Module:
-    """The `kind` model that `build(**config)` makes from a checkpoint's config,
-    with the checkpoint's weights loaded. The config's keys must be exactly
-    those of `types`, each value a number (not a bool), and an int where its
-    type is ``int``. Any other fault, including a ``ValueError`` from `build`
-    or from loading the weights and a weight that is not finite, raises
-    ``ValueError`` naming `path`; a missing file raises ``FileNotFoundError``."""
+def load_detector(path) -> DetectionModel:
+    """The detector a checkpoint's config builds, with the checkpoint's weights
+    loaded. The config's keys must be exactly ``ModelConfig``'s fields, each
+    value a number (not a bool), and an int where the field is not a float.
+    Any other fault, including a ``ValueError`` from ``ModelConfig`` or from
+    loading the weights and a weight that is not finite, raises ``ValueError``
+    naming `path`; a missing file raises ``FileNotFoundError``."""
     try:
         with np.load(path, allow_pickle=False) as z:
             meta = json.loads(str(z["__meta__"]))
@@ -337,46 +333,26 @@ def _read_checkpoint(path, kind: str, types: dict[str, type],
         raise ValueError(f"{path}: not a readable checkpoint archive with a JSON __meta__") from e
     if not isinstance(meta, dict) or meta.get("checkpoint_version") != CHECKPOINT_VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version")
-    if meta.get("kind") != kind:
-        raise ValueError(f"{path}: checkpoint holds a {meta.get('kind')!r}, not a {kind}")
+    if meta.get("kind") != "detector":
+        raise ValueError(f"{path}: checkpoint holds a {meta.get('kind')!r}, not a detector")
     config = meta.get("config")
     if not isinstance(config, dict):
-        raise ValueError(f"{path}: {kind} config {config!r} is not a JSON object")
+        raise ValueError(f"{path}: detector config {config!r} is not a JSON object")
+    types = get_type_hints(ModelConfig)
     unknown, missing = sorted(set(config) - set(types)), sorted(set(types) - set(config))
     if unknown or missing:
-        raise ValueError(f"{path}: {kind} config has unknown fields {unknown} "
+        raise ValueError(f"{path}: detector config has unknown fields {unknown} "
                          f"and missing fields {missing}")
-    for name, want in types.items():
-        if type(config[name]) not in ((int,) if want is int else (int, float)):
-            raise ValueError(f"{path}: {kind} config field {name} is {config[name]!r}, "
-                             f"not {'an int' if want is int else 'a number'}")
+    for name, hint in types.items():
+        if type(config[name]) not in ((int, float) if hint is float else (int,)):
+            raise ValueError(f"{path}: detector config field {name} is {config[name]!r}, "
+                             f"not {'a number' if hint is float else 'an int'}")
     try:
-        model = build(**config)
+        model = DetectionModel(ModelConfig(**config))
         model.load_state(state)
         for name, p in model.parameters().items():
             if not np.isfinite(p.data).all():
                 raise ValueError(f"weight {name} is not finite")
     except ValueError as e:
-        raise ValueError(f"{path}: {kind} {e}") from e
+        raise ValueError(f"{path}: detector {e}") from e
     return model
-
-
-def save_detector(path, model: DetectionModel) -> None:
-    save_checkpoint(path, model, "detector", asdict(model.cfg))
-
-
-def load_detector(path) -> DetectionModel:
-    types = {name: float if hint is float else int
-             for name, hint in get_type_hints(ModelConfig).items()}
-    return _read_checkpoint(path, "detector", types,
-                            lambda **config: DetectionModel(ModelConfig(**config)))
-
-
-def save_classifier(path, head: ClassifierHead) -> None:
-    cfg = {"d_model": head.d_model, "hidden": head.hidden, "n_classes": head.n_classes}
-    save_checkpoint(path, head, "classifier", cfg)
-
-
-def load_classifier(path) -> ClassifierHead:
-    return _read_checkpoint(path, "classifier",
-                            dict.fromkeys(("d_model", "hidden", "n_classes"), int), ClassifierHead)

@@ -78,8 +78,8 @@ def make_denoising(gts: list[Interval], cfg: ModelConfig,
                    rng: np.random.Generator) -> DenoisingBatch | None:
     """Noised copies of the targets: center jittered by a fraction of the
     width, width rescaled multiplicatively, then clamped back to validity
-    (as ``geometry.clamp_interval``). Group-major rows; the noise is drawn as
-    (center, width) per row, in row order."""
+    (the width into [1e-4, 1], then the center so the interval lies in [0, 1]).
+    Group-major rows; the noise is drawn as (center, width) per row, in row order."""
     if not gts or cfg.dn_groups == 0:
         return None
     cn, wn = cfg.dn_center_noise, cfg.dn_width_noise
@@ -345,6 +345,12 @@ class TrainConfig:
         for name in ("epochs", "batch_size"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if not 0 < self.lr < math.inf:
+            raise ValueError(f"lr must be a positive finite number, got {self.lr}")
+        if not 0 <= self.grad_clip < math.inf:  # 0: never clip
+            raise ValueError(f"grad_clip must be a finite number >= 0, got {self.grad_clip}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be at least 0, got {self.seed}")
 
 
 @dataclass
@@ -585,7 +591,7 @@ def train_classifier(samples, labels: list[int], provider: Provider,
     """Fit the two-layer classifier head with cross-entropy through ``_fit``,
     at a constant `lr` and without clipping. Every sample needs one integer
     label in ``[0, n_classes)``."""
-    TrainConfig(epochs=epochs, batch_size=batch_size)  # its checks, before any read
+    TrainConfig(epochs=epochs, batch_size=batch_size, lr=lr, seed=seed)  # checked before any read
     if not samples:
         raise ValueError("no training samples")
     if len(labels) < len(samples):

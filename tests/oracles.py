@@ -1,6 +1,7 @@
-"""Independent scalar reference for the five-term detection objective, used to
-cross-check the tensor implementation. Pure python floats and brute-force
-matching; shares no code with the library."""
+"""Independent scalar references: the five-term detection objective, used to
+cross-check the tensor implementation, and the interval clamp of the
+denoising queries. Pure python floats and brute-force matching; they share no
+code with the library."""
 
 import itertools
 import math
@@ -24,6 +25,15 @@ def giou(a, b):
     union = (a2 - a1) + (b2 - b1) - inter
     hull = max(a2, b2) - min(a1, b1)
     return inter / union - (hull - union) / hull
+
+
+def clamp_interval(c, w, min_w=1e-4):
+    """Force (c, w) into a valid normalized interval: the width into
+    [min_w, 1], then the center so the interval lies in [0, 1]. The scalar
+    reference for ``training.make_denoising``'s clamp."""
+    w = min(max(w, min_w), 1.0)
+    c = min(max(c, w / 2), 1.0 - w / 2)
+    return Interval(c, w)
 
 
 def sig(x):

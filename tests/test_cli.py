@@ -48,6 +48,16 @@ def test_generate_rejects_an_embed_dim_below_the_floor_and_writes_nothing(tmp_pa
     assert not out.exists()
 
 
+@pytest.mark.parametrize("signal", ["nan", "inf"])
+def test_generate_rejects_a_signal_that_is_not_finite_and_writes_nothing(tmp_path, capsys,
+                                                                         signal):
+    out = tmp_path / "x"
+    assert run(["generate", "--n", "5", "--signal", signal, "--out", str(out)]) == 2
+    assert (f"error: signal strength {float(signal)} must be a finite number >= 0"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
 def test_generate_refuses_to_clobber(tmp_path):
     out = tmp_path / "d"
     assert run(["generate", "--n", "5", "--out", str(out)]) == 0
@@ -400,6 +410,16 @@ def _without_weight(name):
     return write
 
 
+def _with_meta(**edit):
+    """A writer of checkpoint `best` to `bad`, with `edit` applied to its meta."""
+    def write(bad, best):
+        with np.load(best) as z:
+            arrays = {k: z[k] for k in z.files}
+        meta = {**json.loads(str(arrays["__meta__"])), **edit}
+        np.savez(bad, **{**arrays, "__meta__": np.array(json.dumps(meta))})
+    return write
+
+
 def _with_weight_entry(name, value):
     """A writer of checkpoint `best` to `bad`, with `value` at entry 0 of
     weight `name`."""
@@ -428,9 +448,10 @@ def _with_weight_entry(name, value):
     (_with_weight_entry("class_head.bias", np.nan),
      "detector weight class_head.bias is not finite"),
     (_with_weight_entry("proj.weight", np.inf), "detector weight proj.weight is not finite"),
+    (_with_meta(kind="classifier"), "checkpoint holds a 'classifier', not a detector"),
 ], ids=["truncated", "plain-text", "string-heads", "null-d_model", "zero-heads",
         "indivisible-heads", "zero-ffn_mult", "zero-max_tokens", "negative-d_model",
-        "missing-weight", "nan-weight", "inf-weight"])
+        "missing-weight", "nan-weight", "inf-weight", "classifier-kind"])
 def test_unreadable_or_mistyped_checkpoint_exits_2_naming_the_path(tiny_pipeline, tmp_path,
                                                                    capsys, write, message):
     _, ds, run_dir, _ = tiny_pipeline
@@ -470,6 +491,26 @@ def test_train_with_zero_epochs_or_batch_size_exits_2_naming_the_field(tmp_path,
                  flag, "0"])
     assert code == 2
     assert f"{field} must be at least 1, got 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--lr", "nan", "lr must be a positive finite number, got nan"),
+    ("--lr", "inf", "lr must be a positive finite number, got inf"),
+    ("--lr", "-1", "lr must be a positive finite number, got -1.0"),
+    ("--lr", "0", "lr must be a positive finite number, got 0.0"),
+    ("--seed", "-1", "seed must be at least 0, got -1"),
+])
+def test_train_with_an_lr_or_seed_it_cannot_use_exits_2_naming_the_field(tmp_path, capsys,
+                                                                          flag, value, message):
+    ds = tmp_path / "ds"
+    assert main(["generate", "--n", "12", "--sentences", "3", "--dim", "16",
+                 "--out", str(ds)]) == 0
+    code = main(["train", "--dataset", str(ds), "--out", str(tmp_path / "run"),
+                 "--hidden", "16", "--heads", "4", "--enc-layers", "1", "--dec-layers", "1",
+                 "--epochs", "1", flag, value])
+    assert code == 2
+    assert f"error: {message}\n" in capsys.readouterr().err
+    assert not (tmp_path / "run" / "metrics.jsonl").exists()
 
 
 @pytest.mark.parametrize("flag, field", [("--heads", "heads"), ("--hidden", "hidden")])
@@ -624,6 +665,12 @@ def test_lines_that_are_not_json_objects_name_the_path_and_line(tiny_pipeline, t
     ('{"spec": {"embed_dim": "x"}}', "spec field embed_dim is 'x', not an int"),
     ('{"spec": {"signal": true}}', "spec field signal is True, not a number"),
     ('{"spec": {"embed_dim": 4}}', "spec field embed_dim: embedding dim must be >= 8, got 4"),
+    ('{"spec": {"signal": -1}}',
+     "spec field signal: signal strength -1 must be a finite number >= 0"),
+    ('{"spec": {"signal": NaN}}',
+     "spec field signal: signal strength nan must be a finite number >= 0"),
+    ('{"spec": {"signal": Infinity}}',
+     "spec field signal: signal strength inf must be a finite number >= 0"),
     ('{"seed": 1,}', "not a JSON document: Expecting property name"),
 ])
 def test_a_broken_dataset_meta_exits_2_naming_the_file_and_field(tiny_pipeline, tmp_path,

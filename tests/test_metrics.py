@@ -6,9 +6,8 @@ from spandet.data import (LABEL_HUMAN, LABEL_MACHINE, LABEL_MIXED, SynthSpec,
 from spandet.geometry import CharSpan
 from spandet.metrics import (auroc, boundary_suite, classification_suite,
                              co2_estimate, evaluate_detection, f1_at_k,
-                             interval_to_sentence, kappa, mae_word_boundary,
-                             overlap_labels, snap_boundaries, snap_endpoint,
-                             write_metric_report)
+                             interval_to_sentence, kappa, overlap_labels,
+                             snap_boundaries, snap_endpoint, write_metric_report)
 
 SENTENCES = [CharSpan(0, 100), CharSpan(101, 200), CharSpan(201, 300)]
 
@@ -120,12 +119,6 @@ def test_boundary_suite_cases():
     assert mixed == {"acc": 0.5, "soft_acc1": 0.5, "mse": 8.0}
     with pytest.raises(ValueError):
         boundary_suite([1], [1, 2])
-
-
-def test_mae_word_boundary():
-    assert mae_word_boundary([2, 8], [2, 8]) == 0.0
-    assert mae_word_boundary([2, 8], [4, 8]) == 1.0
-    assert mae_word_boundary([0, 10], [5, 5]) == 5.0
 
 
 def test_kappa_identical_is_one():

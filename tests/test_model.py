@@ -9,8 +9,7 @@ from spandet import tensor as T
 from spandet.geometry import Interval
 from spandet.model import (ClassifierHead, DetectionModel, LayerPrediction,
                            ModelConfig, ModelOutput, _logit, check_features,
-                           dn_attention_mask, load_classifier, load_detector,
-                           save_checkpoint, save_classifier, save_detector)
+                           dn_attention_mask, load_detector, save_detector)
 from spandet.nn import ConcatPosAttention, Linear, MultiHeadAttention, _concat_per_head
 from spandet.tensor import sinusoidal_encode
 from spandet.training import detection_loss, make_denoising
@@ -288,15 +287,22 @@ def test_classify_rejects_an_empty_record_by_the_feature_contract():
 
 @pytest.mark.parametrize("field, value", [("d_model", 0), ("hidden", 0), ("hidden", -3),
                                           ("n_classes", 0)])
-def test_classifier_rejects_sizes_below_one_naming_the_field(tmp_path, field, value):
+def test_classifier_rejects_sizes_below_one_naming_the_field(field, value):
     sizes = {"d_model": 16, "hidden": 8, "n_classes": 2, field: value}
     message = f"{field} must be at least 1, got {value}"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         ClassifierHead(**sizes)
-    path = tmp_path / "head.npz"
-    save_checkpoint(path, ClassifierHead(16, 8, 2), "classifier", sizes)
-    with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: classifier {message}')}$"):
-        load_classifier(path)
+
+
+def write_archive(path, model, config=None, **meta):
+    """`model`'s weights in a checkpoint archive laid out member for member as
+    ``save_detector`` writes it: a JSON ``__meta__`` (version 1, kind
+    "detector" and `config`, by default the model's; `meta` overrides any
+    key), then one ``param/<name>`` array per weight."""
+    meta = {"checkpoint_version": 1, "kind": "detector",
+            "config": asdict(model.cfg) if config is None else config, **meta}
+    np.savez(path, __meta__=np.array(json.dumps(meta, sort_keys=True)),
+             **{f"param/{k}": v for k, v in model.state().items()})
 
 
 def test_detector_checkpoint_roundtrip(tmp_path):
@@ -311,43 +317,69 @@ def test_detector_checkpoint_roundtrip(tmp_path):
     assert before.intervals == after.intervals and before.scores == after.scores
 
 
-def test_classifier_checkpoint_roundtrip(tmp_path):
-    head = ClassifierHead(16, 8, 2, seed=3)
-    x = np.random.default_rng(4).normal(size=(6, 16))
-    before = head.classify(x)
-    path = tmp_path / "head.npz"
-    save_classifier(path, head)
-    after = load_classifier(path).classify(x)
-    assert np.array_equal(before, after)
+def test_save_detector_writes_the_version_1_archive_layout(tmp_path):
+    m = tiny_model(seed=13, dn_groups=0)
+    save_detector(tmp_path / "saved.npz", m)
+    write_archive(tmp_path / "built.npz", m)
+    with np.load(tmp_path / "saved.npz") as a, np.load(tmp_path / "built.npz") as b:
+        assert a.files == b.files == ["__meta__", *(f"param/{k}" for k in m.state())]
+        for k in a.files:
+            assert a[k].dtype == b[k].dtype and np.array_equal(a[k], b[k]), k
+        meta = json.loads(str(a["__meta__"]))
+    assert meta == {"checkpoint_version": 1, "kind": "detector", "config": asdict(m.cfg)}
+
+
+def test_an_archive_laid_out_as_version_1_loads_and_predicts_bitwise(tmp_path):
+    m = tiny_model(seed=14)
+    vec, pos = rand_input(seed=15)
+    path = tmp_path / "v1.npz"
+    write_archive(path, m)
+    again = load_detector(path)
+    assert again.cfg == m.cfg
+    before, after = m.predict(vec, pos), again.predict(vec, pos)
+    assert before.intervals == after.intervals and before.scores == after.scores
 
 
 def test_checkpoint_kind_mismatch(tmp_path):
-    head = ClassifierHead(16, 8, 2)
     path = tmp_path / "head.npz"
-    save_classifier(path, head)
-    with pytest.raises(ValueError, match="classifier"):
+    write_archive(path, tiny_model(), kind="classifier")
+    message = f"{path}: checkpoint holds a 'classifier', not a detector"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        load_detector(path)
+
+
+@pytest.mark.parametrize("meta, message", [
+    ({"kind": None}, "checkpoint holds a None, not a detector"),
+    ({"checkpoint_version": 2}, "unsupported checkpoint version"),
+    ({"config": [16]}, "detector config [16] is not a JSON object"),
+])
+def test_checkpoint_meta_faults_name_the_path(tmp_path, meta, message):
+    path = tmp_path / "model.npz"
+    write_archive(path, tiny_model(), **meta)
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}$"):
         load_detector(path)
 
 
 def test_checkpoint_config_with_unknown_or_missing_fields_names_them(tmp_path):
-    path = tmp_path / "head.npz"
-    save_checkpoint(path, ClassifierHead(16, 8, 2), "classifier",
-                    {"d_model": 16, "hidden": 8, "classes": 2})
-    with pytest.raises(ValueError, match=re.escape(
-            "classifier config has unknown fields ['classes'] and missing fields ['n_classes']")):
-        load_classifier(path)
+    path = tmp_path / "model.npz"
     m = tiny_model(seed=1)
-    save_checkpoint(path, m, "detector", {**asdict(m.cfg), "depth": 2, "width": 3})
+    config = {**asdict(m.cfg), "depth": 2, "width": 3}
+    write_archive(path, m, config)
     with pytest.raises(ValueError, match=re.escape(
             "detector config has unknown fields ['depth', 'width'] and missing fields []")):
+        load_detector(path)
+    del config["depth"], config["width"], config["heads"]
+    write_archive(path, m, config)
+    with pytest.raises(ValueError, match=re.escape(
+            "detector config has unknown fields [] and missing fields ['heads']")):
         load_detector(path)
 
 
 def test_unreadable_checkpoint_archives_raise_naming_the_path(tmp_path):
     good = tmp_path / "good.npz"
-    save_classifier(good, ClassifierHead(16, 8, 2))
+    save_detector(good, tiny_model())
     path = tmp_path / "bad.npz"
-    meta = json.dumps({"checkpoint_version": 1, "kind": "classifier"})
+    meta = json.dumps({"checkpoint_version": 1, "kind": "detector"})
     for write in (lambda: path.write_bytes(good.read_bytes()[:300]),  # truncated
                   lambda: path.write_text("not an archive\n"),
                   lambda: np.savez(path, weights=np.zeros(3)),  # no __meta__
@@ -355,7 +387,7 @@ def test_unreadable_checkpoint_archives_raise_naming_the_path(tmp_path):
         write()
         with pytest.raises(ValueError, match=re.escape(
                 f"{path}: not a readable checkpoint archive with a JSON __meta__")):
-            load_classifier(path)
+            load_detector(path)
 
 
 def test_checkpoint_faults_found_building_the_model_name_the_path(tmp_path):
@@ -363,7 +395,7 @@ def test_checkpoint_faults_found_building_the_model_name_the_path(tmp_path):
     path = tmp_path / "model.npz"
     for heads, message in [(0, "heads must be at least 1, got 0"),
                            (3, "hidden 16 not divisible by heads 3")]:
-        save_checkpoint(path, m, "detector", {**asdict(m.cfg), "heads": heads})
+        write_archive(path, m, {**asdict(m.cfg), "heads": heads})
         with pytest.raises(ValueError, match=re.escape(f"{path}: detector {message}")):
             load_detector(path)
     save_detector(path, m)
@@ -373,11 +405,10 @@ def test_checkpoint_faults_found_building_the_model_name_the_path(tmp_path):
     with pytest.raises(ValueError, match=re.escape(
             f"{path}: detector state mismatch: missing ['proj.weight'], extra []")):
         load_detector(path)
-    save_checkpoint(path, ClassifierHead(16, 8, 2), "classifier",
-                    {"d_model": 16, "hidden": 4, "n_classes": 2})
+    write_archive(path, m, {**asdict(m.cfg), "d_model": 8})
     with pytest.raises(ValueError, match=re.escape(
-            f"{path}: classifier lin1.weight: shape (16, 8) != expected (16, 4)")):
-        load_classifier(path)
+            f"{path}: detector proj.weight: shape (16, 16) != expected (8, 16)")):
+        load_detector(path)
 
 
 @pytest.mark.parametrize("field, value, message", [
@@ -392,10 +423,10 @@ def test_checkpoint_config_values_must_be_numbers_of_their_field_type(tmp_path, 
                                                                        message):
     m = tiny_model(seed=2)
     path = tmp_path / "model.npz"
-    save_checkpoint(path, m, "detector", {**asdict(m.cfg), field: value})
+    write_archive(path, m, {**asdict(m.cfg), field: value})
     with pytest.raises(ValueError, match=re.escape(f"{path}: detector config {message}")):
         load_detector(path)
-    save_checkpoint(path, m, "detector", {**asdict(m.cfg), "temperature": 10000})
+    write_archive(path, m, {**asdict(m.cfg), "temperature": 10000})
     assert load_detector(path).cfg == m.cfg  # an int is a number
 
 

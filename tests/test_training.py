@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from spandet import tensor as T
 from spandet import training
 from spandet.data import SynthSpec, synth_generate, synthetic_provider
-from spandet.geometry import Interval, clamp_interval, span_to_cw
+from spandet.geometry import Interval, span_to_cw
 from spandet.matching import hungarian
 from spandet.model import LayerPrediction, ModelConfig, ModelOutput, dn_attention_mask
 from spandet.training import (ADAM_BETAS, ADAM_EPS, WEIGHT_DECAY, AdamW, LossWeights,
@@ -23,6 +23,7 @@ from spandet.training import (ADAM_BETAS, ADAM_EPS, WEIGHT_DECAY, AdamW, LossWei
 
 import reference_ops as R
 from composed import focal_loss_mean, giou_1d_t, span_l1_t
+from oracles import clamp_interval
 
 CFG = ModelConfig(d_model=16, hidden=16, heads=4, ffn_mult=2, enc_layers=1,
                   dec_layers=1, num_queries=3, max_tokens=64,
@@ -434,6 +435,39 @@ def test_train_classifier_rejects_epochs_or_batch_size_below_one_before_any_read
     reads, steps = [], []
     monkeypatch.setattr(training.AdamW, "step", lambda self, lr: steps.append(lr))
     with pytest.raises(ValueError, match=f"^{arg} must be at least 1, got {value}$"):
+        train_classifier(samples, labels, lambda s: reads.append(s.id) or provide(s),
+                         n_classes=2, **{arg: value})
+    assert reads == [] and steps == []
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("lr", math.nan, "lr must be a positive finite number, got nan"),
+    ("lr", math.inf, "lr must be a positive finite number, got inf"),
+    ("lr", -1.0, "lr must be a positive finite number, got -1.0"),
+    ("lr", 0.0, "lr must be a positive finite number, got 0.0"),
+    ("grad_clip", -0.1, "grad_clip must be a finite number >= 0, got -0.1"),
+    ("grad_clip", math.nan, "grad_clip must be a finite number >= 0, got nan"),
+    ("grad_clip", math.inf, "grad_clip must be a finite number >= 0, got inf"),
+    ("seed", -1, "seed must be at least 0, got -1"),
+])
+def test_train_config_rejects_an_lr_clip_or_seed_it_cannot_use_naming_the_field(
+        field, value, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        TrainConfig(**{field: value})
+    assert TrainConfig(grad_clip=0.0).grad_clip == 0.0  # 0: never clip
+
+
+@pytest.mark.parametrize("arg, value, message", [
+    ("lr", math.nan, "lr must be a positive finite number, got nan"),
+    ("lr", -1e-3, "lr must be a positive finite number, got -0.001"),
+    ("seed", -1, "seed must be at least 0, got -1"),
+])
+def test_train_classifier_rejects_an_lr_or_seed_it_cannot_use_before_any_read(
+        monkeypatch, arg, value, message):
+    samples, labels, provide = _binary_split_with(None, None)
+    reads, steps = [], []
+    monkeypatch.setattr(training.AdamW, "step", lambda self, lr: steps.append(lr))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         train_classifier(samples, labels, lambda s: reads.append(s.id) or provide(s),
                          n_classes=2, **{arg: value})
     assert reads == [] and steps == []
