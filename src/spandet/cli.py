@@ -128,11 +128,8 @@ def cmd_embed(args) -> int:
 
 
 def cmd_train(args) -> int:
-    run_dir = Path(args.out)
-    _check_out_dir(run_dir, args.overwrite)
-    invocation = {k: v for k, v in vars(args).items() if k != "func"}
-    (run_dir / "invocation.json").write_text(
-        json.dumps(invocation, indent=2, sort_keys=True) + "\n")
+    train_cfg = TrainConfig(epochs=args.epochs, batch_size=args.batch_size,
+                            lr=args.lr, seed=args.seed)
     split = D.load_split(args.dataset)
     provider = _provider_for(args.dataset, args.embeddings)
     if not split.train:
@@ -143,8 +140,11 @@ def cmd_train(args) -> int:
                             enc_layers=args.enc_layers, dec_layers=args.dec_layers,
                             heads=args.heads, num_queries=args.queries,
                             max_tokens=args.max_tokens, dn_groups=args.dn_groups)
-    train_cfg = TrainConfig(epochs=args.epochs, batch_size=args.batch_size,
-                            lr=args.lr, seed=args.seed)
+    run_dir = Path(args.out)  # written only once both configs hold
+    _check_out_dir(run_dir, args.overwrite)
+    invocation = {k: v for k, v in vars(args).items() if k != "func"}
+    (run_dir / "invocation.json").write_text(
+        json.dumps(invocation, indent=2, sort_keys=True) + "\n")
     try:
         result = train(split, provider, model_cfg, train_cfg, LossWeights(), run_dir)
     except ValueError as e:

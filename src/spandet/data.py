@@ -153,8 +153,8 @@ def read_meta(path) -> dict:
     """A dataset's ``meta.json``, checked: a JSON object whose ``spec``, if
     any, is an object with an int ``embed_dim`` and ``embed_seed`` and a
     number ``signal`` where it gives them (what ``synthetic_provider`` reads),
-    the width passing ``check_embed_dim`` and the signal ``check_signal``.
-    Raises ``ValueError`` naming `path` and the bad field."""
+    each passing its rule (``check_embed_dim``, ``check_embed_seed``,
+    ``check_signal``). Raises ``ValueError`` naming `path` and the bad field."""
     try:
         meta = json.loads(Path(path).read_text())
     except ValueError as e:  # bad JSON or bad UTF-8
@@ -168,7 +168,8 @@ def read_meta(path) -> dict:
         if name in spec and type(spec[name]) not in kinds:
             raise ValueError(f"{path}: spec field {name} is {spec[name]!r}, not "
                              f"{'an int' if kinds == (int,) else 'a number'}")
-    for name, rule in (("embed_dim", check_embed_dim), ("signal", check_signal)):
+    for name, rule in (("embed_dim", check_embed_dim), ("embed_seed", check_embed_seed),
+                       ("signal", check_signal)):
         if name in spec:
             try:  # the rules ``SynthSpec`` applies before it writes a dataset
                 rule(spec[name])
@@ -290,6 +291,12 @@ def check_signal(signal: float) -> None:
         raise ValueError(f"signal strength {signal} must be a finite number >= 0")
 
 
+def check_embed_seed(seed: int) -> None:
+    """The rule for the toy provider's table seed: >= 0, as numpy demands."""
+    if seed < 0:
+        raise ValueError(f"embedding table seed {seed} must be >= 0")
+
+
 @dataclass
 class SynthSpec:
     n_texts: int = 2000
@@ -309,10 +316,11 @@ class SynthSpec:
             raise ValueError(f"unknown style {self.style!r}")
         if self.n_texts < 1:
             raise ValueError("need at least one text")
-        try:  # the toy provider's floor, before any dataset records the width
-            check_embed_dim(self.embed_dim)
-        except ValueError as e:
-            raise ValueError(f"embed_dim: {e}") from e
+        for name, rule in (("embed_dim", check_embed_dim), ("embed_seed", check_embed_seed)):
+            try:  # the toy provider's rules, before any dataset records the value
+                rule(getattr(self, name))
+            except ValueError as e:
+                raise ValueError(f"{name}: {e}") from e
 
 
 def _make_vocab(rng: np.random.Generator, size: int) -> list[str]:

@@ -48,6 +48,8 @@ def hungarian(cost: np.ndarray) -> Assignment:
         raise ValueError(f"more targets than predictions ({m} > {n})")
     if not np.isfinite(cost).all():
         raise ValueError("cost matrix contains non-finite entries")
+    if m == 1:  # the first row of least cost, which is the lexicographic tie rule's pick
+        return [(int(np.argmin(cost[:, 0])), 0)]
 
     base = _solve_jv(cost)
     best_total = _total(cost, base)

@@ -305,34 +305,37 @@ def softmax(z: np.ndarray) -> np.ndarray:
 # -- checkpoints --------------------------------------------------------------
 #
 # A checkpoint is an .npz archive: "__meta__" holds a JSON document with the
-# container version, the model kind ("detector"), and its config; every weight
-# is stored under "param/<name>" in double precision.
+# container version, the model kind ("detector") and its config; "params" holds
+# every weight in one float64 vector, in the ``parameters()`` order the config fixes.
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 def save_detector(path, model: DetectionModel) -> None:
     meta = json.dumps({"checkpoint_version": CHECKPOINT_VERSION,
                        "kind": "detector", "config": asdict(model.cfg)}, sort_keys=True)
-    arrays = {f"param/{k}": v for k, v in model.state().items()}
-    np.savez(path, __meta__=np.array(meta), **arrays)
+    params = np.concatenate([p.data.ravel() for p in model.parameters().values()])
+    np.savez(path, __meta__=np.array(meta), params=params)
 
 
 def load_detector(path) -> DetectionModel:
     """The detector a checkpoint's config builds, with the checkpoint's weights
     loaded. The config's keys must be exactly ``ModelConfig``'s fields, each
     value a number (not a bool), and an int where the field is not a float.
-    Any other fault, including a ``ValueError`` from ``ModelConfig`` or from
-    loading the weights and a weight that is not finite, raises ``ValueError``
-    naming `path`; a missing file raises ``FileNotFoundError``."""
+    Any other fault, including another version, a ``ValueError`` from
+    ``ModelConfig``, ``params`` that are not the model's float64 weights and
+    a weight that is not finite, raises ``ValueError`` naming `path`; a
+    missing file raises ``FileNotFoundError``."""
     try:
         with np.load(path, allow_pickle=False) as z:
             meta = json.loads(str(z["__meta__"]))
-            state = {k[len("param/"):]: z[k] for k in z.files if k.startswith("param/")}
+            vector = z.get("params")
     except (EOFError, KeyError, TypeError, ValueError, zipfile.BadZipFile) as e:
         raise ValueError(f"{path}: not a readable checkpoint archive with a JSON __meta__") from e
-    if not isinstance(meta, dict) or meta.get("checkpoint_version") != CHECKPOINT_VERSION:
-        raise ValueError(f"{path}: unsupported checkpoint version")
+    version = meta.get("checkpoint_version") if isinstance(meta, dict) else None
+    if version != CHECKPOINT_VERSION:
+        raise ValueError(f"{path}: unsupported checkpoint version {version!r} "
+                         f"(this reader takes version {CHECKPOINT_VERSION})")
     if meta.get("kind") != "detector":
         raise ValueError(f"{path}: checkpoint holds a {meta.get('kind')!r}, not a detector")
     config = meta.get("config")
@@ -349,8 +352,13 @@ def load_detector(path) -> DetectionModel:
                              f"not {'a number' if hint is float else 'an int'}")
     try:
         model = DetectionModel(ModelConfig(**config))
-        model.load_state(state)
-        for name, p in model.parameters().items():
+        params = model.parameters()
+        ends = np.cumsum([p.size for p in params.values()])
+        if vector is None or vector.dtype != np.float64 or vector.shape != (ends[-1],):
+            got = "none" if vector is None else f"{vector.dtype} of shape {vector.shape}"
+            raise ValueError(f"params are {got}, not its config's {ends[-1]} float64 weights")
+        for (name, p), end in zip(params.items(), ends):
+            p.data[...] = vector[end - p.size:end].reshape(p.shape)
             if not np.isfinite(p.data).all():
                 raise ValueError(f"weight {name} is not finite")
     except ValueError as e:

@@ -37,17 +37,6 @@ class Module:
         for p in self.parameters().values():
             p.zero_grad()
 
-    def load_state(self, state: dict[str, np.ndarray]) -> None:
-        params = self.parameters()
-        missing = set(params) - set(state)
-        extra = set(state) - set(params)
-        if missing or extra:
-            raise ValueError(f"state mismatch: missing {sorted(missing)}, extra {sorted(extra)}")
-        for k, p in params.items():
-            if p.data.shape != state[k].shape:
-                raise ValueError(f"{k}: shape {state[k].shape} != expected {p.data.shape}")
-            p.data[...] = state[k]  # in place: an optimizer may hold p.data as a view
-
     def state(self) -> dict[str, np.ndarray]:
         return {k: p.data.copy() for k, p in self.parameters().items()}
 

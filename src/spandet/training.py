@@ -4,12 +4,13 @@ The objective is a weighted sum of span L1, gIoU, and focal terms over the
 learnable queries (matched to targets by Hungarian assignment) plus L1/gIoU
 reconstruction terms over the denoising queries, repeated for every decoder
 layer's auxiliary outputs. Each layer's objective is one tape node: the
-forward computes every term, the match cost and the assignment in numpy, and
+forward computes every term, the match cost and the assignment in numpy, in
+array steps over the micro-batch but for one Hungarian call per record, and
 the hand-written backward replays the backward of the same objective built
-from elementwise tensor ops, so totals and gradients are bitwise that chain's.
-Every ``metrics.jsonl`` record keeps the terms summed over the layers under
-``"train"`` and lists each layer's terms and mean matched IoU under
-``"train_layers"``.
+from elementwise tensor ops, so each record's terms and gradients are
+bitwise that chain's over the record alone. Every ``metrics.jsonl`` record
+keeps the terms summed over the layers under ``"train"`` and lists each
+layer's terms and mean matched IoU under ``"train_layers"``.
 
 Training runs micro-batches: ``_fit`` cuts each step's records, in the
 epoch's permutation order, into runs whose token rows add up to at most
@@ -141,12 +142,16 @@ def composite_loss(layer: LayerPrediction, dn_cw: T.Tensor | None,
     `layer` holds ``ModelOutput`` rows, record after record; `gts` is one
     target list per record, the records sharing the query rows equally, and
     `dn_rows` each record's DN row count (None: no DN rows). Each record is
-    matched (learnable queries only; DN rows pair with their own targets)
-    and scored on its own rows. Span L1 and gIoU are computed once over every
-    (query, target) pair, for the match cost and the matched terms alike.
-    Total and gradients are bitwise those of the same objective built from
-    elementwise tensor ops. Non-finite predictions raise ``NumericalError``,
-    carrying the position of its record, before matching."""
+    matched on its own rows (learnable queries only; DN rows pair with their
+    own targets) and scored on them, but every step runs once over the whole
+    micro-batch: span L1 and gIoU over every record's (query, target) pairs,
+    for the match cost and the matched terms alike, the match cost, the focal
+    term and the DN terms. Only the assignment is one ``hungarian`` call per
+    record with targets. Each record's terms and gradients are bitwise those
+    it gets as a micro-batch of one, and the node's value is the sum of the
+    records' totals in record order. Non-finite predictions raise
+    ``NumericalError``, carrying the position of the first such record,
+    before matching."""
     cw, logits = layer.cw, layer.logits
     if not (isinstance(gts, (list, tuple)) and gts and cw.shape[0] % len(gts) == 0
             and all(isinstance(g, (list, tuple)) for g in gts)):
@@ -158,90 +163,78 @@ def composite_loss(layer: LayerPrediction, dn_cw: T.Tensor | None,
     if len(dn_rows) != len(gts) or sum(dn_rows) != n_dn:
         raise T.ShapeError(f"composite_loss: dn_rows {dn_rows} do not split {n_dn} DN rows "
                            f"over {len(gts)} records")
-    nq = cw.shape[0] // len(gts)
-    records = []
-    for r, (targets, d, start) in enumerate(zip(gts, dn_rows, np.cumsum([0, *dn_rows]))):
-        q, dn = slice(r * nq, (r + 1) * nq), slice(start, start + d)
-        if not (np.isfinite(cw.data[q]).all() and np.isfinite(logits.data[q]).all()):
-            raise NumericalError("non-finite predictions", record=r)
-        records.append(_record_objective(cw.data[q], logits.data[q], dn_cw.data[dn] if d else None,
-                                         dn_gt_index[dn] if d else None, targets, weights))
-    totals, terms, vjps = zip(*records)
+    b, nq = len(gts), cw.shape[0] // len(gts)
+    finite = np.isfinite(np.hstack([cw.data.reshape(b, -1), logits.data.reshape(b, -1)]))
+    if not finite.all():  # argmin: the first record holding a False
+        raise NumericalError("non-finite predictions", record=int(np.argmin(finite.all(axis=1))))
 
-    def vjp(g):
-        g_cw, g_logits, g_dn = zip(*(f(g) for f in vjps))
-        q_rows = [nq] * len(gts)
-        return _stack_rows(g_cw, q_rows), _stack_rows(g_logits, q_rows), _stack_rows(g_dn, dn_rows)
-
-    node = T.custom(sum(totals), (cw, logits) if dn_cw is None else (cw, logits, dn_cw), vjp,
-                    "objective")
-    return node, list(terms)
-
-
-def _record_objective(cw: np.ndarray, logits: np.ndarray, dn_cw: np.ndarray | None,
-                      dn_gt_index: np.ndarray | None, gts: list[Interval],
-                      weights: LossWeights):
-    """``composite_loss`` of one record's rows in numpy: its total, its
-    breakdown and ``vjp(g)``, which gives the gradients of its cw, logits and
-    DN rows (None for no gradient)."""
-    n_queries, m = cw.shape[0], len(gts)
-    gt_cw = np.array([[g.c, g.w] for g in gts])
-    probs = T.expit(logits.reshape(-1))
-    targets = np.zeros(n_queries)
-    l_span = l_giou = l_dn_span = l_dn_giou = 0.0
-    mean_iou = math.nan
-    if gts:
-        pair_rows = np.repeat(np.arange(n_queries), m)
-        l1, giou, iou, pair_grad = span_l1_giou(cw[pair_rows], np.tile(gt_cw, (n_queries, 1)))
-        cost = build_match_cost(l1.reshape(n_queries, m), giou.reshape(n_queries, m), probs,
-                                (weights.span, weights.giou, weights.focal))
-        rows, cols = np.array(hungarian(cost)).T
-        matched = rows * m + cols
-        targets[rows] = 1.0
-        l_span, l_giou = _mean_terms(l1[matched], giou[matched])
-        mean_iou = float(iou[matched].mean())
+    counts = np.array([len(g) for g in gts])
+    gt_cw = np.array([[g.c, g.w] for targets in gts for g in targets]).reshape(-1, 2)
+    first_gt = np.cumsum(counts) - counts
+    # every record's (query, target) pairs, query-major, record after record
+    pair_rec = np.repeat(np.arange(b), nq * counts)
+    query, target = np.divmod(np.arange(nq * counts.sum()) - nq * first_gt[pair_rec],
+                              counts[pair_rec])
+    pair_rows = pair_rec * nq + query
+    probs = T.expit(logits.data.reshape(-1))
+    l1, giou, iou, pair_grad = span_l1_giou(cw.data[pair_rows], gt_cw[first_gt[pair_rec] + target])
+    cost = build_match_cost(l1[:, None], giou[:, None], probs[pair_rows],
+                            (weights.span, weights.giou, weights.focal))[:, 0]
+    # the matched pairs' indices, record after record, each record's in column order
+    matched = np.array([at + i * m + j for m, at in zip(counts, nq * first_gt) if m
+                        for i, j in hungarian(cost[at:at + nq * m].reshape(nq, m))], dtype=int)
+    targets = np.zeros(b * nq)
+    targets[pair_rows[matched]] = 1.0
     focal, focal_grad = _focal(probs, targets, FOCAL_ALPHA, FOCAL_GAMMA)
-    l_focal = focal.mean()
-    if dn_cw is not None:
-        dn_l1, dn_giou, _, dn_grad = span_l1_giou(dn_cw, gt_cw[dn_gt_index])
-        l_dn_span, l_dn_giou = _mean_terms(dn_l1, dn_giou)
 
+    inv = 1.0 / np.maximum(counts, 1)
+    span_sum, giou_sum, iou_sum = _run_sums(
+        np.stack([l1[matched], 1.0 - giou[matched], iou[matched]]), counts)
+    l_span, l_giou = span_sum * inv, giou_sum * inv
+    l_focal = focal.reshape(b, nq).sum(axis=1) / nq
+    dn_counts = np.array(dn_rows)
+    inv_dn = 1.0 / np.maximum(dn_counts, 1)
+    l_dn_span = l_dn_giou = np.zeros(b)
+    if dn_cw is not None:
+        dn_l1, dn_giou, _, dn_grad = span_l1_giou(
+            dn_cw.data, gt_cw[np.repeat(first_gt, dn_counts) + dn_gt_index])
+        l_dn_span, l_dn_giou = _run_sums(np.stack([dn_l1, 1.0 - dn_giou]), dn_counts) * inv_dn
     total = (l_span * weights.span + l_giou * weights.giou + l_focal * weights.focal
              + l_dn_span * weights.dn_span + l_dn_giou * weights.dn_giou)
+    mean_iou = np.divide(iou_sum, counts, out=np.full(b, np.nan), where=counts > 0)
 
     def vjp(g):
         g_cw = g_dn = None
-        if gts:  # only the matched pairs receive a gradient
-            inv = 1.0 / len(matched)
+        if len(matched):  # only the matched pairs receive a gradient
+            scale = inv[pair_rec[matched]]
             g_l1, g_giou = np.zeros(len(l1)), np.zeros(len(l1))
-            g_l1[matched] = g * weights.span * inv
-            g_giou[matched] = g * weights.giou * inv * -1.0
-            g_cw = np.zeros_like(cw)
+            g_l1[matched] = g * weights.span * scale
+            g_giou[matched] = g * weights.giou * scale * -1.0
+            g_cw = np.zeros_like(cw.data)
             np.add.at(g_cw, pair_rows, pair_grad(g_l1, g_giou))
         if dn_cw is not None:
-            inv = 1.0 / len(dn_l1)
-            g_dn = dn_grad(np.full(len(dn_l1), g * weights.dn_span * inv),
-                           np.full(len(dn_l1), g * weights.dn_giou * inv * -1.0))
-        return g_cw, focal_grad(g * weights.focal / n_queries).reshape(logits.shape), g_dn
+            scale = np.repeat(inv_dn, dn_counts)
+            g_dn = dn_grad(g * weights.dn_span * scale, g * weights.dn_giou * scale * -1.0)
+        return g_cw, focal_grad(g * weights.focal / nq).reshape(logits.shape), g_dn
 
-    values = map(float, (l_span, l_giou, l_focal, l_dn_span, l_dn_giou, total))
-    return total, dict(zip(TERMS, values), iou=mean_iou), vjp
-
-
-def _stack_rows(blocks, rows: list[int]) -> np.ndarray | None:
-    """Per-record gradient blocks of `rows` rows each stacked in record order,
-    zeros for a None block; None when every block is."""
-    if all(b is None for b in blocks):
-        return None
-    tail = next(b for b in blocks if b is not None).shape[1:]
-    return np.concatenate([np.zeros((n, *tail)) if b is None else b
-                           for b, n in zip(blocks, rows)])
+    node = T.custom(sum(total), (cw, logits) if dn_cw is None else (cw, logits, dn_cw), vjp,
+                    "objective")
+    table = np.stack([l_span, l_giou, l_focal, l_dn_span, l_dn_giou, total], axis=1)
+    return node, [dict(zip(TERMS, row), iou=i)
+                  for row, i in zip(table.tolist(), mean_iou.tolist())]
 
 
-def _mean_terms(l1: np.ndarray, giou: np.ndarray) -> tuple[float, float]:
-    """Mean span L1 and mean (1 - gIoU) over k pairs, summed then scaled."""
-    inv = 1.0 / len(l1)
-    return l1.sum() * inv, (1.0 - giou).sum() * inv
+def _run_sums(x: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Sums over the consecutive runs of `counts` entries along `x`'s last axis,
+    each bitwise its run's ``.sum()``, as the rows of one matrix per run length
+    (``np.add.reduceat`` and zero-padding both change the bits)."""
+    sums = np.zeros((*x.shape[:-1], len(counts)))
+    first = np.cumsum(counts) - counts
+    for k in set(counts.tolist()) - {0}:
+        at = counts == k
+        # take's result is C-ordered, so each run is a contiguous row
+        sums[..., at] = np.take(x, first[at][:, None] + np.arange(k), axis=-1).sum(axis=-1)
+    return sums
 
 
 def detection_loss(out: ModelOutput, gts: list[list[Interval]],
@@ -548,7 +541,7 @@ def train(split, provider: Provider, model_cfg: ModelConfig,
             if record["val_loss"] < best_val:
                 best_val = record["val_loss"]
                 best_epoch = epoch
-                best_state = model.state()
+                best_state = opt.data.copy()
         log.append(record)
         if run_dir is not None:
             with open(log_path, "a") as fh:
@@ -558,7 +551,7 @@ def train(split, provider: Provider, model_cfg: ModelConfig,
     if best_epoch < 0:  # no validation split: keep the final weights
         best_epoch, best_val = train_cfg.epochs, math.nan
     else:
-        model.load_state(best_state)
+        opt.data[...] = best_state  # in place: each p.data views opt.data
     if run_dir is not None:
         save_detector(run_dir / "best.npz", model)
     return TrainResult(model, log, best_epoch, best_val)

@@ -9,7 +9,7 @@ import pytest
 from spandet.cli import build_parser, main
 from spandet.data import (LABEL_HUMAN, AnnotatedText, SynthSpec, load_annotations,
                           load_predictions, load_split, save_split)
-from spandet.model import ModelConfig
+from spandet.model import DetectionModel, ModelConfig
 from spandet.textproc import read_embedding_file, tokenize, write_embedding_file
 from spandet.training import TrainConfig
 
@@ -45,6 +45,14 @@ def test_generate_rejects_an_embed_dim_below_the_floor_and_writes_nothing(tmp_pa
     out = tmp_path / "x"
     assert run(["generate", "--n", "5", "--dim", dim, "--out", str(out)]) == 2
     assert f"error: embed_dim: embedding dim must be >= 8, got {dim}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_generate_rejects_a_negative_embed_seed_and_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "x"
+    assert run(["generate", "--n", "5", "--dim", "16", "--embed-seed", "-1",
+                "--out", str(out)]) == 2
+    assert "error: embed_seed: embedding table seed -1 must be >= 0" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -402,11 +410,22 @@ def _with_config(**edit):
     return write
 
 
+def _weight_span(meta, name):
+    """Where weight `name` sits in the ``params`` vector of a checkpoint whose
+    ``__meta__`` is `meta`: the model its config builds fixes the order."""
+    params = DetectionModel(ModelConfig(**meta["config"])).parameters()
+    start = sum(p.size for p in list(params.values())[:list(params).index(name)])
+    return slice(start, start + params[name].size)
+
+
 def _without_weight(name):
-    """A writer of checkpoint `best` to `bad`, without weight `name`."""
+    """A writer of checkpoint `best` to `bad`, with weight `name`'s entries
+    cut out of its ``params`` vector."""
     def write(bad, best):
         with np.load(best) as z:
-            np.savez(bad, **{k: z[k] for k in z.files if k != f"param/{name}"})
+            arrays = {k: z[k] for k in z.files}
+        at = _weight_span(json.loads(str(arrays["__meta__"])), name)
+        np.savez(bad, **{**arrays, "params": np.delete(arrays["params"], at)})
     return write
 
 
@@ -426,7 +445,7 @@ def _with_weight_entry(name, value):
     def write(bad, best):
         with np.load(best) as z:
             arrays = {k: z[k] for k in z.files}
-        arrays[f"param/{name}"].flat[0] = value
+        arrays["params"][_weight_span(json.loads(str(arrays["__meta__"])), name).start] = value
         np.savez(bad, **arrays)
     return write
 
@@ -443,15 +462,16 @@ def _with_weight_entry(name, value):
     (_with_config(ffn_mult=0), "detector ffn_mult must be at least 1, got 0"),
     (_with_config(max_tokens=0), "detector max_tokens must be at least 1, got 0"),
     (_with_config(d_model=-5), "detector d_model must be at least 1, got -5"),
-    (_without_weight("proj.weight"),
-     "detector state mismatch: missing ['proj.weight'], extra []"),
+    (_without_weight("proj.weight"), "detector params are float64 of shape ("),
     (_with_weight_entry("class_head.bias", np.nan),
      "detector weight class_head.bias is not finite"),
     (_with_weight_entry("proj.weight", np.inf), "detector weight proj.weight is not finite"),
     (_with_meta(kind="classifier"), "checkpoint holds a 'classifier', not a detector"),
+    (_with_meta(checkpoint_version=1),
+     "unsupported checkpoint version 1 (this reader takes version 2)"),
 ], ids=["truncated", "plain-text", "string-heads", "null-d_model", "zero-heads",
         "indivisible-heads", "zero-ffn_mult", "zero-max_tokens", "negative-d_model",
-        "missing-weight", "nan-weight", "inf-weight", "classifier-kind"])
+        "missing-weight", "nan-weight", "inf-weight", "classifier-kind", "version-1"])
 def test_unreadable_or_mistyped_checkpoint_exits_2_naming_the_path(tiny_pipeline, tmp_path,
                                                                    capsys, write, message):
     _, ds, run_dir, _ = tiny_pipeline
@@ -510,7 +530,23 @@ def test_train_with_an_lr_or_seed_it_cannot_use_exits_2_naming_the_field(tmp_pat
                  "--epochs", "1", flag, value])
     assert code == 2
     assert f"error: {message}\n" in capsys.readouterr().err
-    assert not (tmp_path / "run" / "metrics.jsonl").exists()
+    assert not (tmp_path / "run").exists()
+
+
+def test_a_train_rejected_for_its_flags_leaves_out_free_for_the_corrected_rerun(tmp_path,
+                                                                                capsys):
+    ds, out = tmp_path / "ds", tmp_path / "run"
+    assert main(["generate", "--n", "12", "--sentences", "3", "--dim", "16",
+                 "--out", str(ds)]) == 0
+    argv = ["train", "--dataset", str(ds), "--out", str(out), "--hidden", "16",
+            "--enc-layers", "1", "--dec-layers", "1", "--epochs", "1"]
+    for bad, message in ((["--lr", "nan"], "lr must be a positive finite number, got nan"),
+                         (["--heads", "0"], "heads must be at least 1, got 0")):
+        assert main(argv + bad) == 2
+        assert f"error: {message}\n" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+    assert main(argv + ["--lr", "1e-3", "--heads", "4"]) == 0
+    assert {p.name for p in out.iterdir()} >= {"invocation.json", "best.npz", "last.npz"}
 
 
 @pytest.mark.parametrize("flag, field", [("--heads", "heads"), ("--hidden", "hidden")])
@@ -665,6 +701,8 @@ def test_lines_that_are_not_json_objects_name_the_path_and_line(tiny_pipeline, t
     ('{"spec": {"embed_dim": "x"}}', "spec field embed_dim is 'x', not an int"),
     ('{"spec": {"signal": true}}', "spec field signal is True, not a number"),
     ('{"spec": {"embed_dim": 4}}', "spec field embed_dim: embedding dim must be >= 8, got 4"),
+    ('{"spec": {"embed_seed": -1}}',
+     "spec field embed_seed: embedding table seed -1 must be >= 0"),
     ('{"spec": {"signal": -1}}',
      "spec field signal: signal strength -1 must be a finite number >= 0"),
     ('{"spec": {"signal": NaN}}',

@@ -3,9 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spandet.geometry import Interval, giou_1d, span_l1
-from spandet.matching import build_match_cost, hungarian
+from spandet.matching import _lexicographic_refine, _solve_jv, _total, build_match_cost, hungarian
 
 
 def brute_force(cost):
@@ -63,6 +65,15 @@ def test_ties_resolve_lexicographically():
     assert hungarian(np.array([[2.0, 1.0], [1.0, 0.0]])) == [(0, 0), (1, 1)]
     assert hungarian(np.ones((3, 3))) == [(0, 0), (1, 1), (2, 2)]
     assert hungarian(np.zeros((4, 2))) == [(0, 0), (1, 1)]
+
+
+@given(st.lists(st.sampled_from([0.0, -0.0, 1.5, -1.5, 2.0, -3.25, 1e-300, -1e-300]) | st.floats(
+    -1e3, 1e3, allow_nan=False, allow_infinity=False), min_size=1, max_size=12))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_one_column_takes_the_first_row_of_least_cost_as_the_full_solve_does(column):
+    """Drawn from a few values, the column has ties, +0.0 beside -0.0 among them."""
+    cost = np.array(column)[:, None]
+    assert hungarian(cost) == _lexicographic_refine(cost, _total(cost, _solve_jv(cost)))
 
 
 def test_row_permutation_equivariance():

@@ -294,15 +294,20 @@ def test_classifier_rejects_sizes_below_one_naming_the_field(field, value):
         ClassifierHead(**sizes)
 
 
-def write_archive(path, model, config=None, **meta):
-    """`model`'s weights in a checkpoint archive laid out member for member as
-    ``save_detector`` writes it: a JSON ``__meta__`` (version 1, kind
-    "detector" and `config`, by default the model's; `meta` overrides any
-    key), then one ``param/<name>`` array per weight."""
-    meta = {"checkpoint_version": 1, "kind": "detector",
+def flat_weights(model):
+    """`model`'s weights as one float64 vector, in ``parameters()`` order."""
+    return np.concatenate([p.data.ravel() for p in model.parameters().values()])
+
+
+def write_archive(path, model, config=None, params=None, **meta):
+    """A checkpoint archive laid out member for member as ``save_detector``
+    writes it: a JSON ``__meta__`` (version 2, kind "detector" and `config`,
+    by default `model`'s; `meta` overrides any key), then the ``params``
+    vector, by default `model`'s weights."""
+    meta = {"checkpoint_version": 2, "kind": "detector",
             "config": asdict(model.cfg) if config is None else config, **meta}
     np.savez(path, __meta__=np.array(json.dumps(meta, sort_keys=True)),
-             **{f"param/{k}": v for k, v in model.state().items()})
+             params=flat_weights(model) if params is None else params)
 
 
 def test_detector_checkpoint_roundtrip(tmp_path):
@@ -313,31 +318,33 @@ def test_detector_checkpoint_roundtrip(tmp_path):
     save_detector(path, m)
     again = load_detector(path)
     assert again.cfg == m.cfg
+    assert np.array_equal(flat_weights(again), flat_weights(m))
     after = again.predict(vec, pos)
     assert before.intervals == after.intervals and before.scores == after.scores
 
 
-def test_save_detector_writes_the_version_1_archive_layout(tmp_path):
+def test_save_detector_writes_the_version_2_archive_layout(tmp_path):
     m = tiny_model(seed=13, dn_groups=0)
     save_detector(tmp_path / "saved.npz", m)
     write_archive(tmp_path / "built.npz", m)
     with np.load(tmp_path / "saved.npz") as a, np.load(tmp_path / "built.npz") as b:
-        assert a.files == b.files == ["__meta__", *(f"param/{k}" for k in m.state())]
+        assert a.files == b.files == ["__meta__", "params"]
         for k in a.files:
             assert a[k].dtype == b[k].dtype and np.array_equal(a[k], b[k]), k
+        assert a["params"].dtype == np.float64
         meta = json.loads(str(a["__meta__"]))
-    assert meta == {"checkpoint_version": 1, "kind": "detector", "config": asdict(m.cfg)}
+    assert meta == {"checkpoint_version": 2, "kind": "detector", "config": asdict(m.cfg)}
 
 
-def test_an_archive_laid_out_as_version_1_loads_and_predicts_bitwise(tmp_path):
+def test_a_version_1_archive_is_rejected_naming_its_version(tmp_path):
     m = tiny_model(seed=14)
-    vec, pos = rand_input(seed=15)
     path = tmp_path / "v1.npz"
-    write_archive(path, m)
-    again = load_detector(path)
-    assert again.cfg == m.cfg
-    before, after = m.predict(vec, pos), again.predict(vec, pos)
-    assert before.intervals == after.intervals and before.scores == after.scores
+    meta = {"checkpoint_version": 1, "kind": "detector", "config": asdict(m.cfg)}
+    np.savez(path, __meta__=np.array(json.dumps(meta)),
+             **{f"param/{k}": v for k, v in m.state().items()})
+    message = f"{path}: unsupported checkpoint version 1 (this reader takes version 2)"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        load_detector(path)
 
 
 def test_checkpoint_kind_mismatch(tmp_path):
@@ -350,7 +357,7 @@ def test_checkpoint_kind_mismatch(tmp_path):
 
 @pytest.mark.parametrize("meta, message", [
     ({"kind": None}, "checkpoint holds a None, not a detector"),
-    ({"checkpoint_version": 2}, "unsupported checkpoint version"),
+    ({"checkpoint_version": 3}, "unsupported checkpoint version 3 (this reader takes version 2)"),
     ({"config": [16]}, "detector config [16] is not a JSON object"),
 ])
 def test_checkpoint_meta_faults_name_the_path(tmp_path, meta, message):
@@ -379,7 +386,7 @@ def test_unreadable_checkpoint_archives_raise_naming_the_path(tmp_path):
     good = tmp_path / "good.npz"
     save_detector(good, tiny_model())
     path = tmp_path / "bad.npz"
-    meta = json.dumps({"checkpoint_version": 1, "kind": "detector"})
+    meta = json.dumps({"checkpoint_version": 2, "kind": "detector"})
     for write in (lambda: path.write_bytes(good.read_bytes()[:300]),  # truncated
                   lambda: path.write_text("not an archive\n"),
                   lambda: np.savez(path, weights=np.zeros(3)),  # no __meta__
@@ -398,17 +405,40 @@ def test_checkpoint_faults_found_building_the_model_name_the_path(tmp_path):
         write_archive(path, m, {**asdict(m.cfg), "heads": heads})
         with pytest.raises(ValueError, match=re.escape(f"{path}: detector {message}")):
             load_detector(path)
-    save_detector(path, m)
-    with np.load(path) as z:
-        arrays = {k: z[k] for k in z.files if k != "param/proj.weight"}
-    np.savez(path, **arrays)
+    n = sum(p.size for p in m.parameters().values())
+    proj = m.proj.weight.size  # the first weight in the vector
+    for params, got in [(flat_weights(m)[proj:], f"float64 of shape ({n - proj},)"),
+                        (flat_weights(m).astype(np.float32), f"float32 of shape ({n},)")]:
+        write_archive(path, m, params=params)
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: detector params are {got}, not its config's {n} float64 weights")):
+            load_detector(path)
+    np.savez(path, __meta__=np.array(json.dumps(
+        {"checkpoint_version": 2, "kind": "detector", "config": asdict(m.cfg)})))
     with pytest.raises(ValueError, match=re.escape(
-            f"{path}: detector state mismatch: missing ['proj.weight'], extra []")):
+            f"{path}: detector params are none, not its config's {n} float64 weights")):
         load_detector(path)
-    write_archive(path, m, {**asdict(m.cfg), "d_model": 8})
+    narrow = tiny_model(d_model=8)
+    write_archive(path, m, asdict(narrow.cfg))
     with pytest.raises(ValueError, match=re.escape(
-            f"{path}: detector proj.weight: shape (16, 16) != expected (8, 16)")):
+            f"{path}: detector params are float64 of shape ({n},), not its config's "
+            f"{sum(p.size for p in narrow.parameters().values())} float64 weights")):
         load_detector(path)
+
+
+def test_a_non_finite_weight_is_named_by_its_parameter(tmp_path):
+    m = tiny_model(seed=4)
+    path = tmp_path / "model.npz"
+    params = m.parameters()
+    offsets = dict(zip(params, np.cumsum([0, *(p.size for p in params.values())])))
+    for name, value in [("proj.weight", np.nan), ("class_head.bias", np.inf),
+                        ("query_anchors", -np.inf)]:
+        vector = flat_weights(m)
+        vector[offsets[name] + params[name].size - 1] = value  # the weight's last entry
+        write_archive(path, m, params=vector)
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: detector weight {name} is not finite")):
+            load_detector(path)
 
 
 @pytest.mark.parametrize("field, value, message", [

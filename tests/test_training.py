@@ -16,7 +16,7 @@ from spandet.geometry import Interval, span_to_cw
 from spandet.matching import hungarian
 from spandet.model import LayerPrediction, ModelConfig, ModelOutput, dn_attention_mask
 from spandet.training import (ADAM_BETAS, ADAM_EPS, WEIGHT_DECAY, AdamW, LossWeights,
-                              NumericalError,
+                              NumericalError, TERMS,
                               TrainConfig, clip_grad_norm, composite_loss, cosine_lr,
                               cross_entropy, detection_loss, focal_loss,
                               make_denoising, train, train_classifier)
@@ -205,6 +205,83 @@ def test_gathered_objective_bitwise_equals_per_pair_reference():
         assert total == ref, f"instance {k}"
         for name, g, want in zip(("cw", "logits", "dn"), grads, ref_grads):
             assert np.array_equal(g, want), f"instance {k}: {name}"
+
+
+@given(st.integers(1, 3).flatmap(lambda nq: st.tuples(
+           st.just(nq), st.lists(st.integers(0, nq), min_size=1, max_size=6))),
+       st.booleans(), st.integers(0, 2 ** 16))
+@settings(max_examples=120, deadline=None, derandomize=True)
+def test_a_micro_batch_objective_is_bitwise_its_records_alone(shape, dn_on, seed):
+    """1-6 records sharing 1-3 queries each, 0 to num_queries targets each,
+    DN rows on (1-16 per record with targets, so unequal) or off: the batched
+    node's value is the sum of the records' totals in record order, and each
+    record's terms, IoU and vjp outputs are those of its micro-batch of one,
+    bit for bit. A non-finite prediction names the first record holding one."""
+    (nq, counts), rng = shape, np.random.default_rng(seed)
+    b = len(counts)
+    gts = [[Interval(float(rng.uniform(w / 2, 1 - w / 2)), float(w))
+            for w in rng.uniform(0.05, 0.5, size=m)] for m in counts]
+    cw = np.c_[rng.uniform(0, 1, b * nq), rng.uniform(0.02, 1, b * nq)]
+    if rng.random() < 0.25:  # every query alike: ties in every match
+        cw[:] = cw[0]
+    logits = rng.normal(size=(b * nq, 1)) * 3
+    dn_rows = [int(rng.integers(1, 17)) if dn_on and m else 0 for m in counts]
+    dn = np.c_[rng.uniform(0, 1, sum(dn_rows)), rng.uniform(0.02, 1, sum(dn_rows))]
+    dn_idx = np.concatenate([rng.integers(0, max(m, 1), d) for m, d in zip(counts, dn_rows)])
+    dn_first = np.cumsum(dn_rows) - dn_rows
+    weights, g = LossWeights(*rng.uniform(0.1, 10, size=5)), rng.normal()
+
+    def objective(r0, r1):  # records r0..r1-1 as one micro-batch
+        dn_span = slice(dn_first[r0], dn_first[r1 - 1] + dn_rows[r1 - 1])
+        live = sum(dn_rows[r0:r1]) > 0
+        node, terms = composite_loss(
+            LayerPrediction(T.Tensor(cw[r0 * nq:r1 * nq], requires_grad=True),
+                            T.Tensor(logits[r0 * nq:r1 * nq], requires_grad=True)),
+            T.Tensor(dn[dn_span], requires_grad=True) if live else None,
+            dn_idx[dn_span] if live else None, gts[r0:r1], weights,
+            dn_rows[r0:r1] if live else None)
+        return node, terms, node._backward(g)
+
+    node, terms, grads = objective(0, b)
+    alone = [objective(r, r + 1) for r in range(b)]
+    assert node.data == sum(t[0]["total"] for _, t, _ in alone)
+    for got, (one, [want], _) in zip(terms, alone, strict=True):
+        assert (math.isnan(got["iou"]) and math.isnan(want["iou"])) or got == want
+        assert {k: got[k] for k in TERMS} == {k: want[k] for k in TERMS}
+        assert one.data == want["total"]
+    g_cw, g_logits, *g_dn = grads
+    nones = [one_grads[0] is None for _, _, one_grads in alone]
+    assert (g_cw is None) == all(nones)
+    for r, (_, _, (one_cw, one_logits, *one_dn)) in enumerate(alone):
+        rows = slice(r * nq, (r + 1) * nq)
+        assert np.array_equal(g_logits[rows], one_logits)
+        if g_cw is not None:
+            assert np.array_equal(g_cw[rows], np.zeros((nq, 2)) if one_cw is None else one_cw)
+        if dn_rows[r]:
+            span = slice(dn_first[r], dn_first[r] + dn_rows[r])
+            assert np.array_equal(g_dn[0][span], one_dn[0])
+
+    poisoned = sorted(set(rng.integers(0, b, size=int(rng.integers(1, 3))).tolist()))
+    for r in poisoned[::-1]:
+        (cw if rng.random() < 0.5 else logits)[r * nq + int(rng.integers(nq)), 0] = (
+            rng.choice([np.nan, np.inf, -np.inf]))
+    with pytest.raises(NumericalError) as caught:
+        objective(0, b)
+    assert caught.value.record == poisoned[0]
+
+
+def test_run_sums_are_each_runs_sum_bitwise_where_reduceat_is_not():
+    """Runs of 1-39 entries, as ``composite_loss`` splits per-record sums."""
+    rng = np.random.default_rng(3)
+    counts = np.concatenate([rng.integers(0, 40, size=2000), [0, 1, 8, 9]])
+    x = rng.normal(size=(2, counts.sum())) * 10.0 ** rng.integers(-4, 5, size=counts.sum())
+    ends = np.cumsum(counts)
+    want = np.array([[row[e - k:e].sum() for e, k in zip(ends, counts)] for row in x])
+    got = training._run_sums(x, counts)
+    assert np.array_equal(got, want)
+    nonempty = counts > 0
+    reduceat = np.add.reduceat(x[0], (ends - counts)[nonempty])
+    assert not np.array_equal(reduceat, want[0][nonempty])  # a[0] + a[1:].sum() per run
 
 
 def test_match_probabilities_do_not_overflow(monkeypatch):
