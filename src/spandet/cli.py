@@ -45,10 +45,19 @@ def _load_samples(dataset: str, split: str) -> list[D.AnnotatedText]:
     return D.load_annotations(p)
 
 
+def _feature_path(directory: Path, sample: D.AnnotatedText) -> Path:
+    """`<directory>/<id>.emb`, the feature file of a record whose id is one
+    plain path component (no separator, not ``.`` or ``..``)."""
+    if sample.id in ("", ".", "..") or Path(sample.id).name != sample.id:
+        raise ValueError(f"record id {sample.id!r} is not a plain file name, "
+                         f"so it names no feature file")
+    return directory / f"{sample.id}.emb"
+
+
 def _provider_for(dataset: str, embeddings: str | None):
     if embeddings is not None:
         emb_dir = Path(embeddings)
-        return lambda sample: load_features(emb_dir / f"{sample.id}.emb", sample.text)
+        return lambda sample: load_features(_feature_path(emb_dir, sample), sample.text)
     meta_path = Path(dataset) / "meta.json"
     if not meta_path.is_file():
         raise ValueError("no --embeddings given and the dataset has no meta.json "
@@ -113,17 +122,16 @@ def cmd_convert(args) -> int:
 
 def cmd_embed(args) -> int:
     out = Path(args.out)
+    samples = [s for split in ("train", "val", "test")
+               for s in _load_samples(args.dataset, split)]
+    paths = [_feature_path(out, s) for s in samples]  # every id, before any write
     _check_out_dir(out, args.overwrite)
     provider = _provider_for(args.dataset, None)
-    total = 0
-    for split in ("train", "val", "test"):
-        for sample in _load_samples(args.dataset, split):
-            vectors, _ = record_features(provider, sample)
-            tk = tokenize(sample.text)
-            write_embedding_file(out / f"{sample.id}.emb", vectors, tk.offsets,
-                                 provenance="toy", text=sample.text)
-            total += 1
-    print(f"wrote {total} embedding files to {out}")
+    for sample, path in zip(samples, paths):
+        vectors, _ = record_features(provider, sample)
+        write_embedding_file(path, vectors, tokenize(sample.text).offsets,
+                             provenance="toy", text=sample.text)
+    print(f"wrote {len(samples)} embedding files to {out}")
     return EXIT_OK
 
 
@@ -189,6 +197,8 @@ def cmd_eval(args) -> int:
     if out is not None:
         _check_out_file(out, args.overwrite)
     samples = _load_samples(args.dataset, args.split)
+    if not samples:
+        raise ValueError(f"{args.dataset}: the {args.split} split has no texts to score")
     preds = D.load_predictions(args.predictions)
     report = M.evaluate_detection(samples, preds, k=args.k,
                                   score_threshold=args.threshold,

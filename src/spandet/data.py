@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass, field
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -32,24 +34,27 @@ class AnnotatedText:
     sentence_offsets: list[CharSpan] | None = None
 
     def validate(self) -> "AnnotatedText":
-        n = len(self.text)
-        if n == 0:
+        """Check the record: a non-empty text; intervals and sentence offsets
+        each sorted, disjoint (touching is fine) and inside the text, as the
+        sentence metrics assume; a label that `derive_label` agrees with."""
+        if not self.text:
             raise ValueError(f"{self.id}: empty text")
-        prev_end = -1
-        for sp in self.intervals:
-            if sp.x1 < prev_end:
-                raise ValueError(f"{self.id}: intervals overlap or are unsorted at {sp}")
-            if sp.x2 > n:
-                raise ValueError(f"{self.id}: interval {sp} exceeds text length {n}")
-            prev_end = sp.x2
-        if self.label != derive_label(self.intervals, n):
+        self._check_spans(self.intervals, "interval")
+        if self.label != derive_label(self.intervals, len(self.text)):
             raise ValueError(f"{self.id}: label {self.label} inconsistent with "
                              f"{len(self.intervals)} interval(s)")
         if self.sentence_offsets is not None:
-            for sp in self.sentence_offsets:
-                if sp.x2 > n:
-                    raise ValueError(f"{self.id}: sentence offset {sp} exceeds text")
+            self._check_spans(self.sentence_offsets, "sentence offset")
         return self
+
+    def _check_spans(self, spans: list[CharSpan], what: str) -> None:
+        n, prev_end = len(self.text), 0
+        for sp in spans:
+            if sp.x1 < prev_end:
+                raise ValueError(f"{self.id}: {what}s overlap or are unsorted at {sp}")
+            if sp.x2 > n:
+                raise ValueError(f"{self.id}: {what} {sp} exceeds text length {n}")
+            prev_end = sp.x2
 
 
 def derive_label(intervals: list[CharSpan], text_len: int) -> int:
@@ -183,18 +188,10 @@ def read_meta(path) -> dict:
 
 def _join_sentences(sentences: list[str]) -> tuple[str, list[CharSpan]]:
     """Single-space joining with per-sentence character offsets."""
-    offsets = []
-    pos = 0
-    pieces = []
-    for i, s in enumerate(sentences):
-        if not s:
-            raise ValueError(f"sentence {i} is empty")
-        if i:
-            pos += 1
-        offsets.append(CharSpan(pos, pos + len(s)))
-        pieces.append(s)
-        pos += len(s)
-    return " ".join(pieces), offsets
+    if "" in sentences:
+        raise ValueError(f"sentence {sentences.index('')} is empty")
+    starts = accumulate((len(s) + 1 for s in sentences[:-1]), initial=0)
+    return " ".join(sentences), [CharSpan(a, a + len(s)) for a, s in zip(starts, sentences)]
 
 
 def roft_to_intervals(sentences: list[str], boundary: int,
@@ -243,42 +240,27 @@ def coauthor_to_intervals(text: str, machine_spans: list[tuple[int, int]],
 
 # -- sentence splitting -------------------------------------------------------
 
-_TERMINALS = ".!?"
-_CLOSERS = "\"')]"
+_PUNCTUATION_RUN = re.compile(r"""[.!?"')\]]+""")  # terminals and closers
 
 
 def split_sentences(text: str) -> list[CharSpan]:
-    """Naive splitter: a sentence ends at terminal punctuation followed by
-    whitespace (or end of text). Abbreviations like "Dr." over-split; that is
-    the documented cost of staying segmentation-model-free."""
-    if not text or not text.strip():
+    """Naive splitter: a sentence ends where a maximal run of terminals
+    (``.!?``) and closers (``"')]``) that holds a terminal is followed by
+    whitespace or the end of the text; each piece between ends, stripped of
+    its surrounding whitespace, is a sentence. Abbreviations like "Dr."
+    over-split; that is the documented cost of staying segmentation-model-free."""
+    if not text.strip():
         raise ValueError("cannot split empty or whitespace-only text")
-    spans = []
-    n = len(text)
-    i = 0
-    while i < n:
-        while i < n and text[i].isspace():
-            i += 1
-        if i >= n:
-            break
-        j = i
-        end = None
-        while j < n:
-            if text[j] in _TERMINALS:
-                k = j
-                while k + 1 < n and text[k + 1] in _TERMINALS + _CLOSERS:
-                    k += 1
-                if k + 1 >= n or text[k + 1].isspace():
-                    end = k + 1
-                    break
-                j = k
-            j += 1
-        if end is None:
-            end = n
-            while end > i and text[end - 1].isspace():
-                end -= 1
-        spans.append(CharSpan(i, end))
-        i = end
+    ends = [m.end() for m in _PUNCTUATION_RUN.finditer(text)
+            if (m.end() == len(text) or text[m.end()].isspace())
+            and any(c in ".!?" for c in m[0])]
+    spans, start = [], 0
+    for end in ends + [len(text)]:
+        piece = text[start:end]
+        x1, x2 = start + len(piece) - len(piece.lstrip()), start + len(piece.rstrip())
+        if x1 < x2:
+            spans.append(CharSpan(x1, x2))
+        start = end
     return spans
 
 

@@ -19,25 +19,15 @@ from .geometry import CharSpan, merge_spans
 
 
 def interval_to_sentence(t_i: int, sentences: Sequence[CharSpan]) -> int:
-    """Map a character position to a sentence index: the containing sentence
-    i, bumped to i+1 when the position sits at or past the midpoint of the
-    sentence's first and last character. Positions outside every sentence go
-    to the nearest one by character distance."""
+    """Map a character position to a sentence index: the number of sentences
+    whose midpoint (of their first and last character) lies at or before it.
+    The sentences must be sorted and disjoint, as ``AnnotatedText.validate``
+    demands. A position inside sentence i so gets i, bumped to i+1 at or past
+    the midpoint; a position between two sentences gets the later one; one
+    before the first gets 0 and one past the last ``len(sentences)``."""
     if not sentences:
         raise ValueError("no sentences")
-    idx = None
-    for i, sp in enumerate(sentences):
-        if sp.x1 <= t_i < sp.x2:
-            idx = i
-            break
-    if idx is None:
-        def dist(pair):
-            _, sp = pair
-            return (sp.x1 - t_i if t_i < sp.x1 else t_i - (sp.x2 - 1), pair[0])
-        idx = min(enumerate(sentences), key=dist)[0]
-    sp = sentences[idx]
-    midpoint = (sp.x1 + sp.x2 - 1) / 2.0   # first and last character indices
-    return idx + 1 if t_i >= midpoint else idx
+    return bisect_right(sentences, t_i, key=lambda sp: (sp.x1 + sp.x2 - 1) / 2.0)
 
 
 def overlap_labels(sentences: Sequence[CharSpan],
@@ -203,8 +193,11 @@ def evaluate_detection(samples: list[AnnotatedText], preds: dict[str, dict],
     count), sentence-label kappa, classification metrics, and, when every
     text carries at most one interval, the boundary regression suite. An
     interval that ends past its text raises ``ValueError`` naming the record,
-    as does a record whose id names no text of `samples` (a wrong split).
+    as does a record whose id names no text of `samples` (a wrong split). An
+    empty `samples` raises before any mean is taken.
     """
+    if not samples:
+        raise ValueError("no texts to score")
     ids = {s.id for s in samples}
     foreign = [k for k in preds if k not in ids]
     if foreign:

@@ -24,6 +24,7 @@ rows. A micro-batch of one needs no record ids.
 from __future__ import annotations
 
 import json
+import math
 import zipfile
 from dataclasses import asdict, dataclass
 from typing import get_type_hints
@@ -247,10 +248,13 @@ class DetectionModel(Module):
         return ModelOutput(layers, dn_layers, gt_index, dn_rows)
 
     def predict(self, vectors: np.ndarray, positions: np.ndarray) -> Prediction:
-        """Final-layer intervals and scores of one record; builds no tape."""
+        """Final-layer intervals and scores of one record; builds no tape. A
+        width whose sigmoid underflows to 0 is raised to the least positive
+        float, the w -> 0 limit (``cw_to_span`` widens it to one character)."""
         with T.no_grad():
             final = self.forward([vectors], [positions], dn=None).layers[-1]
-        return Prediction([Interval(float(c), float(w)) for c, w in final.cw.data],
+        return Prediction([Interval(float(c), max(float(w), math.ulp(0.0)))
+                           for c, w in final.cw.data],
                           [float(p) for p in T.expit(final.logits.data[:, 0])])
 
 

@@ -1,14 +1,15 @@
 """Independent scalar references: the five-term detection objective, used to
-cross-check the tensor implementation, and the interval clamp of the
-denoising queries. Pure python floats and brute-force matching; they share no
-code with the library."""
+cross-check the tensor implementation, the interval clamp of the denoising
+queries, and the sentence rules (splitting, sentence index, boundary snap).
+Pure python floats, character loops, scans and brute-force matching; they
+share no code with the library."""
 
 import itertools
 import math
 
 import numpy as np
 
-from spandet.geometry import Interval
+from spandet.geometry import CharSpan, Interval
 
 
 def l1(a, b):
@@ -86,3 +87,63 @@ def random_instance(seed, n=3, m=2, with_dn=True, dn_count=4):
     else:
         dn, dn_idx = None, None
     return cw, logits, dn, dn_idx, gts
+
+
+def reference_split_sentences(text):
+    """The naive splitter as a character loop: from each non-whitespace start,
+    a sentence ends after the run of terminals and closers that follows a
+    terminal, once that run is followed by whitespace or the end of the text;
+    a text with no such end ends at its last non-whitespace character."""
+    terminals, closers = ".!?", "\"')]"
+    spans = []
+    n = len(text)
+    i = 0
+    while i < n:
+        while i < n and text[i].isspace():
+            i += 1
+        if i >= n:
+            break
+        j = i
+        end = None
+        while j < n:
+            if text[j] in terminals:
+                k = j
+                while k + 1 < n and text[k + 1] in terminals + closers:
+                    k += 1
+                if k + 1 >= n or text[k + 1].isspace():
+                    end = k + 1
+                    break
+                j = k
+            j += 1
+        if end is None:
+            end = n
+            while end > i and text[end - 1].isspace():
+                end -= 1
+        spans.append(CharSpan(i, end))
+        i = end
+    return spans
+
+
+def reference_sentence_index(t, sents):
+    """The sentence-index rule by scan and nearest search: the sentence that
+    contains `t`, else the nearest by character distance (the earlier on a
+    tie), bumped by one when `t` sits at or past its midpoint."""
+    idx = next((i for i, sp in enumerate(sents) if sp.x1 <= t < sp.x2), None)
+    if idx is None:
+        idx = min(range(len(sents)),
+                  key=lambda i: (sents[i].x1 - t if t < sents[i].x1
+                                 else t - (sents[i].x2 - 1)))
+    sp = sents[idx]
+    return idx + (1 if t >= (sp.x1 + sp.x2 - 1) / 2 else 0)
+
+
+def reference_snap_endpoint(t, sents, text_len):
+    """The boundary-snap rule by walking the sentence starts: the start of
+    the gap [b_i, b_{i+1}) holding `t` if `t` is in its first half, else the
+    next; the text's beginning and end snap to None."""
+    bounds = [sp.x1 for sp in sents] + [text_len]
+    i = 0
+    while i + 1 < len(bounds) - 1 and bounds[i + 1] <= t:
+        i += 1
+    b = bounds[i] if t < (bounds[i] + bounds[i + 1]) / 2 else bounds[i + 1]
+    return None if b in (bounds[0], text_len) else b

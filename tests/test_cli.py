@@ -1,5 +1,6 @@
 import filecmp
 import json
+import shutil
 import warnings
 from dataclasses import fields
 
@@ -726,3 +727,90 @@ def test_a_broken_dataset_meta_exits_2_naming_the_file_and_field(tiny_pipeline, 
                   "--out", str(tmp_path / "p.jsonl")]):
         assert main(argv) == 2, argv[0]
         assert f"error: {bad / 'meta.json'}: {message}" in capsys.readouterr().err, argv[0]
+
+
+def _dataset_with_first_record(ds, dest, part, edit):
+    """A copy of dataset `ds` at `dest` whose first `part` record is changed
+    in place by `edit`; returns that record as written."""
+    shutil.copytree(ds, dest)
+    path = dest / f"{part}.jsonl"
+    lines = path.read_text().splitlines()
+    rec = json.loads(lines[0])
+    edit(rec)
+    lines[0] = json.dumps(rec)
+    path.write_text("\n".join(lines) + "\n")
+    return rec
+
+
+@pytest.mark.parametrize("edit", [
+    lambda offsets: offsets.reverse(),
+    lambda offsets: offsets[1].__setitem__(0, offsets[0][1] - 2),
+], ids=["unsorted", "overlapping"])
+def test_eval_of_unsorted_or_overlapping_sentence_offsets_exits_2_naming_the_record(
+        tiny_pipeline, tmp_path, capsys, edit):
+    _, ds, _, preds = tiny_pipeline
+    bad = tmp_path / "ds"
+    rec = _dataset_with_first_record(ds, bad, "test", lambda r: edit(r["sentence_offsets"]))
+    assert main(["eval", "--predictions", str(preds), "--dataset", str(bad)]) == 2
+    assert (f"{bad / 'test.jsonl'}:1: invalid record: {rec['id']}: sentence offsets overlap "
+            f"or are unsorted at CharSpan(x1={rec['sentence_offsets'][1][0]}"
+            in capsys.readouterr().err)
+
+
+def test_eval_of_a_split_with_no_texts_exits_2_naming_the_dataset_and_split(tmp_path, capsys):
+    ds = tmp_path / "ds"
+    assert main(["generate", "--n", "5", "--sentences", "4", "--dim", "16",
+                 "--out", str(ds)]) == 0
+    assert load_split(ds).val == []
+    preds = tmp_path / "p.jsonl"
+    preds.write_text("")
+    assert main(["eval", "--predictions", str(preds), "--dataset", str(ds),
+                 "--split", "val"]) == 2
+    assert f"error: {ds}: the val split has no texts to score" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad_id", ["../../escaped", "sub/name", "..", "."])
+def test_embed_checks_every_record_id_is_a_plain_file_name_before_writing(
+        tiny_pipeline, tmp_path, capsys, bad_id):
+    _, ds, _, _ = tiny_pipeline
+    bad = tmp_path / "ds"
+    _dataset_with_first_record(ds, bad, "test", lambda r: r.update(id=bad_id))
+    out = tmp_path / "out" / "emb"
+    assert main(["embed", "--dataset", str(bad), "--out", str(out)]) == 2
+    assert (f"error: record id {bad_id!r} is not a plain file name"
+            in capsys.readouterr().err)
+    assert not out.exists() and not list(tmp_path.glob("**/*.emb*"))
+
+
+def test_predict_reads_no_feature_file_outside_the_embeddings_directory(tiny_pipeline,
+                                                                        tmp_path, capsys):
+    _, ds, run_dir, _ = tiny_pipeline
+    emb = tmp_path / "emb"
+    assert main(["embed", "--dataset", str(ds), "--out", str(emb)]) == 0
+    bad = tmp_path / "ds"
+    victim = load_split(ds).test[0]
+    _dataset_with_first_record(ds, bad, "test", lambda r: r.update(id=f"../emb/{victim.id}"))
+    code = main(["predict", "--checkpoint", str(run_dir / "best.npz"), "--dataset", str(bad),
+                 "--embeddings", str(emb), "--out", str(tmp_path / "p.jsonl")])
+    assert code == 2
+    assert (f"record ../emb/{victim.id}: record id '../emb/{victim.id}' is not a plain "
+            f"file name" in capsys.readouterr().err)
+    written = list(load_predictions(tmp_path / "p.jsonl"))
+    assert written == [s.id for s in load_split(ds).test[1:]]
+
+
+def test_a_width_whose_sigmoid_underflows_predicts_one_character_spans(tiny_pipeline,
+                                                                       tmp_path):
+    _, ds, run_dir, _ = tiny_pipeline
+    with np.load(run_dir / "best.npz") as z:
+        arrays = {k: z[k] for k in z.files}
+    bias = _weight_span(json.loads(str(arrays["__meta__"])), "span_head.layers.1.bias")
+    arrays["params"][bias.start + 1] = -2000.0  # the width logit's bias
+    narrow = tmp_path / "narrow.npz"
+    np.savez(narrow, **arrays)
+    out = tmp_path / "p.jsonl"
+    assert main(["predict", "--checkpoint", str(narrow), "--dataset", str(ds),
+                 "--out", str(out)]) == 0
+    records = load_predictions(out)
+    assert list(records) == [s.id for s in load_split(ds).test]
+    assert all(x2 - x1 == 1 for rec in records.values() for x1, x2 in rec["intervals"])

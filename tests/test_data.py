@@ -1,11 +1,14 @@
 import hashlib
 import json
 import re
+import time
 import tracemalloc
 import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spandet.data import (LABEL_HUMAN, LABEL_MACHINE, LABEL_MIXED,
                           AnnotatedText, DatasetSplit, SynthSpec,
@@ -17,6 +20,8 @@ from spandet.data import (LABEL_HUMAN, LABEL_MACHINE, LABEL_MIXED,
 from spandet.geometry import CharSpan
 from spandet.metrics import interval_to_sentence
 from spandet.textproc import _vector_table, tokenize, toy_embed
+
+from oracles import reference_split_sentences
 
 
 def test_annotation_validation_accepts_human_record():
@@ -38,6 +43,26 @@ def test_annotation_validation_rejects_bad_intervals():
     with pytest.raises(ValueError, match="overlap"):
         AnnotatedText("a", "hello world", [CharSpan(0, 4), CharSpan(2, 6)],
                       LABEL_MIXED).validate()
+
+
+@pytest.mark.parametrize("offsets, message", [
+    ([[6, 11], [0, 5]], "sentence offsets overlap or are unsorted at CharSpan(x1=0, x2=5)"),
+    ([[0, 6], [5, 11]], "sentence offsets overlap or are unsorted at CharSpan(x1=5, x2=11)"),
+    ([[0, 5], [6, 12]], "sentence offset CharSpan(x1=6, x2=12) exceeds text length 11"),
+], ids=["unsorted", "overlapping", "past-the-text"])
+def test_sentence_offsets_out_of_order_or_overlapping_are_rejected_at_load(tmp_path,
+                                                                          offsets, message):
+    rec = {"id": "s1", "text": "hello world", "intervals": [], "label": LABEL_HUMAN,
+           "sentence_offsets": offsets}
+    path = tmp_path / "d.jsonl"
+    path.write_text(json.dumps(rec) + "\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}:1: invalid record: s1: {message}")):
+        load_annotations(path)
+
+
+def test_touching_sentence_offsets_are_accepted():
+    AnnotatedText("a", "hi.yo.", [], LABEL_HUMAN,
+                  sentence_offsets=[CharSpan(0, 3), CharSpan(3, 6)]).validate()
 
 
 def test_derive_label():
@@ -136,6 +161,11 @@ def test_roft_boundary_recovery_identity():
         assert got == boundary
 
 
+def test_converters_reject_an_empty_sentence_naming_it():
+    with pytest.raises(ValueError, match="^sentence 2 is empty$"):
+        roft_to_intervals(["a b.", "c d.", "", "e."], 1)
+
+
 def test_tribert_three_boundaries():
     item = tribert_to_intervals(SENTS, [2, 5, 8], first_author="human")
     assert item.label == LABEL_MIXED
@@ -197,6 +227,30 @@ def test_split_question_and_closers():
     spans = split_sentences('He said "stop!" Then left.')
     assert len(spans) == 2
     assert spans[0] == CharSpan(0, 15)
+
+
+WHITESPACE = " \t\n\r\x0b\x0c\x85\xa0\u2003\u2028\u3000"
+
+
+@settings(max_examples=600)
+@given(st.text(alphabet=st.sampled_from("ab.!?\"')]" + WHITESPACE), max_size=40))
+def test_split_equals_the_character_loop(text):
+    if not text.strip():
+        with pytest.raises(ValueError, match="empty or whitespace-only"):
+            split_sentences(text)
+    else:
+        assert split_sentences(text) == reference_split_sentences(text)
+
+
+@pytest.mark.parametrize("text, want", [
+    ("a" + ")" * 30_000 + "b", [CharSpan(0, 30_002)]),
+    ("a" + "!" * 30_000 + "b", [CharSpan(0, 30_002)]),
+    ("a" + "!" * 30_000 + "b. c", [CharSpan(0, 30_003), CharSpan(30_004, 30_005)]),
+], ids=["closers", "terminals", "terminals-then-a-sentence"])
+def test_split_of_a_long_punctuation_run_is_linear(text, want):
+    start = time.perf_counter()
+    assert split_sentences(text) == want
+    assert time.perf_counter() - start < 1.0
 
 
 # -- synthetic corpus --------------------------------------------------------------

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spandet.data import (LABEL_HUMAN, LABEL_MACHINE, LABEL_MIXED, SynthSpec,
                           synth_generate)
@@ -8,6 +10,8 @@ from spandet.metrics import (auroc, boundary_suite, classification_suite,
                              co2_estimate, evaluate_detection, f1_at_k,
                              interval_to_sentence, kappa, overlap_labels,
                              snap_boundaries, snap_endpoint, write_metric_report)
+
+from oracles import reference_sentence_index, reference_snap_endpoint
 
 SENTENCES = [CharSpan(0, 100), CharSpan(101, 200), CharSpan(201, 300)]
 
@@ -29,6 +33,31 @@ def test_interval_to_sentence_exact_midpoint_goes_up():
 def test_interval_to_sentence_outside_goes_to_nearest():
     assert interval_to_sentence(100, SENTENCES) == 1   # gap char, nearest is s1
     assert interval_to_sentence(0, SENTENCES) == 0
+
+
+@st.composite
+def sentence_layouts(draw):
+    """Sorted, disjoint sentences with gaps of 0-3 characters (touching
+    included) and lengths from 1, then a tail of 0-3 characters."""
+    sents, pos = [], 0
+    for gap, length in draw(st.lists(st.tuples(st.integers(0, 3), st.integers(1, 6)),
+                                     min_size=1, max_size=8)):
+        sents.append(CharSpan(pos + gap, pos + gap + length))
+        pos = sents[-1].x2
+    return sents, pos + draw(st.integers(0, 3))
+
+
+@settings(max_examples=400)
+@given(sentence_layouts(), st.data())
+def test_sentence_index_and_snap_equal_the_scan_and_nearest_derivation(layout, data):
+    sents, text_len = layout
+    for t in range(text_len + 3):
+        assert interval_to_sentence(t, sents) == reference_sentence_index(t, sents)
+    ends = data.draw(st.lists(st.tuples(st.integers(0, text_len - 1), st.integers(1, text_len)),
+                              max_size=4))
+    spans = [CharSpan(min(a, b - 1), max(a + 1, b)) for a, b in ends]
+    want = {reference_snap_endpoint(p, sents, text_len) for sp in spans for p in (sp.x1, sp.x2)}
+    assert snap_boundaries(spans, sents, text_len) == sorted(want - {None})
 
 
 def test_overlap_labels_rules():
@@ -250,6 +279,11 @@ def test_evaluate_oracle_predictions_are_perfect():
     assert report["boundary"]["mse"] == 0.0
     assert report["kappa"] == 1.0
     assert report["f1_at_k"]["all"] == 1.0
+
+
+def test_evaluate_of_no_texts_raises_before_any_mean():
+    with pytest.raises(ValueError, match="^no texts to score$"):
+        evaluate_detection([], {})
 
 
 def test_evaluate_missing_predictions_counted():
