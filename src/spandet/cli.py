@@ -94,11 +94,10 @@ def cmd_convert(args) -> int:
                 rec = D.json_object(line)
                 text_id = str(rec.get("id", f"{args.format}-{lineno:06d}"))
                 if args.format == "roft":
-                    item = D.roft_to_intervals(rec["sentences"], int(rec["boundary"]),
+                    item = D.roft_to_intervals(rec["sentences"], rec["boundary"],
                                                text_id, rec.get("domain"))
                 elif args.format == "tribert":
-                    item = D.tribert_to_intervals(rec["sentences"],
-                                                  [int(b) for b in rec["boundaries"]],
+                    item = D.tribert_to_intervals(rec["sentences"], rec["boundaries"],
                                                   rec.get("first_author", "human"),
                                                   text_id, rec.get("domain"))
                 else:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import reprlib
 from dataclasses import dataclass, field
 from itertools import accumulate
 from pathlib import Path
@@ -34,9 +35,14 @@ class AnnotatedText:
     sentence_offsets: list[CharSpan] | None = None
 
     def validate(self) -> "AnnotatedText":
-        """Check the record: a non-empty text; intervals and sentence offsets
+        """Check the record: the types its writer stores (a str text and
+        domain, an int label); a non-empty text; intervals and sentence offsets
         each sorted, disjoint (touching is fine) and inside the text, as the
         sentence metrics assume; a label that `derive_label` agrees with."""
+        _typed(self.text, str, f"{self.id}: text")
+        _typed(self.label, int, f"{self.id}: label")
+        if self.domain is not None:
+            _typed(self.domain, str, f"{self.id}: domain")
         if not self.text:
             raise ValueError(f"{self.id}: empty text")
         self._check_spans(self.intervals, "interval")
@@ -97,12 +103,32 @@ def _to_record(s: AnnotatedText) -> dict:
 
 
 def _from_record(rec: dict) -> AnnotatedText:
-    spans = [CharSpan(int(a), int(b)) for a, b in rec["intervals"]]
     sents = None
     if "sentence_offsets" in rec:
-        sents = [CharSpan(int(a), int(b)) for a, b in rec["sentence_offsets"]]
-    return AnnotatedText(str(rec["id"]), rec["text"], spans, int(rec["label"]),
-                         rec.get("domain"), sents).validate()
+        sents = _int_pairs(rec["sentence_offsets"], "sentence offset")
+    return AnnotatedText(str(rec["id"]), rec["text"], _int_pairs(rec["intervals"], "interval"),
+                         rec["label"], rec.get("domain"), sents).validate()
+
+
+def _typed(value, kind: type, what: str):
+    """`value`, whose type must be `kind` exactly (so a bool is no int);
+    ``ValueError`` naming `what` otherwise."""
+    if type(value) is not kind:
+        raise ValueError(f"{what} {reprlib.repr(value)} has type {type(value).__name__}, "
+                         f"not {kind.__name__}")
+    return value
+
+
+def _int_pairs(pairs, what: str) -> list[CharSpan]:
+    """A record's list of ``[x1, x2]`` int pairs with ``0 <= x1 < x2``, as
+    spans; ``ValueError`` naming `what` and the offending value otherwise."""
+    if type(pairs) is not list:
+        raise ValueError(f"{what}s {reprlib.repr(pairs)} is not a list")
+    for iv in pairs:
+        if not (type(iv) is list and len(iv) == 2
+                and all(type(x) is int for x in iv) and 0 <= iv[0] < iv[1]):
+            raise ValueError(f"{what} {reprlib.repr(iv)} is not an int pair 0 <= x1 < x2")
+    return [CharSpan(*iv) for iv in pairs]
 
 
 def json_object(line: str) -> dict:
@@ -187,7 +213,10 @@ def read_meta(path) -> dict:
 
 
 def _join_sentences(sentences: list[str]) -> tuple[str, list[CharSpan]]:
-    """Single-space joining with per-sentence character offsets."""
+    """Single-space joining with per-sentence character offsets; `sentences`
+    is a list of non-empty strings."""
+    for i, s in enumerate(_typed(sentences, list, "sentences")):
+        _typed(s, str, f"sentence {i}")
     if "" in sentences:
         raise ValueError(f"sentence {sentences.index('')} is empty")
     starts = accumulate((len(s) + 1 for s in sentences[:-1]), initial=0)
@@ -199,7 +228,7 @@ def roft_to_intervals(sentences: list[str], boundary: int,
     """Boundary = index of the first generated sentence; len(sentences) means
     the text is fully human. The record is the tribert one with one cut at
     the boundary."""
-    if not 0 <= boundary <= len(sentences):
+    if not 0 <= _typed(boundary, int, "boundary") <= len(_typed(sentences, list, "sentences")):
         raise ValueError(f"boundary {boundary} outside [0, {len(sentences)}]")
     cuts = [boundary] if 0 < boundary < len(sentences) else []
     first = "machine" if boundary == 0 < len(sentences) else "human"
@@ -213,7 +242,7 @@ def tribert_to_intervals(sentences: list[str], boundaries: list[int],
     alternate starting from `first_author` ("human" or "machine")."""
     if first_author not in ("human", "machine"):
         raise ValueError(f"unknown first_author {first_author!r}")
-    bs = sorted(set(boundaries))
+    bs = sorted({_typed(b, int, "boundary") for b in _typed(boundaries, list, "boundaries")})
     if bs and (bs[0] < 1 or bs[-1] >= len(sentences)):
         raise ValueError(f"boundaries {bs} must lie strictly inside [1, {len(sentences) - 1}]")
     text, offsets = _join_sentences(sentences)
@@ -229,13 +258,13 @@ def tribert_to_intervals(sentences: list[str], boundaries: list[int],
                          domain, offsets).validate()
 
 
-def coauthor_to_intervals(text: str, machine_spans: list[tuple[int, int]],
+def coauthor_to_intervals(text: str, machine_spans: list[list[int]],
                           text_id: str = "coauthor", domain: str | None = None) -> AnnotatedText:
-    """Character-level machine spans, as logged by a writing assistant."""
-    merged = merge_spans(CharSpan(int(a), int(b)) for a, b in machine_spans)
-    return AnnotatedText(text_id, text, merged,
-                         derive_label(merged, len(text)),
-                         domain, split_sentences(text)).validate()
+    """Character-level machine spans, as logged by a writing assistant: a
+    list of int pairs ``[x1, x2]``, merged where they overlap or touch."""
+    merged = merge_spans(_int_pairs(machine_spans, "machine span"))
+    return AnnotatedText(text_id, text, merged, derive_label(merged, len(text)),
+                         domain, split_sentences(_typed(text, str, "text"))).validate()
 
 
 # -- sentence splitting -------------------------------------------------------
@@ -440,10 +469,10 @@ def load_predictions(path) -> dict[str, dict]:
             for score in rec["scores"]:
                 if not (type(score) in (int, float) and 0.0 <= score <= 1.0):  # not NaN
                     raise ValueError(f"{where}: score {score!r} is not a number in [0, 1]")
-            for iv in rec["intervals"]:
-                if not (type(iv) is list and len(iv) == 2
-                        and all(type(x) is int for x in iv) and 0 <= iv[0] < iv[1]):
-                    raise ValueError(f"{where}: interval {iv!r} is not an int pair 0 <= x1 < x2")
+            try:
+                _int_pairs(rec["intervals"], "interval")
+            except ValueError as e:
+                raise ValueError(f"{where}: {e}") from e
             key = str(rec["id"])
             if key in lines:
                 raise ValueError(f"{where}: id repeats the record at {path}:{lines[key]}")

@@ -289,10 +289,11 @@ class ClassifierHead(Module):
 
     def logits(self, vectors: list[np.ndarray]) -> T.Tensor:
         """(B, n_classes) logits, one row per record of a micro-batch's list of
-        ``(n, d_model)`` features (``check_records``): each of the mean row."""
+        ``(n, d_model)`` features (``check_records``): each of the mean row,
+        pooled in float64 whatever the features' dtype."""
         check_records(vectors, "logits")
-        return self.lin2(T.relu(self.lin1(T.Tensor(
-            np.concatenate([v.mean(axis=0, keepdims=True) for v in vectors])))))
+        return self.lin2(T.relu(self.lin1(T.Tensor(np.concatenate(
+            [v.mean(axis=0, keepdims=True, dtype=np.float64) for v in vectors])))))
 
     def classify(self, vectors: np.ndarray) -> np.ndarray:
         """(n_classes,) class probabilities of one record."""

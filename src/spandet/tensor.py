@@ -24,23 +24,21 @@ the merged context, keeping only exp(scores) and its row sums for backward;
 ``anchor_encode`` is ``sinusoidal_encode``, the interleaved sin/cos encoding
 of token positions, applied to ``(c, w)`` anchors; ``layer_norm`` takes an
 optional residual that it adds first. The rest are ``sigmoid``, ``relu``,
-``add`` and the structural ``concat``. ``custom`` is ``_result`` for
-callers: a value and a hand-written vjp; the training objective, the
-classifier's cross-entropy and the cross-attention's per-head interleave of
-content and position parts (``concat_per_head``) are one each. Tensors take
-no indexing: heads emit the shapes their losses read. The elementary ops the
-fused ones replaced (products, matmul, reductions, softmax, log, reshape,
-slicing, ...) live in the tests as reference ops built on ``custom``, and
-the fused ones are pinned to their chains there.
+``add`` of two tensors of one shape, as the model makes them, and the
+structural ``concat``. ``custom`` is ``_result`` for callers: a value and a
+hand-written vjp; the training objective, the classifier's cross-entropy and
+the cross-attention's per-head interleave of content and position parts
+(``concat_per_head``) are one each. Tensors take no indexing: heads emit the
+shapes their losses read. The elementary ops the fused ones replaced
+(products, matmul, reductions, softmax, log, reshape, slicing, ...) live in
+the tests as reference ops built on ``custom``, and the fused ones are
+pinned to their chains there.
 
 Inside ``with no_grad():`` operations record no parents and keep no vjp;
 results are constants. What a backward needs beyond the arrays it captures
 is computed inside its vjp, so an untaped forward does no work for it.
 Inference runs untaped, since it never calls backward. The switch is
 process-wide and not thread-safe.
-
-Broadcasting is deliberately restricted: scalar-with-tensor and row-vector
-bias only. Anything else raises ``ShapeError``.
 
 A micro-batch of records runs as one tape by stacking the records row by
 row. Every op but ``attention`` acts on rows (or sums over them, for a
@@ -112,9 +110,6 @@ class Tensor:
     @property
     def size(self) -> int:
         return self.data.size
-
-    def item(self) -> float:
-        return float(self.data)
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -203,42 +198,15 @@ def _result(data: np.ndarray, parents: Sequence[Tensor], vjp: Callable, op: str)
     return out
 
 
-# -- elementwise shape policy ---------------------------------------------
-
-
-def _check_elementwise(op: str, a: Tensor, b: Tensor) -> None:
-    if a.shape == b.shape or a.size == 1 or b.size == 1:
-        return
-    # row-vector bias: (..., n) op (n,)
-    if b.ndim == 1 and a.ndim >= 2 and a.shape[-1] == b.shape[0]:
-        return
-    if a.ndim == 1 and b.ndim >= 2 and b.shape[-1] == a.shape[0]:
-        return
-    raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} are not compatible "
-                     "(only scalar and row-vector-bias broadcasting is supported)")
-
-
-def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum g over axes that were broadcast to recover a parent's shape."""
-    if g.shape == shape:
-        return g
-    extra = g.ndim - len(shape)
-    if extra > 0:
-        g = g.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, n in enumerate(shape) if n == 1 and g.shape[i] != 1)
-    if axes:
-        g = g.sum(axis=axes, keepdims=True)
-    return g.reshape(shape)
-
-
 # -- primitives -------------------------------------------------------------
 
 
 def add(a, b) -> Tensor:
+    """``a + b`` for two tensors of one shape; both parents get the gradient."""
     a, b = _wrap(a), _wrap(b)
-    _check_elementwise("add", a, b)
-    return _result(a.data + b.data, (a, b),
-                   lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)), "add")
+    if a.shape != b.shape:
+        raise ShapeError(f"add: shapes {a.shape} and {b.shape} differ")
+    return _result(a.data + b.data, (a, b), lambda g: (g, g), "add")
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:

@@ -205,9 +205,10 @@ def check_against_text(path, offsets: list[CharSpan], text: str) -> None:
 
 
 def load_features(path, text: str) -> tuple[np.ndarray, np.ndarray]:
-    """A feature file checked against its source `text`: the vectors upcast
-    to float64 and each token's normalized character midpoint in [0, 1]."""
+    """A feature file checked against its source `text`: the vectors as
+    stored (float32; the detector's input tensor upcasts them exactly) and
+    each token's normalized character midpoint in [0, 1]."""
     ef = read_embedding_file(path)
     check_against_text(path, ef.offsets, text)
-    return ef.vectors.astype(np.float64), token_positions(ef.offsets, len(text))
+    return ef.vectors, token_positions(ef.offsets, len(text))
 

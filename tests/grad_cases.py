@@ -56,9 +56,9 @@ DN_BLOCKS = np.array([[0.0, 0.0, -np.inf, -np.inf],
 
 GRAD_CASES = {
     "matmul": lambda t, a: R.sum_(R.matmul(t, a["m"])),
-    "add_bias": lambda t, a: R.sum_(R.mul(t + a["bias"], a["w"])),
+    "add_bias": lambda t, a: R.sum_(R.mul(R.add(t, a["bias"]), a["w"])),
     "mul": lambda t, a: R.sum_(R.mul(t, a["w"])),
-    "div": lambda t, a: R.sum_(R.div(t, R.abs_(a["w"]) + 1.0)),
+    "div": lambda t, a: R.sum_(R.div(t, R.add(R.abs_(a["w"]), 1.0))),
     "softmax": lambda t, a: R.sum_(R.mul(R.softmax(t, axis=-1), a["w"])),
     "layer_norm": lambda t, a: R.sum_(R.mul(T.layer_norm(t, a["gain"], a["bias"]), a["w"])),
     "sigmoid": lambda t, a: R.sum_(R.mul(T.sigmoid(t), a["w"])),
@@ -66,9 +66,9 @@ GRAD_CASES = {
     "log": lambda t, a: R.sum_(R.mul(R.log(R.exp(t)), a["w"])),
     "sum": lambda t, a: R.slice_(R.sum_(R.mul(t, a["w"]), axis=0), 1),
     "mean": lambda t, a: R.mean(R.mul(t, a["w"])),
-    "relu_offset": lambda t, a: R.sum_(R.mul(T.relu(t + 0.123), a["w"])),
+    "relu_offset": lambda t, a: R.sum_(R.mul(T.relu(R.add(t, 0.123)), a["w"])),
     "maxmin": lambda t, a: R.sum_(R.maximum(t, a["w"]) + R.minimum(t, a["w"])),
-    "abs_offset": lambda t, a: R.sum_(R.mul(R.abs_(t + 0.1), a["w"])),
+    "abs_offset": lambda t, a: R.sum_(R.mul(R.abs_(R.add(t, 0.1)), a["w"])),
     "powc": lambda t, a: R.sum_(R.powc(T.sigmoid(t), 2.5)),
     "sincos": lambda t, a: R.sum_(R.mul(R.sin(t) + R.cos(t), a["w"])),
     "concat_slice": lambda t, a: R.sum_(

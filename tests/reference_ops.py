@@ -6,8 +6,11 @@ had for it, with gradients in parent order, so chains built from them (the
 composed attention, anchor encoding and objective) are bitwise what they
 were. Tests call them as functions: ``R.mul(a, b)``, ``R.sub(a, b)``,
 ``R.slice_(a, idx)`` for ``a[idx]``. A plain number beside a tensor becomes
-a double-precision constant; shapes follow the engine's elementwise policy
-(scalar or row-vector bias).
+a double-precision constant. The binary ops broadcast by one policy: a
+scalar with a tensor, or a row-vector bias; anything else raises
+``ShapeError``. The engine's ``T.add`` takes one shape only, so ``R.add`` is
+the broadcasting add, a node of its own (``"add_broadcast"``); a gradient
+case that builds the engine's ``add`` adds two tensors of one shape.
 """
 
 import numpy as np
@@ -15,9 +18,34 @@ import numpy as np
 from spandet import tensor as T
 
 
+def _check_elementwise(op, a, b):
+    if a.shape == b.shape or a.size == 1 or b.size == 1:
+        return
+    # row-vector bias: (..., n) op (n,)
+    if b.ndim == 1 and a.ndim >= 2 and a.shape[-1] == b.shape[0]:
+        return
+    if a.ndim == 1 and b.ndim >= 2 and b.shape[-1] == a.shape[0]:
+        return
+    raise T.ShapeError(f"{op}: shapes {a.shape} and {b.shape} are not compatible "
+                       "(only scalar and row-vector-bias broadcasting is supported)")
+
+
+def _unbroadcast(g, shape):
+    """Sum g over axes that were broadcast to recover a parent's shape."""
+    if g.shape == shape:
+        return g
+    extra = g.ndim - len(shape)
+    if extra > 0:
+        g = g.sum(axis=tuple(range(extra)))
+    axes = tuple(i for i, n in enumerate(shape) if n == 1 and g.shape[i] != 1)
+    if axes:
+        g = g.sum(axis=axes, keepdims=True)
+    return g.reshape(shape)
+
+
 def _pair(op, a, b):
     a, b = T._wrap(a), T._wrap(b)
-    T._check_elementwise(op, a, b)
+    _check_elementwise(op, a, b)
     return a, b
 
 
@@ -31,25 +59,32 @@ def scale(a, s):
     return _unary("scale", a, a.data * s, lambda g: g * s)
 
 
+def add(a, b):
+    """``a + b`` as the engine built it before ``T.add`` took one shape only."""
+    a, b = _pair("add", a, b)
+    return T.custom(a.data + b.data, (a, b), lambda g: (
+        _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)), "add_broadcast")
+
+
 def sub(a, b):
     """``a - b`` as the engine built it: ``add(a, scale(b, -1))``."""
     a, b = _pair("sub", a, b)
-    return T.add(a, scale(b, -1.0))
+    return add(a, scale(b, -1.0))
 
 
 def mul(a, b):
     a, b = _pair("mul", a, b)
     ad, bd = a.data, b.data
-    return T.custom(ad * bd, (a, b), lambda g: (T._unbroadcast(g * bd, a.shape),
-                                                T._unbroadcast(g * ad, b.shape)), "mul")
+    return T.custom(ad * bd, (a, b), lambda g: (_unbroadcast(g * bd, a.shape),
+                                                _unbroadcast(g * ad, b.shape)), "mul")
 
 
 def div(a, b):
     a, b = _pair("div", a, b)
     ad, bd = a.data, b.data
     return T.custom(ad / bd, (a, b), lambda g: (
-        T._unbroadcast(g / bd, a.shape),
-        T._unbroadcast(-g * ad / (bd * bd), b.shape)), "div")
+        _unbroadcast(g / bd, a.shape),
+        _unbroadcast(-g * ad / (bd * bd), b.shape)), "div")
 
 
 def matmul(a, b):
@@ -165,14 +200,14 @@ def maximum(a, b):
     a, b = _pair("maximum", a, b)
     amask = a.data >= b.data  # ties feed the first argument
     return T.custom(np.maximum(a.data, b.data), (a, b), lambda g: (
-        T._unbroadcast(g * amask, a.shape), T._unbroadcast(g * ~amask, b.shape)), "maximum")
+        _unbroadcast(g * amask, a.shape), _unbroadcast(g * ~amask, b.shape)), "maximum")
 
 
 def minimum(a, b):
     a, b = _pair("minimum", a, b)
     amask = a.data <= b.data
     return T.custom(np.minimum(a.data, b.data), (a, b), lambda g: (
-        T._unbroadcast(g * amask, a.shape), T._unbroadcast(g * ~amask, b.shape)), "minimum")
+        _unbroadcast(g * amask, a.shape), _unbroadcast(g * ~amask, b.shape)), "minimum")
 
 
 def abs_(a):

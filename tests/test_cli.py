@@ -814,3 +814,94 @@ def test_a_width_whose_sigmoid_underflows_predicts_one_character_spans(tiny_pipe
     records = load_predictions(out)
     assert list(records) == [s.id for s in load_split(ds).test]
     assert all(x2 - x1 == 1 for rec in records.values() for x1, x2 in rec["intervals"])
+
+
+def _shift_intervals(rec, by):
+    rec["intervals"] = [[a + by, b] for a, b in rec["intervals"]]
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda r: r.update(text=[r["text"]]), ("{id}: text [{text[0]!r:.12}", "] has type list, "
+                                            "not str")),
+    (lambda r: _shift_intervals(r, 0.9), ("interval {intervals[0]} is not an int pair",)),
+    (lambda r: r.update(intervals=[[str(a), b] for a, b in r["intervals"]]),
+     ("interval {intervals[0]!r} is not an int pair",)),
+    (lambda r: r.update(label=r["label"] + 0.9), ("{id}: label {label} has type float, not int",)),
+], ids=["text-list", "interval-float", "interval-str", "label-float"])
+def test_a_record_of_another_json_type_exits_2_naming_the_line_and_field(
+        tiny_pipeline, tmp_path, capsys, edit, message):
+    _, ds, _, preds = tiny_pipeline
+    bad = tmp_path / "ds"
+    rec = _dataset_with_first_record(ds, bad, "train", edit)
+    head, *rest = (part.format(**rec) for part in message)
+    for argv in (["embed", "--dataset", str(bad), "--out", str(tmp_path / "emb")],
+                 ["train", "--dataset", str(bad), "--out", str(tmp_path / "run"),
+                  "--epochs", "1"],
+                 ["eval", "--predictions", str(preds), "--dataset", str(bad)]):
+        assert main(argv) == 2, argv[0]
+        err = capsys.readouterr().err
+        assert f"error: {bad / 'train.jsonl'}:1: invalid record: {head}" in err, argv[0]
+        assert all(part in err for part in rest), argv[0]
+
+
+SENTENCES = ["a b.", "c d.", "e f."]
+
+
+@pytest.mark.parametrize("fmt, row, message", [
+    ("roft", {"sentences": SENTENCES, "boundary": 1.9}, "boundary 1.9 has type float, not int"),
+    ("roft", {"sentences": SENTENCES, "boundary": "2"}, "boundary '2' has type str, not int"),
+    ("roft", {"sentences": " ".join(SENTENCES), "boundary": 1},
+     "sentences 'a b. c d. e f.' has type str, not list"),
+    ("tribert", {"sentences": SENTENCES, "boundaries": [True]},
+     "boundary True has type bool, not int"),
+    ("coauthor", {"text": "abcdefghij klmno pqrst.", "machine_spans": [[13.7, 17.9]]},
+     "machine span [13.7, 17.9] is not an int pair 0 <= x1 < x2"),
+    ("coauthor", {"text": SENTENCES, "machine_spans": []},
+     "text ['a b.', 'c d.', 'e f.'] has type list, not str"),
+], ids=["roft-float", "roft-str", "roft-sentences-str", "tribert-bool", "coauthor-float",
+        "coauthor-text-list"])
+def test_convert_rows_of_another_json_type_are_skipped_or_fail_under_strict(
+        tmp_path, capsys, fmt, row, message):
+    good = {"roft": {"sentences": SENTENCES, "boundary": 1},
+            "tribert": {"sentences": SENTENCES, "boundaries": [1]},
+            "coauthor": {"text": "abcdefghij klmno pqrst.", "machine_spans": [[13, 17]]}}[fmt]
+    src = tmp_path / "rows.jsonl"
+    src.write_text("\n".join(json.dumps(r) for r in (good, row, good)) + "\n")
+    out = tmp_path / "o.jsonl"
+    argv = ["convert", "--format", fmt, "--input", str(src), "--out", str(out)]
+    assert main(argv) == 0
+    assert f"warning: {src}:2: skipped ({message})" in capsys.readouterr().err
+    assert len(load_annotations(out)) == 2
+    assert main(argv + ["--overwrite", "--strict"]) == 2
+    assert f"error: {src}:2: {message}" in capsys.readouterr().err
+
+
+def test_features_kept_as_stored_train_and_predict_as_their_float64_upcast(
+        tiny_pipeline, tmp_path, monkeypatch):
+    """``--embeddings`` features stay float32 from the file; the detector's
+    input upcasts them exactly, so the weights and predictions are bitwise
+    those of features upcast at load."""
+    import spandet.cli as cli_mod
+    _, ds, _, _ = tiny_pipeline
+    emb = tmp_path / "emb"
+    assert main(["embed", "--dataset", str(ds), "--out", str(emb)]) == 0
+    stored = cli_mod.load_features
+
+    def upcast(path, text):
+        vectors, positions = stored(path, text)
+        assert vectors.dtype == np.float32
+        return vectors.astype(np.float64), positions
+
+    runs = []
+    for loader in (stored, upcast):
+        monkeypatch.setattr(cli_mod, "load_features", loader)
+        run_dir, preds = tmp_path / f"run-{loader.__name__}", tmp_path / f"{loader.__name__}.jsonl"
+        assert main(["train", "--dataset", str(ds), "--embeddings", str(emb),
+                     "--out", str(run_dir), "--epochs", "2", "--batch-size", "8",
+                     "--hidden", "16", "--heads", "4", "--enc-layers", "1",
+                     "--dec-layers", "1", "--max-tokens", "64"]) == 0
+        assert main(["predict", "--checkpoint", str(run_dir / "best.npz"), "--dataset", str(ds),
+                     "--embeddings", str(emb), "--out", str(preds)]) == 0
+        with np.load(run_dir / "best.npz") as ckpt:
+            runs.append((ckpt["params"].copy(), preds.read_bytes()))
+    assert np.array_equal(runs[0][0], runs[1][0]) and runs[0][1] == runs[1][1]

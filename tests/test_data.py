@@ -1,9 +1,11 @@
 import hashlib
 import json
 import re
+import tempfile
 import time
 import tracemalloc
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -58,6 +60,31 @@ def test_sentence_offsets_out_of_order_or_overlapping_are_rejected_at_load(tmp_p
     path.write_text(json.dumps(rec) + "\n")
     with pytest.raises(ValueError, match=re.escape(f"{path}:1: invalid record: s1: {message}")):
         load_annotations(path)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("text", ["hello world"], "s1: text ['hello world'] has type list, not str"),
+    ("label", 2.9, "s1: label 2.9 has type float, not int"),
+    ("label", True, "s1: label True has type bool, not int"),
+    ("domain", ["news"], "s1: domain ['news'] has type list, not str"),
+    ("intervals", [[3.9, 9.6]], "interval [3.9, 9.6] is not an int pair 0 <= x1 < x2"),
+    ("intervals", [["3", 9]], "interval ['3', 9] is not an int pair 0 <= x1 < x2"),
+    ("intervals", [[True, 9]], "interval [True, 9] is not an int pair 0 <= x1 < x2"),
+    ("intervals", "3-9", "intervals '3-9' is not a list"),
+    ("sentence_offsets", [[0, 5.0], [6, 11]],
+     "sentence offset [0, 5.0] is not an int pair 0 <= x1 < x2"),
+], ids=["text-list", "label-float", "label-bool", "domain-list", "interval-float", "interval-str",
+        "interval-bool", "intervals-str", "sentence-offset-float"])
+def test_load_annotations_takes_only_the_types_its_writer_stores(tmp_path, field, value,
+                                                                 message):
+    good = {"id": "s1", "text": "hello world", "intervals": [[3, 9]], "label": LABEL_MIXED,
+            "domain": "news", "sentence_offsets": [[0, 5], [6, 11]]}
+    path = tmp_path / "d.jsonl"
+    path.write_text(json.dumps({**good, field: value}) + "\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}:1: invalid record: {message}")):
+        load_annotations(path)
+    path.write_text(json.dumps(good) + "\n")
+    assert load_annotations(path)[0].intervals == [CharSpan(3, 9)]
 
 
 def test_touching_sentence_offsets_are_accepted():
@@ -192,6 +219,48 @@ def test_coauthor_merges_overlaps():
     item = coauthor_to_intervals(text, [[0, 5], [3, 8], [15, 22]])
     assert item.intervals == [CharSpan(0, 8), CharSpan(15, 22)]
     assert item.label == LABEL_MIXED
+
+
+@pytest.mark.parametrize("convert, message", [
+    (lambda: roft_to_intervals(SENTS, 1.9), "boundary 1.9 has type float, not int"),
+    (lambda: roft_to_intervals(SENTS, "2"), "boundary '2' has type str, not int"),
+    (lambda: tribert_to_intervals(SENTS, [True]), "boundary True has type bool, not int"),
+    (lambda: tribert_to_intervals(SENTS, 2), "boundaries 2 has type int, not list"),
+    (lambda: roft_to_intervals("a b. c d.", 1), "sentences 'a b. c d.' has type str, not list"),
+    (lambda: tribert_to_intervals(["a b.", 7], [1]), "sentence 1 7 has type int, not str"),
+    (lambda: coauthor_to_intervals("abcdefghij klmno.", [[3.7, 7.9]]),
+     "machine span [3.7, 7.9] is not an int pair 0 <= x1 < x2"),
+    (lambda: coauthor_to_intervals(["a b."], []), "text ['a b.'] has type list, not str"),
+], ids=["roft-float", "roft-str", "tribert-bool", "tribert-int", "sentences-str",
+        "sentence-int", "coauthor-float", "coauthor-text"])
+def test_converters_take_int_boundaries_int_pairs_and_lists_of_strings(convert, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        convert()
+
+
+def _converted_records():
+    """Records as the three converters make them, from generated rows."""
+    sentence = st.text(min_size=1, max_size=6)
+    roft = st.lists(sentence, min_size=1, max_size=6).flatmap(lambda ss: st.builds(
+        roft_to_intervals, st.just(ss), st.integers(0, len(ss)), st.text(max_size=4),
+        st.none() | st.text(max_size=4)))
+    tribert = st.lists(sentence, min_size=1, max_size=6).flatmap(lambda ss: st.builds(
+        tribert_to_intervals, st.just(ss), st.lists(st.integers(1, max(1, len(ss) - 1)))
+        if len(ss) > 1 else st.just([]), st.sampled_from(["human", "machine"])))
+    text = st.text(min_size=1, max_size=30).filter(str.strip)
+    coauthor = text.flatmap(lambda t: st.builds(coauthor_to_intervals, st.just(t), st.lists(
+        st.lists(st.integers(0, len(t)), min_size=2, max_size=2, unique=True).map(sorted),
+        max_size=4)))
+    return roft | tribert | coauthor
+
+
+@settings(max_examples=100)
+@given(st.lists(_converted_records(), max_size=4))
+def test_converted_records_survive_save_then_load_unchanged(items):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "d.jsonl"
+        save_annotations(path, items)
+        assert load_annotations(path) == items
 
 
 # -- sentence splitting -----------------------------------------------------------

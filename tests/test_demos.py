@@ -1,5 +1,7 @@
 """Every narrative script under demos/ runs to completion against the current
-package (demo 05 trains a small detector and takes the longest)."""
+package (demo 05 trains a small detector and takes the longest), under the
+warning rule of the test suite: a RuntimeWarning or DeprecationWarning is an
+error."""
 
 import os
 import subprocess
@@ -15,6 +17,7 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 @pytest.mark.parametrize("demo", DEMOS, ids=[p.name for p in DEMOS])
 def test_demo_runs(demo, tmp_path):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning",
+                           "-W", "error::DeprecationWarning", str(demo)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]

@@ -280,6 +280,17 @@ def test_classify_is_the_reference_softmax_of_the_logits():
     assert np.array_equal(head.classify(x), R.softmax(head.logits([x])).data[0])
 
 
+@pytest.mark.parametrize("rows, d", [((1,), 16), ((7, 300), 16), ((399, 2), 1024)])
+def test_classifier_logits_of_stored_float32_features_are_those_of_their_upcast(rows, d):
+    """Features as ``.emb`` files store them pool in float64: the logits are
+    bitwise those of the same features upcast before the head reads them."""
+    head = ClassifierHead(d, 8, 3, seed=2)
+    rng = np.random.default_rng(d)
+    stored = [(rng.normal(size=(n, d)) * 30).astype(np.float32) for n in rows]
+    got = head.logits(stored).data
+    assert np.array_equal(got, head.logits([v.astype(np.float64) for v in stored]).data)
+
+
 def test_classify_rejects_an_empty_record_by_the_feature_contract():
     with pytest.raises(ValueError, match="^empty token sequence$"):
         ClassifierHead(16, 8, 2).classify(np.zeros((0, 16)))
@@ -636,7 +647,7 @@ def merge_heads(x):
 
 
 def linear_ref(lin, x):
-    return R.matmul(x, lin.weight) + lin.bias
+    return R.add(R.matmul(x, lin.weight), lin.bias)
 
 
 def attend_ref(q, k, v):

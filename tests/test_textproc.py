@@ -100,7 +100,7 @@ def test_embedding_file_roundtrip_bitwise(tmp_path):
     assert ef.offsets == tk.offsets
     assert ef.provenance == "file:finetuned"
     got, pos = load_features(path, "a b c d e f g")
-    assert got.dtype == np.float64 and np.array_equal(got.astype(np.float32), vec)
+    assert got.dtype == np.float32 and np.array_equal(got, vec)
     assert np.array_equal(pos, token_positions(tk.offsets, 13))
 
 
@@ -160,7 +160,7 @@ def test_load_features_checks_offsets_against_the_text(tmp_path):
     path = tmp_path / "x.emb"
     write_embedding_file(path, vec, [CharSpan(0, 2), CharSpan(3, 5), CharSpan(6, 8)])
     got, pos = load_features(path, "ab cd ef")
-    assert got.dtype == np.float64 and np.array_equal(pos, [1 / 8, 4 / 8, 7 / 8])
+    assert got.dtype == np.float32 and np.array_equal(pos, [1 / 8, 4 / 8, 7 / 8])
     with pytest.raises(ValueError, match="token 2 ends at 8, past the end"):
         load_features(path, "ab cd e")
     write_embedding_file(path, vec, [CharSpan(0, 2), CharSpan(6, 8), CharSpan(3, 5)])

@@ -469,8 +469,8 @@ def test_classify_scores_the_mean_row_of_the_provider_features():
     for s in split.train + split.val + split.test:
         vec, _ = prov(s)
         mean_row = R.reshape(R.mean(T.Tensor(vec), axis=0), (1, vec.shape[1]))
-        hidden = T.relu(R.matmul(mean_row, head.lin1.weight) + head.lin1.bias)
-        logits = R.matmul(hidden, head.lin2.weight) + head.lin2.bias
+        hidden = T.relu(R.add(R.matmul(mean_row, head.lin1.weight), head.lin1.bias))
+        logits = R.add(R.matmul(hidden, head.lin2.weight), head.lin2.bias)
         assert np.array_equal(head.classify(vec), R.softmax(logits).data[0]), s.id
 
 
@@ -989,6 +989,21 @@ def test_micro_batches_keep_order_and_the_row_budget():
     assert training.micro_batches([8, 2, 6, 1], rows) == [[8, 2, 6], [1]]
     assert training.micro_batches(np.array([3]), rows) == [[3]]  # longer than the budget: alone
     assert [len(r) for r in training.micro_batches(range(9), [1] * 9)] == [9]
+
+
+@settings(max_examples=200)
+@given(st.lists(st.integers(1, 2 * training.MICRO_BATCH_ROWS), max_size=30).flatmap(
+    lambda rows: st.tuples(st.just(rows), st.permutations(range(len(rows))))))
+def test_generated_micro_batches_keep_order_the_budget_and_every_index_once(case):
+    rows, idxs = case
+    runs = training.micro_batches(idxs, rows)
+    assert [i for run in runs for i in run] == list(idxs)  # in order, each once
+    for run in runs:
+        assert run and (len(run) == 1 or sum(rows[i] for i in run) <= training.MICRO_BATCH_ROWS)
+        if any(rows[i] > training.MICRO_BATCH_ROWS for i in run):
+            assert len(run) == 1  # an over-budget record runs alone
+    for run, after in zip(runs, runs[1:]):  # a run ends only where the next record would overflow
+        assert sum(rows[i] for i in run) + rows[after[0]] > training.MICRO_BATCH_ROWS
 
 
 def _micro_batch_case(seed):
