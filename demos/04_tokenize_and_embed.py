@@ -31,12 +31,11 @@ with tempfile.TemporaryDirectory() as tmp:
     path = Path(tmp) / "features.emb"
     write_embedding_file(path, emb.astype(np.float32), tk.offsets,
                          provenance="file:finetuned", text=text)
-    print(f"\nwrote {path.stat().st_size} bytes "
-          f"(+ sidecar {Path(str(path) + '.sha256').name} with the text hash)")
+    print(f"\nwrote {path.stat().st_size} bytes, the text's SHA-256 in the header")
     ef = read_embedding_file(path)
     print(f"read back: {ef.vectors.shape} {ef.vectors.dtype}, "
           f"provenance {ef.provenance!r}, offsets intact: {ef.offsets == tk.offsets}")
-    # checks the sidecar hash and that the offsets are sorted and fit the text
+    # checks the header's text hash and that the offsets are sorted and fit the text
     vectors, positions = load_features(path, text)
     print(f"validated load: {vectors.shape} {vectors.dtype}, "
           f"token midpoints {np.round(positions[:3], 3)} ...")

@@ -15,6 +15,7 @@ from pathlib import Path
 
 from . import data as D
 from . import metrics as M
+from .files import write_json
 from .geometry import cw_to_span
 from .model import ModelConfig, load_detector
 from .tensor import ShapeError
@@ -29,13 +30,11 @@ EXIT_NUMERICAL = 3
 def _check_out_dir(path: Path, overwrite: bool) -> None:
     if path.exists() and any(path.iterdir()) and not overwrite:
         raise ValueError(f"{path} exists and is not empty; pass --overwrite to replace it")
-    path.mkdir(parents=True, exist_ok=True)
 
 
 def _check_out_file(path: Path, overwrite: bool) -> None:
     if path.exists() and not overwrite:
         raise ValueError(f"{path} exists; pass --overwrite to replace it")
-    path.parent.mkdir(parents=True, exist_ok=True)
 
 
 def _load_samples(dataset: str, split: str) -> list[D.AnnotatedText]:
@@ -150,8 +149,7 @@ def cmd_train(args) -> int:
     run_dir = Path(args.out)  # written only once both configs hold
     _check_out_dir(run_dir, args.overwrite)
     invocation = {k: v for k, v in vars(args).items() if k != "func"}
-    (run_dir / "invocation.json").write_text(
-        json.dumps(invocation, indent=2, sort_keys=True) + "\n")
+    write_json(run_dir / "invocation.json", invocation)
     try:
         result = train(split, provider, model_cfg, train_cfg, LossWeights(), run_dir)
     except ValueError as e:
@@ -207,7 +205,7 @@ def cmd_eval(args) -> int:
               "score_threshold": args.threshold,
               "overlap_threshold": args.overlap_threshold}
     if out is not None:
-        M.write_metric_report(out, report, config)
+        write_json(out, {"metrics": report, "config": config})
         print(f"wrote metric report to {out}")
     print(json.dumps(report, indent=2, sort_keys=True))
     return EXIT_OK

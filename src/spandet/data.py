@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .files import write_json, write_jsonl
 from .geometry import CharSpan, merge_spans
 from .textproc import check_embed_dim, token_positions, tokenize, toy_embed
 
@@ -140,11 +141,7 @@ def json_object(line: str) -> dict:
 
 
 def save_annotations(path, items: list[AnnotatedText]) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        for s in items:
-            fh.write(json.dumps(_to_record(s), sort_keys=True) + "\n")
+    write_jsonl(path, (_to_record(s) for s in items))
 
 
 def load_annotations(path) -> list[AnnotatedText]:
@@ -163,10 +160,9 @@ def load_annotations(path) -> list[AnnotatedText]:
 def save_split(dirpath, split: DatasetSplit) -> None:
     split.check_disjoint()
     dirpath = Path(dirpath)
-    dirpath.mkdir(parents=True, exist_ok=True)
     for name, items in [("train", split.train), ("val", split.val), ("test", split.test)]:
         save_annotations(dirpath / f"{name}.jsonl", items)
-    (dirpath / "meta.json").write_text(json.dumps(split.meta, indent=2, sort_keys=True) + "\n")
+    write_json(dirpath / "meta.json", split.meta)
 
 
 def load_split(dirpath) -> DatasetSplit:
@@ -327,6 +323,16 @@ class SynthSpec:
             raise ValueError(f"unknown style {self.style!r}")
         if self.n_texts < 1:
             raise ValueError("need at least one text")
+        for name in ("n_sentences", "vocab_size", "max_boundaries"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name}: {getattr(self, name)} must be >= 1")
+        lo, hi = self.words_per_sentence
+        if not 1 <= lo <= hi:
+            raise ValueError(f"words_per_sentence: {self.words_per_sentence} must have "
+                             f"1 <= lo <= hi")
+        if not (all(0 <= f <= 1 for f in self.split_fracs) and sum(self.split_fracs) <= 1):
+            raise ValueError(f"split_fracs: {self.split_fracs} must each lie in [0, 1] "
+                             f"with a sum of at most 1")
         for name, rule in (("embed_dim", check_embed_dim), ("embed_seed", check_embed_seed)):
             try:  # the toy provider's rules, before any dataset records the value
                 rule(getattr(self, name))
@@ -348,8 +354,7 @@ def _make_sentences(rng: np.random.Generator, vocab: list[str], spec: SynthSpec)
     sentences = []
     for _ in range(spec.n_sentences):
         k = int(rng.integers(lo, hi + 1))
-        words = [vocab[int(rng.integers(0, len(vocab)))] for _ in range(k)]
-        sentences.append(" ".join(words) + ".")
+        sentences.append(" ".join(vocab[i] for i in rng.integers(0, len(vocab), size=k)) + ".")
     return sentences
 
 
@@ -436,11 +441,7 @@ def synthetic_provider(meta: dict):
 
 def save_predictions(path, preds: list[dict]) -> None:
     """One record per text: {"id", "intervals": [[x1, x2], ...], "scores": [...]}."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        for rec in preds:
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+    write_jsonl(path, preds)
 
 
 def load_predictions(path) -> dict[str, dict]:

@@ -6,9 +6,7 @@ CO2 estimator.
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_right
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -194,8 +192,13 @@ def evaluate_detection(samples: list[AnnotatedText], preds: dict[str, dict],
     text carries at most one interval, the boundary regression suite. An
     interval that ends past its text raises ``ValueError`` naming the record,
     as does a record whose id names no text of `samples` (a wrong split). An
-    empty `samples` raises before any mean is taken.
+    empty `samples` raises before any mean is taken, and so does a
+    threshold that is not a number in [0, 1].
     """
+    for name, value in (("score_threshold", score_threshold),
+                        ("overlap_threshold", overlap_threshold)):
+        if not 0 <= value <= 1:  # NaN included
+            raise ValueError(f"{name} {value} is not a number in [0, 1]")
     if not samples:
         raise ValueError("no texts to score")
     ids = {s.id for s in samples}
@@ -268,7 +271,3 @@ def evaluate_detection(samples: list[AnnotatedText], preds: dict[str, dict],
         report["classification"] = classification_suite(cls_scores, cls_labels)
     return report
 
-
-def write_metric_report(path, metrics: dict, config: dict) -> None:
-    doc = {"metrics": metrics, "config": config}
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")

@@ -32,6 +32,7 @@ from typing import get_type_hints
 import numpy as np
 
 from . import tensor as T
+from .files import write_npz
 from .geometry import Interval
 from .nn import ConcatPosAttention, LayerNorm, Linear, MLP, Module, MultiHeadAttention
 
@@ -320,7 +321,7 @@ def save_detector(path, model: DetectionModel) -> None:
     meta = json.dumps({"checkpoint_version": CHECKPOINT_VERSION,
                        "kind": "detector", "config": asdict(model.cfg)}, sort_keys=True)
     params = np.concatenate([p.data.ravel() for p in model.parameters().values()])
-    np.savez(path, __meta__=np.array(meta), params=params)
+    write_npz(path, __meta__=np.array(meta), params=params)
 
 
 def load_detector(path) -> DetectionModel:

@@ -18,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .files import atomic_open
 from .geometry import CharSpan
 
 _TOKEN_RE = re.compile(r"\w+|[^\w\s]", re.UNICODE)
@@ -29,7 +30,7 @@ PROVENANCE_CODES = {"toy": 0, "file:pretrained": 1, "file:finetuned": 2}
 PROVENANCE_NAMES = {v: k for k, v in PROVENANCE_CODES.items()}
 
 EMBED_MAGIC = b"SDEM"
-EMBED_VERSION = 1
+EMBED_VERSION = 2
 
 
 @dataclass
@@ -116,36 +117,32 @@ def toy_embed(tk: TokenizedText, d: int, seed: int = 0) -> np.ndarray:
 
 # -- embedding file format ---------------------------------------------------
 #
-#   magic     4 bytes  b"SDEM"
-#   version   u8       1
-#   n         u32 LE   token count
-#   d         u32 LE   embedding dimension
-#   provenance u8      0 = toy, 1 = file:pretrained, 2 = file:finetuned
-#   offsets   n * (u32, u32) LE   character start/end per token
-#   data      n*d float32 LE, row-major
-#
-# A sidecar `<path>.sha256` holds the hex digest of the source text for
-# integrity checking.
+#   magic      4 bytes  b"SDEM"
+#   version    u8       2
+#   n          u32 LE   token count
+#   d          u32 LE   embedding dimension
+#   provenance u8       0 = toy, 1 = file:pretrained, 2 = file:finetuned
+#   text hash  32 bytes SHA-256 of the source text's UTF-8 bytes
+#   offsets    n * (u32, u32) LE   character start/end per token
+#   data       n*d float32 LE, row-major
 
-_HEADER = struct.Struct("<4sBIIB")
+_HEADER = struct.Struct("<4sBIIB32s")
 
 
 def write_embedding_file(path, vectors: np.ndarray, offsets: list[CharSpan],
-                         provenance: str = "toy", text: str | None = None) -> None:
-    vectors = np.ascontiguousarray(vectors, dtype="<f4")
+                         provenance: str, text: str) -> None:
+    with np.errstate(over="ignore"):   # a value past float32's range becomes inf
+        vectors = np.ascontiguousarray(vectors, dtype="<f4")
     n, d = vectors.shape
     if len(offsets) != n:
         raise ValueError(f"offset count {len(offsets)} != row count {n}")
-    path = Path(path)
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(EMBED_MAGIC, EMBED_VERSION, n, d,
-                              PROVENANCE_CODES[provenance]))
-        off = np.array([(o.x1, o.x2) for o in offsets], dtype="<u4")
-        fh.write(off.tobytes())
-        fh.write(vectors.tobytes())
-    if text is not None:
-        digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
-        Path(str(path) + ".sha256").write_text(digest + "\n")
+    if not np.isfinite(vectors).all():
+        raise ValueError(f"{path}: feature values are not finite as float32")
+    digest = hashlib.sha256(text.encode("utf-8")).digest()
+    with atomic_open(path) as fh:
+        fh.writelines([_HEADER.pack(EMBED_MAGIC, EMBED_VERSION, n, d,
+                                    PROVENANCE_CODES[provenance], digest),
+                       np.array([(o.x1, o.x2) for o in offsets], dtype="<u4"), vectors])
 
 
 @dataclass
@@ -153,17 +150,19 @@ class EmbeddingFile:
     vectors: np.ndarray  # float32, exactly as stored
     offsets: list[CharSpan]
     provenance: str
+    text_sha256: bytes   # digest of the source text
 
 
 def read_embedding_file(path) -> EmbeddingFile:
     raw = Path(path).read_bytes()
+    if raw[:4] != EMBED_MAGIC:
+        raise ValueError(f"{path}: bad magic {raw[:4]!r}")
+    if len(raw) > 4 and raw[4] != EMBED_VERSION:  # named before its layout is read
+        raise ValueError(f"{path}: unsupported embedding file version {raw[4]} (this "
+                         f"reader takes version {EMBED_VERSION}; re-run spandet embed)")
     if len(raw) < _HEADER.size:
         raise ValueError(f"{path}: truncated embedding file (no header)")
-    magic, version, n, d, prov = _HEADER.unpack_from(raw)
-    if magic != EMBED_MAGIC:
-        raise ValueError(f"{path}: bad magic {magic!r}")
-    if version != EMBED_VERSION:
-        raise ValueError(f"{path}: unsupported version {version}")
+    _, _, n, d, prov, digest = _HEADER.unpack_from(raw)
     if prov not in PROVENANCE_NAMES:
         raise ValueError(f"{path}: unknown provenance byte {prov}")
     need = _HEADER.size + n * 8 + n * d * 4
@@ -181,19 +180,16 @@ def read_embedding_file(path) -> EmbeddingFile:
                          f"({a}, {b})") from None
     vec = np.frombuffer(raw, dtype="<f4", count=n * d,
                         offset=_HEADER.size + n * 8).reshape(n, d).copy()
-    return EmbeddingFile(vec, offsets, PROVENANCE_NAMES[prov])
+    return EmbeddingFile(vec, offsets, PROVENANCE_NAMES[prov], digest)
 
 
-def check_against_text(path, offsets: list[CharSpan], text: str) -> None:
-    """Raise ValueError unless a feature file fits `text`: the sidecar hash,
-    when there is one, is the text's, and the token offsets are sorted and
-    end inside the text."""
-    sidecar = Path(str(path) + ".sha256")
-    if sidecar.exists():
-        want = sidecar.read_text().strip()
-        got = hashlib.sha256(text.encode("utf-8")).hexdigest()
-        if want != got:
-            raise ValueError(f"{path}: source text hash mismatch")
+def check_against_text(path, ef: EmbeddingFile, text: str) -> None:
+    """Raise ValueError unless a feature file fits `text`: its header holds
+    the text's hash, and its token offsets are sorted and end inside the
+    text."""
+    if ef.text_sha256 != hashlib.sha256(text.encode("utf-8")).digest():
+        raise ValueError(f"{path}: source text hash mismatch")
+    offsets = ef.offsets
     for i in range(1, len(offsets)):
         if offsets[i].x1 < offsets[i - 1].x1:
             raise ValueError(f"{path}: token offsets are not sorted (token {i} starts at "
@@ -209,6 +205,6 @@ def load_features(path, text: str) -> tuple[np.ndarray, np.ndarray]:
     stored (float32; the detector's input tensor upcasts them exactly) and
     each token's normalized character midpoint in [0, 1]."""
     ef = read_embedding_file(path)
-    check_against_text(path, ef.offsets, text)
+    check_against_text(path, ef, text)
     return ef.vectors, token_positions(ef.offsets, len(text))
 

@@ -26,7 +26,6 @@ record counts its training micro-batches under ``"micro_batches"``.
 
 from __future__ import annotations
 
-import json
 import math
 import statistics
 from dataclasses import asdict, dataclass
@@ -36,6 +35,7 @@ from typing import Callable
 import numpy as np
 
 from . import tensor as T
+from .files import write_json, write_jsonl
 from .geometry import Interval, span_l1_giou, span_to_cw
 from .matching import build_match_cost, hungarian
 from .model import (ClassifierHead, DetectionModel, LayerPrediction, ModelConfig,
@@ -485,13 +485,9 @@ def train(split, provider: Provider, model_cfg: ModelConfig,
 
     if run_dir is not None:
         run_dir = Path(run_dir)
-        run_dir.mkdir(parents=True, exist_ok=True)
-        snapshot = {"model": asdict(model_cfg), "train": asdict(train_cfg),
-                    "weights": asdict(weights)}
-        (run_dir / "config.json").write_text(
-            json.dumps(snapshot, indent=2, sort_keys=True) + "\n")
-        log_path = run_dir / "metrics.jsonl"
-        log_path.write_text("")
+        write_json(run_dir / "config.json", {"model": asdict(model_cfg),
+                                             "train": asdict(train_cfg),
+                                             "weights": asdict(weights)})
 
     epoch_terms: list[list[dict[str, float]]] = []   # per sample, per layer
 
@@ -544,8 +540,7 @@ def train(split, provider: Provider, model_cfg: ModelConfig,
                 best_state = opt.data.copy()
         log.append(record)
         if run_dir is not None:
-            with open(log_path, "a") as fh:
-                fh.write(json.dumps(record, sort_keys=True) + "\n")
+            write_jsonl(run_dir / "metrics.jsonl", log)
             save_detector(run_dir / "last.npz", model)
 
     if best_epoch < 0:  # no validation split: keep the final weights

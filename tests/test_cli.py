@@ -1,8 +1,9 @@
 import filecmp
 import json
 import shutil
+import struct
 import warnings
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -228,8 +229,10 @@ def test_embeddings_that_do_not_fit_their_text_exit_2(tiny_pipeline, tmp_path, c
     assert f"record {victim.id}" in err and "hash mismatch" in err
     written = list(load_predictions(tmp_path / "p.jsonl"))
     assert written == [s.id for s in split.test[1:]]
-    # without the hash sidecar, the offsets past the end of the text show it
-    (emb / f"{victim.id}.emb.sha256").unlink()
+    # features hashed with the cut text: its offsets past the end of the text show it
+    ef = read_embedding_file(emb / f"{victim.id}.emb")
+    write_embedding_file(emb / f"{victim.id}.emb", ef.vectors, ef.offsets, ef.provenance,
+                         victim.text[:21])
     assert main(predict + ["--dataset", str(cut)]) == 2
     err = capsys.readouterr().err
     assert f"record {victim.id}" in err and "past the end of the 21-character text" in err
@@ -332,11 +335,12 @@ def test_nan_features_exit_2_naming_the_record(tiny_pipeline, tmp_path, capsys):
     emb = tmp_path / "emb"
     assert main(["embed", "--dataset", str(ds), "--out", str(emb)]) == 0
     split = load_split(ds)
-    for victim in (split.train[1], split.test[0]):
-        ef = read_embedding_file(emb / f"{victim.id}.emb")
-        ef.vectors[0, 0] = np.nan
-        write_embedding_file(emb / f"{victim.id}.emb", ef.vectors, ef.offsets,
-                             ef.provenance, victim.text)
+    for victim in (split.train[1], split.test[0]):  # the writer stores no NaN: patch the bytes
+        path = emb / f"{victim.id}.emb"
+        raw = bytearray(path.read_bytes())
+        at = len(raw) - 4 * read_embedding_file(path).vectors.size   # the payload's start
+        raw[at:at + 4] = np.array(np.nan, dtype="<f4").tobytes()
+        path.write_bytes(bytes(raw))
     code = main(["train", "--dataset", str(ds), "--embeddings", str(emb),
                  "--out", str(tmp_path / "r"), "--epochs", "1", "--hidden", "16",
                  "--heads", "4", "--max-tokens", "64"])
@@ -905,3 +909,79 @@ def test_features_kept_as_stored_train_and_predict_as_their_float64_upcast(
         with np.load(run_dir / "best.npz") as ckpt:
             runs.append((ckpt["params"].copy(), preds.read_bytes()))
     assert np.array_equal(runs[0][0], runs[1][0]) and runs[0][1] == runs[1][1]
+
+
+def test_generate_with_zero_sentences_exits_2_naming_the_field_and_writes_nothing(tmp_path,
+                                                                                    capsys):
+    out = tmp_path / "x"
+    assert run(["generate", "--n", "5", "--sentences", "0", "--dim", "16",
+                "--out", str(out)]) == 2
+    assert "error: n_sentences: 0 must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value, name", [("--threshold", "nan", "score_threshold"),
+                                               ("--overlap-threshold", "-1",
+                                                "overlap_threshold")])
+def test_eval_with_a_threshold_outside_0_1_exits_2_naming_it(tiny_pipeline, tmp_path, capsys,
+                                                            flag, value, name):
+    _, ds, _, preds = tiny_pipeline
+    out = tmp_path / "report.json"
+    assert main(["eval", "--predictions", str(preds), "--dataset", str(ds), flag, value,
+                 "--out", str(out)]) == 2
+    assert (f"error: {name} {float(value)} is not a number in [0, 1]"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_embed_of_features_that_overflow_float32_exits_2_naming_the_record(tmp_path, capsys):
+    ds, emb = tmp_path / "ds", tmp_path / "emb"
+    assert main(["generate", "--n", "5", "--signal", "1e308", "--dim", "16",
+                 "--out", str(ds)]) == 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")   # no overflow warning from the float32 cast
+        assert main(["embed", "--dataset", str(ds), "--out", str(emb)]) == 2
+    first = load_split(ds).train[0]
+    assert (f"{emb / first.id}.emb: feature values are not finite as float32"
+            in capsys.readouterr().err)
+    assert not emb.exists()
+
+
+def test_embed_writes_one_file_per_record_and_a_same_length_edit_exits_2(tiny_pipeline,
+                                                                         tmp_path, capsys):
+    _, ds, run_dir, _ = tiny_pipeline
+    emb = tmp_path / "emb"
+    assert main(["embed", "--dataset", str(ds), "--out", str(emb)]) == 0
+    split = load_split(ds)
+    ids = [s.id for part in (split.train, split.val, split.test) for s in part]
+    assert sorted(p.name for p in emb.iterdir()) == sorted(f"{i}.emb" for i in ids)
+    victim = split.test[0]
+    swapped = victim.text.translate(str.maketrans("ae", "ea"))
+    assert swapped != victim.text and len(swapped) == len(victim.text)  # offsets still fit
+    split.test[0] = replace(victim, text=swapped)
+    edited = tmp_path / "edited"
+    save_split(edited, split)
+    code = main(["predict", "--checkpoint", str(run_dir / "best.npz"), "--dataset",
+                 str(edited), "--embeddings", str(emb), "--out", str(tmp_path / "p.jsonl")])
+    assert code == 2
+    assert (f"record {victim.id}: {emb / victim.id}.emb: source text hash mismatch"
+            in capsys.readouterr().err)
+
+
+def test_predict_on_a_version_1_embedding_file_exits_2_naming_its_version(tiny_pipeline,
+                                                                          tmp_path, capsys):
+    _, ds, run_dir, _ = tiny_pipeline
+    emb = tmp_path / "emb"
+    assert main(["embed", "--dataset", str(ds), "--out", str(emb)]) == 0
+    victim = load_split(ds).test[0]
+    path = emb / f"{victim.id}.emb"
+    ef = read_embedding_file(path)
+    n, d = ef.vectors.shape   # the same features in the version-1 layout (no text hash)
+    path.write_bytes(struct.pack("<4sBIIB", b"SDEM", 1, n, d, 0)
+                     + np.array([(o.x1, o.x2) for o in ef.offsets], dtype="<u4").tobytes()
+                     + ef.vectors.tobytes())
+    code = main(["predict", "--checkpoint", str(run_dir / "best.npz"), "--dataset", str(ds),
+                 "--embeddings", str(emb), "--out", str(tmp_path / "p.jsonl")])
+    assert code == 2
+    assert (f"record {victim.id}: {path}: unsupported embedding file version 1"
+            in capsys.readouterr().err)

@@ -544,3 +544,28 @@ def test_load_predictions_checks_each_record_naming_line_and_id(tmp_path, field,
     path.write_text(json.dumps(good) + "\n")
     assert load_predictions(path) == {"a": good}
 
+
+
+@pytest.mark.parametrize("fields, name", [
+    (dict(n_sentences=0), "n_sentences"),
+    (dict(vocab_size=0), "vocab_size"),
+    (dict(style="multi", max_boundaries=0), "max_boundaries"),
+    (dict(words_per_sentence=(5, 3)), "words_per_sentence"),
+    (dict(words_per_sentence=(0, 3)), "words_per_sentence"),
+    (dict(split_fracs=(0.9, 0.5)), "split_fracs"),
+    (dict(split_fracs=(-0.1, 0.5)), "split_fracs"),
+    (dict(split_fracs=(float("nan"), 0.1)), "split_fracs"),
+], ids=lambda x: x if isinstance(x, str) else repr(x))
+def test_synth_spec_rejects_a_field_it_cannot_generate_naming_it(fields, name):
+    with pytest.raises(ValueError, match=f"^{name}: "):
+        SynthSpec(n_texts=10, **fields)
+
+
+@pytest.mark.parametrize("fields", [dict(words_per_sentence=(1, 1)),
+                                    dict(split_fracs=(1.0, 0.0)),
+                                    dict(split_fracs=(0.7, 0.3)),
+                                    dict(style="multi", n_sentences=1, max_boundaries=1),
+                                    dict(vocab_size=1)])
+def test_synth_spec_edge_values_generate(fields):
+    split = synth_generate(SynthSpec(n_texts=10, **fields), seed=0)
+    assert len(split.train) + len(split.val) + len(split.test) == 10

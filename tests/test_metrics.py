@@ -5,11 +5,12 @@ from hypothesis import strategies as st
 
 from spandet.data import (LABEL_HUMAN, LABEL_MACHINE, LABEL_MIXED, SynthSpec,
                           synth_generate)
+from spandet.files import write_json
 from spandet.geometry import CharSpan
 from spandet.metrics import (auroc, boundary_suite, classification_suite,
                              co2_estimate, evaluate_detection, f1_at_k,
                              interval_to_sentence, kappa, overlap_labels,
-                             snap_boundaries, snap_endpoint, write_metric_report)
+                             snap_boundaries, snap_endpoint)
 
 from oracles import reference_sentence_index, reference_snap_endpoint
 
@@ -304,11 +305,12 @@ def test_evaluate_rejects_an_interval_past_its_text_and_takes_one_ending_at_it()
 
 
 def test_write_metric_report(tmp_path):
+    """``spandet eval --out`` writes {"metrics", "config"} as one JSON
+    document: sorted keys, an indent of 2 and a trailing newline."""
     path = tmp_path / "report.json"
-    write_metric_report(path, {"acc": 1.0}, {"k": 3})
-    import json
-    doc = json.loads(path.read_text())
-    assert doc["metrics"]["acc"] == 1.0 and doc["config"]["k"] == 3
+    write_json(path, {"metrics": {"acc": 1.0}, "config": {"k": 3}})
+    assert path.read_text() == ('{\n  "config": {\n    "k": 3\n  },\n'
+                                '  "metrics": {\n    "acc": 1.0\n  }\n}\n')
 
 
 def test_rule_agreement_with_direct_reimplementation():
@@ -342,3 +344,13 @@ def test_rule_agreement_with_direct_reimplementation():
         b = bounds[i] if t < (bounds[i] + bounds[i + 1]) / 2 else bounds[i + 1]
         want_snap = None if (b == bounds[0] or b == text_len) else b
         assert snap_endpoint(t, sents, text_len) == want_snap
+
+
+@pytest.mark.parametrize("name, value", [("score_threshold", float("nan")),
+                                         ("score_threshold", 1.5),
+                                         ("overlap_threshold", -1.0),
+                                         ("overlap_threshold", float("nan"))])
+def test_evaluate_rejects_a_threshold_outside_0_1_naming_it_before_any_work(name, value):
+    # no texts at all: the threshold is named before the empty split is
+    with pytest.raises(ValueError, match=rf"^{name} {value} is not a number in \[0, 1\]$"):
+        evaluate_detection([], {}, **{name: value})

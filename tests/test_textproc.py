@@ -1,3 +1,8 @@
+import hashlib
+import re
+import struct
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -108,7 +113,7 @@ def test_embedding_file_truncated(tmp_path):
     vec = np.zeros((4, 8), dtype=np.float32)
     offsets = [CharSpan(i, i + 1) for i in range(4)]
     path = tmp_path / "x.emb"
-    write_embedding_file(path, vec, offsets)
+    write_embedding_file(path, vec, offsets, "toy", "a b c d")
     raw = path.read_bytes()
     path.write_bytes(raw[:-10])
     with pytest.raises(ValueError, match="truncated"):
@@ -118,7 +123,7 @@ def test_embedding_file_truncated(tmp_path):
 def test_embedding_file_with_trailing_bytes_is_rejected_naming_both_sizes(tmp_path):
     vec = np.zeros((4, 8), dtype=np.float32)
     path = tmp_path / "x.emb"
-    write_embedding_file(path, vec, [CharSpan(i, i + 1) for i in range(4)])
+    write_embedding_file(path, vec, [CharSpan(i, i + 1) for i in range(4)], "toy", "a b c d")
     raw = path.read_bytes()
     path.write_bytes(raw + bytes(12))
     with pytest.raises(ValueError, match=f"{path}: trailing bytes after the payload "
@@ -130,9 +135,10 @@ def test_embedding_file_with_trailing_bytes_is_rejected_naming_both_sizes(tmp_pa
 def test_embedding_file_with_a_bad_offset_pair_names_the_file_and_token(tmp_path, pair):
     vec = np.zeros((3, 8), dtype=np.float32)
     path = tmp_path / "x.emb"
-    write_embedding_file(path, vec, [CharSpan(0, 1), CharSpan(2, 3), CharSpan(4, 6)])
+    write_embedding_file(path, vec, [CharSpan(0, 1), CharSpan(2, 3), CharSpan(4, 6)],
+                         "toy", "a b cd")
     raw = bytearray(path.read_bytes())
-    header = 4 + 1 + 4 + 4 + 1   # magic, version, n, d, provenance
+    header = 4 + 1 + 4 + 4 + 1 + 32   # magic, version, n, d, provenance, text hash
     raw[header + 8:header + 16] = np.array(pair, dtype="<u4").tobytes()
     path.write_bytes(bytes(raw))
     with pytest.raises(ValueError, match=rf"{path}: token 1 has an empty or reversed "
@@ -147,10 +153,10 @@ def test_embedding_file_bad_magic(tmp_path):
         read_embedding_file(path)
 
 
-def test_embedding_sidecar_hash_mismatch(tmp_path):
+def test_embedding_header_hash_mismatch(tmp_path):
     vec = np.zeros((1, 8), dtype=np.float32)
     path = tmp_path / "x.emb"
-    write_embedding_file(path, vec, [CharSpan(0, 1)], text="original")
+    write_embedding_file(path, vec, [CharSpan(0, 1)], "toy", text="original")
     with pytest.raises(ValueError, match="hash mismatch"):
         load_features(path, "tampered")
 
@@ -158,12 +164,15 @@ def test_embedding_sidecar_hash_mismatch(tmp_path):
 def test_load_features_checks_offsets_against_the_text(tmp_path):
     vec = np.zeros((3, 8), dtype=np.float32)
     path = tmp_path / "x.emb"
-    write_embedding_file(path, vec, [CharSpan(0, 2), CharSpan(3, 5), CharSpan(6, 8)])
+    spans = [CharSpan(0, 2), CharSpan(3, 5), CharSpan(6, 8)]
+    write_embedding_file(path, vec, spans, "toy", "ab cd ef")
     got, pos = load_features(path, "ab cd ef")
     assert got.dtype == np.float32 and np.array_equal(pos, [1 / 8, 4 / 8, 7 / 8])
+    write_embedding_file(path, vec, spans, "toy", "ab cd e")   # hashed, but too short
     with pytest.raises(ValueError, match="token 2 ends at 8, past the end"):
         load_features(path, "ab cd e")
-    write_embedding_file(path, vec, [CharSpan(0, 2), CharSpan(6, 8), CharSpan(3, 5)])
+    write_embedding_file(path, vec, [CharSpan(0, 2), CharSpan(6, 8), CharSpan(3, 5)],
+                         "toy", "ab cd ef")
     with pytest.raises(ValueError, match="not sorted"):
         load_features(path, "ab cd ef")
 
@@ -172,6 +181,38 @@ def test_large_dim_file_accepted(tmp_path):
     # mirrors 7B-scale hidden sizes; just one token to stay small
     vec = np.ones((1, 4096), dtype=np.float32)
     path = tmp_path / "big.emb"
-    write_embedding_file(path, vec, [CharSpan(0, 5)], "file:pretrained")
+    write_embedding_file(path, vec, [CharSpan(0, 5)], "file:pretrained", "hello")
     ef = read_embedding_file(path)
     assert ef.vectors.shape == (1, 4096)
+
+
+@pytest.mark.parametrize("bad", [1e308, np.nan, np.inf], ids=["overflow", "nan", "inf"])
+def test_features_not_finite_as_float32_are_not_written(tmp_path, bad):
+    path = tmp_path / "x.emb"
+    vec = np.zeros((2, 8))
+    vec[1, 3] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")   # no RuntimeWarning from the float32 cast
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: feature values are "
+                                             f"not finite as float32$"):
+            write_embedding_file(path, vec, [CharSpan(0, 1), CharSpan(2, 3)], "toy", "a b")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_version_1_embedding_file_is_rejected_by_its_version(tmp_path):
+    path = tmp_path / "old.emb"
+    # the version-1 layout: a 14-byte header without the text hash, offsets, data
+    path.write_bytes(struct.pack("<4sBIIB", b"SDEM", 1, 1, 8, 0)
+                     + np.array([0, 1], dtype="<u4").tobytes() + bytes(32))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: unsupported embedding "
+                       r"file version 1 \(this reader takes version 2; re-run spandet "
+                       r"embed\)$"):
+        read_embedding_file(path)
+
+
+def test_the_header_holds_the_sha256_of_the_texts_utf8_bytes(tmp_path):
+    path, text = tmp_path / "x.emb", "naïve – text"
+    write_embedding_file(path, np.zeros((1, 8)), [CharSpan(0, 5)], "toy", text)
+    ef = read_embedding_file(path)
+    assert ef.text_sha256 == hashlib.sha256(text.encode("utf-8")).digest()
+    assert path.read_bytes()[14:46] == ef.text_sha256
