@@ -10,7 +10,7 @@ from .matching import build_match_cost, hungarian
 from .model import ClassifierHead, DetectionModel, ModelConfig, Prediction
 from .tensor import Tensor, grad_check
 from .textproc import TokenizedText, load_features, tokenize, toy_embed
-from .training import (LossWeights, TrainConfig, composite_loss, focal_loss, train,
+from .training import (LossWeights, TrainConfig, composite_loss, train,
                        train_classifier)
 
 __version__ = "0.1.0"
@@ -21,6 +21,6 @@ __all__ = [
     "DetectionModel", "ModelConfig", "ClassifierHead", "Prediction",
     "Tensor", "grad_check",
     "TokenizedText", "tokenize", "toy_embed", "load_features",
-    "LossWeights", "TrainConfig", "focal_loss", "composite_loss", "train", "train_classifier",
+    "LossWeights", "TrainConfig", "composite_loss", "train", "train_classifier",
     "__version__",
 ]

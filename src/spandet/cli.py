@@ -1,7 +1,8 @@
 """Command-line surface: dataset generation/conversion, embedding
 precomputation, training, prediction, and evaluation.
 
-Exit codes: 0 success, 2 usage or validation error, 3 numerical failure.
+Exit codes: 0 success, 2 usage, validation or file-system error, 3 numerical
+failure.
 `predict` names each record it cannot read or fit on stderr, skips it, writes
 every other record, and exits 2 if it skipped any.
 """
@@ -18,7 +19,6 @@ from . import metrics as M
 from .files import write_json
 from .geometry import cw_to_span
 from .model import ModelConfig, load_detector
-from .tensor import ShapeError
 from .textproc import load_features, tokenize, write_embedding_file
 from .training import LossWeights, NumericalError, TrainConfig, record_features, train
 
@@ -85,29 +85,26 @@ def cmd_convert(args) -> int:
     _check_out_file(out, args.overwrite)
     items = []
     skipped = 0
-    with open(args.input, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = D.json_object(line)
-                text_id = str(rec.get("id", f"{args.format}-{lineno:06d}"))
-                if args.format == "roft":
-                    item = D.roft_to_intervals(rec["sentences"], rec["boundary"],
+    for lineno, line in D.jsonl_lines(args.input):
+        try:
+            rec = D.json_object(line)
+            text_id = str(rec.get("id", f"{args.format}-{lineno:06d}"))
+            if args.format == "roft":
+                item = D.roft_to_intervals(rec["sentences"], rec["boundary"],
+                                           text_id, rec.get("domain"))
+            elif args.format == "tribert":
+                item = D.tribert_to_intervals(rec["sentences"], rec["boundaries"],
+                                              rec.get("first_author", "human"),
+                                              text_id, rec.get("domain"))
+            else:
+                item = D.coauthor_to_intervals(rec["text"], rec["machine_spans"],
                                                text_id, rec.get("domain"))
-                elif args.format == "tribert":
-                    item = D.tribert_to_intervals(rec["sentences"], rec["boundaries"],
-                                                  rec.get("first_author", "human"),
-                                                  text_id, rec.get("domain"))
-                else:
-                    item = D.coauthor_to_intervals(rec["text"], rec["machine_spans"],
-                                                   text_id, rec.get("domain"))
-                items.append(item)
-            except (KeyError, TypeError, ValueError) as e:
-                if args.strict:
-                    raise ValueError(f"{args.input}:{lineno}: {e}") from e
-                skipped += 1
-                print(f"warning: {args.input}:{lineno}: skipped ({e})", file=sys.stderr)
+            items.append(item)
+        except (KeyError, TypeError, ValueError) as e:
+            if args.strict:
+                raise ValueError(f"{args.input}:{lineno}: {e}") from e
+            skipped += 1
+            print(f"warning: {args.input}:{lineno}: skipped ({e})", file=sys.stderr)
     D.save_annotations(out, items)
     hist: dict[int, int] = {}
     for it in items:
@@ -120,8 +117,8 @@ def cmd_convert(args) -> int:
 
 def cmd_embed(args) -> int:
     out = Path(args.out)
-    samples = [s for split in ("train", "val", "test")
-               for s in _load_samples(args.dataset, split)]
+    split = D.load_split(args.dataset)
+    samples = [*split.train, *split.val, *split.test]
     paths = [_feature_path(out, s) for s in samples]  # every id, before any write
     _check_out_dir(out, args.overwrite)
     provider = _provider_for(args.dataset, None)
@@ -133,6 +130,9 @@ def cmd_embed(args) -> int:
     return EXIT_OK
 
 
+RUN_FILES = ("invocation.json", "config.json", "metrics.jsonl", "last.npz", "best.npz")
+
+
 def cmd_train(args) -> int:
     train_cfg = TrainConfig(epochs=args.epochs, batch_size=args.batch_size,
                             lr=args.lr, seed=args.seed)
@@ -140,22 +140,22 @@ def cmd_train(args) -> int:
     provider = _provider_for(args.dataset, args.embeddings)
     if not split.train:
         raise ValueError("dataset has no training split")
-    first = split.train[0]
-    d_model = record_features(provider, first)[0].shape[1]
+    d_model = record_features(provider, split.train[0])[0].shape[1]
     model_cfg = ModelConfig(d_model=d_model, hidden=args.hidden,
                             enc_layers=args.enc_layers, dec_layers=args.dec_layers,
                             heads=args.heads, num_queries=args.queries,
                             max_tokens=args.max_tokens, dn_groups=args.dn_groups)
     run_dir = Path(args.out)  # written only once both configs hold
     _check_out_dir(run_dir, args.overwrite)
+    for name in RUN_FILES:  # with --overwrite, no file of the earlier run survives
+        (run_dir / name).unlink(missing_ok=True)
     invocation = {k: v for k, v in vars(args).items() if k != "func"}
-    write_json(run_dir / "invocation.json", invocation)
-    try:
+    try:  # a run stopped by its records writes nothing; a diverged one keeps its files
         result = train(split, provider, model_cfg, train_cfg, LossWeights(), run_dir)
-    except ValueError as e:
-        if isinstance(e.__cause__, ShapeError):  # a record narrower or wider than d_model
-            raise ValueError(f"{e}, the width of the first training record {first.id}") from e
+    except NumericalError:
+        write_json(run_dir / "invocation.json", invocation)
         raise
+    write_json(run_dir / "invocation.json", invocation)
     last = result.log[-1]
     print(f"trained {args.epochs} epochs; best val loss "
           f"{result.best_val:.4f} at epoch {result.best_epoch}; "
@@ -296,7 +296,7 @@ def main(argv: list[str] | None = None) -> int:
     except NumericalError as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (ValueError, FileNotFoundError, KeyError) as e:
+    except (ValueError, OSError, KeyError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

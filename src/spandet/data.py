@@ -7,6 +7,7 @@ time; sentence/token snapping happens inside evaluation post-processing.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import re
@@ -144,16 +145,26 @@ def save_annotations(path, items: list[AnnotatedText]) -> None:
     write_jsonl(path, (_to_record(s) for s in items))
 
 
+def jsonl_lines(path):
+    """``(line number, line)`` for each line of a UTF-8 file that is not
+    blank; a line that is not UTF-8 raises ``ValueError`` naming ``path:line``."""
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as e:
+                raise ValueError(f"{path}:{lineno}: not UTF-8: {e}") from e
+            if line.strip():
+                yield lineno, line
+
+
 def load_annotations(path) -> list[AnnotatedText]:
     items = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                items.append(_from_record(json_object(line)))
-            except (KeyError, TypeError, ValueError) as e:
-                raise ValueError(f"{path}:{lineno}: invalid record: {e}") from e
+    for lineno, line in jsonl_lines(path):
+        try:
+            items.append(_from_record(json_object(line)))
+        except (KeyError, TypeError, ValueError) as e:
+            raise ValueError(f"{path}:{lineno}: invalid record: {e}") from e
     return items
 
 
@@ -392,19 +403,14 @@ def synth_generate(spec: SynthSpec, seed: int = 0) -> DatasetSplit:
                         items[n_train + n_val:], meta).check_disjoint()
 
 
-_direction_cache: dict[tuple[int, int], np.ndarray] = {}
-
-
+@functools.cache
 def signal_direction(d: int, seed: int) -> np.ndarray:
     """Fixed unit vector along which generated-token embeddings are offset;
     made once per (d, seed) and read-only."""
-    key = (d, seed)
-    if key not in _direction_cache:
-        v = np.random.default_rng(seed ^ 0x5D5D5D).normal(size=d)
-        u = v / np.linalg.norm(v)
-        u.setflags(write=False)
-        _direction_cache[key] = u
-    return _direction_cache[key]
+    v = np.random.default_rng(seed ^ 0x5D5D5D).normal(size=d)
+    u = v / np.linalg.norm(v)
+    u.setflags(write=False)
+    return u
 
 
 def embed_with_signal(sample: AnnotatedText, d: int, seed: int,
@@ -451,31 +457,28 @@ def load_predictions(path) -> dict[str, dict]:
     ``0 <= x1 < x2``, an id no earlier record has. Errors
     name ``path:line`` (and the record)."""
     out, lines = {}, {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = json_object(line)
-            except ValueError as e:
-                raise ValueError(f"{path}:{lineno}: {e}") from e
-            if "id" not in rec or "intervals" not in rec or "scores" not in rec:
-                raise ValueError(f"{path}:{lineno}: prediction record missing fields")
-            where = f"{path}:{lineno}: record {rec['id']}"
-            for field in ("intervals", "scores"):
-                if type(rec[field]) is not list:
-                    raise ValueError(f"{where}: {field} {rec[field]!r} is not a list")
-            if len(rec["intervals"]) != len(rec["scores"]):
-                raise ValueError(f"{where}: intervals/scores length mismatch")
-            for score in rec["scores"]:
-                if not (type(score) in (int, float) and 0.0 <= score <= 1.0):  # not NaN
-                    raise ValueError(f"{where}: score {score!r} is not a number in [0, 1]")
-            try:
-                _int_pairs(rec["intervals"], "interval")
-            except ValueError as e:
-                raise ValueError(f"{where}: {e}") from e
-            key = str(rec["id"])
-            if key in lines:
-                raise ValueError(f"{where}: id repeats the record at {path}:{lines[key]}")
-            out[key], lines[key] = rec, lineno
+    for lineno, line in jsonl_lines(path):
+        try:
+            rec = json_object(line)
+        except ValueError as e:
+            raise ValueError(f"{path}:{lineno}: {e}") from e
+        if "id" not in rec or "intervals" not in rec or "scores" not in rec:
+            raise ValueError(f"{path}:{lineno}: prediction record missing fields")
+        where = f"{path}:{lineno}: record {rec['id']}"
+        for field in ("intervals", "scores"):
+            if type(rec[field]) is not list:
+                raise ValueError(f"{where}: {field} {rec[field]!r} is not a list")
+        if len(rec["intervals"]) != len(rec["scores"]):
+            raise ValueError(f"{where}: intervals/scores length mismatch")
+        for score in rec["scores"]:
+            if not (type(score) in (int, float) and 0.0 <= score <= 1.0):  # not NaN
+                raise ValueError(f"{where}: score {score!r} is not a number in [0, 1]")
+        try:
+            _int_pairs(rec["intervals"], "interval")
+        except ValueError as e:
+            raise ValueError(f"{where}: {e}") from e
+        key = str(rec["id"])
+        if key in lines:
+            raise ValueError(f"{where}: id repeats the record at {path}:{lines[key]}")
+        out[key], lines[key] = rec, lineno
     return out

@@ -285,16 +285,15 @@ class ClassifierHead(Module):
             if value < 1:
                 raise ValueError(f"{name} must be at least 1, got {value}")
         rng = np.random.default_rng(seed)
-        self.lin1 = Linear(d_model, hidden, rng)
-        self.lin2 = Linear(hidden, n_classes, rng)
+        self.mlp = MLP([d_model, hidden, n_classes], rng)
 
     def logits(self, vectors: list[np.ndarray]) -> T.Tensor:
         """(B, n_classes) logits, one row per record of a micro-batch's list of
         ``(n, d_model)`` features (``check_records``): each of the mean row,
         pooled in float64 whatever the features' dtype."""
         check_records(vectors, "logits")
-        return self.lin2(T.relu(self.lin1(T.Tensor(np.concatenate(
-            [v.mean(axis=0, keepdims=True, dtype=np.float64) for v in vectors])))))
+        return self.mlp(T.Tensor(np.concatenate(
+            [v.mean(axis=0, keepdims=True, dtype=np.float64) for v in vectors])))
 
     def classify(self, vectors: np.ndarray) -> np.ndarray:
         """(n_classes,) class probabilities of one record."""

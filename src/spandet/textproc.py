@@ -9,6 +9,7 @@ embedder is a deterministic stand-in for desk-scale experiments.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import re
 import struct
@@ -24,7 +25,6 @@ from .geometry import CharSpan
 _TOKEN_RE = re.compile(r"\w+|[^\w\s]", re.UNICODE)
 
 _TABLE_SIZE = 4096
-_table_cache: dict[tuple[int, int], np.ndarray] = {}
 
 PROVENANCE_CODES = {"toy": 0, "file:pretrained": 1, "file:finetuned": 2}
 PROVENANCE_NAMES = {v: k for k, v in PROVENANCE_CODES.items()}
@@ -66,14 +66,12 @@ def _trigram_crcs(surface: str) -> list[int]:
     return [zlib.crc32(padded[i:i + 3].encode("utf-8")) for i in range(len(padded) - 2)]
 
 
+@functools.cache
 def _vector_table(d: int, seed: int) -> np.ndarray:
-    key = (d, seed)
-    if key not in _table_cache:
-        rng = np.random.default_rng(seed)
-        table = rng.normal(0.0, 1.0 / np.sqrt(d), size=(_TABLE_SIZE, d))
-        table.setflags(write=False)
-        _table_cache[key] = table
-    return _table_cache[key]
+    rng = np.random.default_rng(seed)
+    table = rng.normal(0.0, 1.0 / np.sqrt(d), size=(_TABLE_SIZE, d))
+    table.setflags(write=False)
+    return table
 
 
 def check_embed_dim(d: int) -> None:

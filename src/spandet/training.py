@@ -64,8 +64,10 @@ class LossWeights:
     dn_giou: float = 3.0
 
     def __post_init__(self):
-        if min(self.span, self.giou, self.focal, self.dn_span, self.dn_giou) < 0:
-            raise ValueError("loss weights must be non-negative")
+        for name, value in asdict(self).items():
+            if not 0 <= value < math.inf:  # NaN fails too
+                raise ValueError(f"loss weight {name} must be a finite number >= 0, "
+                                 f"got {value}")
 
 
 @dataclass
@@ -114,19 +116,6 @@ def _focal(probs: np.ndarray, targets: np.ndarray, alpha: float, gamma: float):
         return g_p * p * (1.0 - p)
 
     return atpw * lg * -1.0, grad
-
-
-def focal_loss(logit: float, target: int, alpha: float = FOCAL_ALPHA,
-               gamma: float = FOCAL_GAMMA) -> float:
-    """Binary focal loss on one logit. Reduces to weighted cross-entropy at
-    gamma=0."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha {alpha} outside (0, 1)")
-    if gamma < 0.0:
-        raise ValueError(f"gamma {gamma} must be >= 0")
-    loss, _ = _focal(T.expit(np.array([float(logit)])), np.array([float(target)]),
-                     alpha, float(gamma))
-    return float(loss[0])
 
 
 TERMS = ("span", "giou", "focal", "dn_span", "dn_giou", "total")
@@ -373,15 +362,28 @@ def record_features(provider: Provider, sample, cfg: ModelConfig | None = None):
     return vec, pos
 
 
-def _prepare(samples, provider, cfg: ModelConfig) -> list:
-    """(vectors, positions, target intervals) per sample, in order; matching
-    needs a query per target, so more intervals than queries is an error."""
+def _prepare(samples, provider, cfg: ModelConfig | None = None) -> list:
+    """(vectors, positions, target intervals) per sample, in order, read by
+    ``record_features``. Each record must have the first record's width and
+    then, given the detector's `cfg`, pass ``check_features`` and have no
+    more intervals than queries, since matching needs a query per target."""
+    out = []
     for s in samples:
-        if len(s.intervals) > cfg.num_queries:
-            raise ValueError(f"record {s.id}: {len(s.intervals)} intervals exceed "
-                             f"num_queries {cfg.num_queries}")
-    return [(*record_features(provider, s, cfg),
-             [span_to_cw(sp, len(s.text)) for sp in s.intervals]) for s in samples]
+        vec, pos = record_features(provider, s)
+        width = out[0][0].shape[1] if out else vec.shape[1]
+        if vec.shape[1] != width:
+            raise ValueError(f"record {s.id}: embedding dim {vec.shape[1]} != {width}, "
+                             f"the width of the first record {samples[0].id}")
+        if cfg is not None:
+            try:
+                check_features(vec, cfg)
+            except ValueError as e:
+                raise ValueError(f"record {s.id}: {e}") from e
+            if len(s.intervals) > cfg.num_queries:
+                raise ValueError(f"record {s.id}: {len(s.intervals)} intervals exceed "
+                                 f"num_queries {cfg.num_queries}")
+        out.append((vec, pos, [span_to_cw(sp, len(s.text)) for sp in s.intervals]))
+    return out
 
 
 MICRO_BATCH_ROWS = 256
@@ -476,10 +478,9 @@ def train(split, provider: Provider, model_cfg: ModelConfig,
     opt = AdamW(model.parameters())
     rng = np.random.default_rng(train_cfg.seed)
 
-    cache = _prepare(split.train, provider, model_cfg)
-    val_cache = _prepare(split.val, provider, model_cfg)
-
     n = len(split.train)
+    cache = _prepare([*split.train, *split.val], provider, model_cfg)  # one width for both
+    cache, val_cache = cache[:n], cache[n:]
     total_steps = train_cfg.epochs * math.ceil(n / train_cfg.batch_size)
     warmup = round(WARMUP_FRAC * total_steps)
 
@@ -591,13 +592,8 @@ def train_classifier(samples, labels: list[int], provider: Provider,
     for s, label in zip(samples, labels):
         if not (isinstance(label, (int, np.integer)) and 0 <= label < n_classes):
             raise ValueError(f"sample {s.id}: label {label} is not a class in [0, {n_classes})")
-    feats = [record_features(provider, s)[0] for s in samples]
-    width = feats[0].shape[1]
-    for s, v in zip(samples, feats):
-        if v.shape[1] != width:
-            raise ValueError(f"record {s.id}: embedding dim {v.shape[1]} != {width}, "
-                             f"the width of the first record {samples[0].id}")
-    head = ClassifierHead(width, hidden, n_classes, seed=seed)
+    feats = [vec for vec, _, _ in _prepare(samples, provider)]
+    head = ClassifierHead(feats[0].shape[1], hidden, n_classes, seed=seed)
     opt = AdamW(head.parameters())
 
     def batch_loss(idxs):  # no per-record losses: a non-finite loss names the first record

@@ -613,8 +613,8 @@ def test_features_that_do_not_fit_the_model_exit_2_naming_the_record(tiny_pipeli
     code = main(["train", "--dataset", str(ds), "--embeddings", str(emb), "--out", str(run),
                  "--epochs", "1", "--hidden", "16", "--heads", "4", "--max-tokens", "64"])
     assert code == 2
-    assert (f"record {wide_train.id}: embedding dim 32 != configured d_model 16"
-            in capsys.readouterr().err)
+    assert (f"record {wide_train.id}: embedding dim 32 != 16, the width of the first "
+            f"record {split.train[0].id}" in capsys.readouterr().err)
     assert not (run / "last.npz").exists()   # stopped before the first step
 
 
@@ -632,8 +632,8 @@ def test_a_first_training_record_of_another_width_is_named_as_the_d_model_source
                  "--out", str(tmp_path / "r"), "--epochs", "1", "--hidden", "16",
                  "--heads", "4"])
     assert code == 2
-    assert (f"record {second.id}: embedding dim 16 != configured d_model 32, the width of "
-            f"the first training record {first.id}" in capsys.readouterr().err)
+    assert (f"record {second.id}: embedding dim 16 != 32, the width of the first record "
+            f"{first.id}" in capsys.readouterr().err)
     assert not (tmp_path / "r" / "last.npz").exists()
 
 
@@ -985,3 +985,102 @@ def test_predict_on_a_version_1_embedding_file_exits_2_naming_its_version(tiny_p
     assert code == 2
     assert (f"record {victim.id}: {path}: unsupported embedding file version 1"
             in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("argv, named", [
+    (lambda ds, run, d, f: ["eval", "--predictions", d, "--dataset", ds], "d"),
+    (lambda ds, run, d, f: ["convert", "--format", "roft", "--input", d,
+                            "--out", f + "x"], "d"),
+    (lambda ds, run, d, f: ["predict", "--checkpoint", d, "--dataset", ds,
+                            "--out", f + "x"], "d"),
+    (lambda ds, run, d, f: ["predict", "--checkpoint", run, "--dataset", ds,
+                            "--out", d, "--overwrite"], "d"),
+    (lambda ds, run, d, f: ["generate", "--n", "5", "--out", f + "/x"], "f"),
+    (lambda ds, run, d, f: ["eval", "--predictions", f, "--dataset", f + "/x"], "f"),
+    (lambda ds, run, d, f: ["generate", "--n", "5", "--out", f], "f"),
+    (lambda ds, run, d, f: ["embed", "--dataset", ds, "--out", f], "f"),
+    (lambda ds, run, d, f: ["train", "--dataset", ds, "--out", f], "f")],
+    ids=["eval-predictions-dir", "convert-input-dir", "predict-checkpoint-dir",
+         "predict-out-dir", "generate-out-under-file", "eval-dataset-under-file",
+         "generate-out-file", "embed-out-file", "train-out-file"])
+def test_an_os_error_exits_2_naming_the_path(tiny_pipeline, tmp_path, capsys, argv, named):
+    _, ds, run_dir, _ = tiny_pipeline
+    paths = {"d": tmp_path / "a_dir", "f": tmp_path / "a_file"}
+    paths["d"].mkdir()
+    paths["f"].write_text("not a directory\n")
+    assert main(argv(str(ds), str(run_dir / "best.npz"), str(paths["d"]), str(paths["f"]))) == 2
+    assert str(paths[named]) in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a_dir", "a_file"]  # no temporary
+    assert not any(paths["d"].iterdir())
+
+
+def _not_utf8(path, line):
+    """Rewrite the text file at `path` with a 0xff byte at the start of its
+    1-based `line`."""
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[line - 1] = b"\xff" + lines[line - 1]
+    path.write_bytes(b"".join(lines))
+
+
+def test_a_prediction_file_that_is_not_utf8_exits_2_naming_the_path_and_line(
+        tiny_pipeline, tmp_path, capsys):
+    _, ds, _, preds = tiny_pipeline
+    bad = tmp_path / "preds.jsonl"
+    shutil.copy(preds, bad)
+    _not_utf8(bad, 3)
+    assert main(["eval", "--predictions", str(bad), "--dataset", str(ds)]) == 2
+    assert (f"error: {bad}:3: not UTF-8: 'utf-8' codec can't decode byte 0xff in position 0"
+            in capsys.readouterr().err)
+
+
+def test_a_dataset_split_file_that_is_not_utf8_exits_2_naming_the_path_and_line(
+        tiny_pipeline, tmp_path, capsys):
+    _, ds, _, preds = tiny_pipeline
+    bad = tmp_path / "ds"
+    shutil.copytree(ds, bad)
+    _not_utf8(bad / "test.jsonl", 2)
+    assert main(["eval", "--predictions", str(preds), "--dataset", str(bad)]) == 2
+    assert (f"error: {bad / 'test.jsonl'}:2: not UTF-8: 'utf-8' codec can't decode byte 0xff"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("strict", [[], ["--strict"]])
+def test_a_convert_input_that_is_not_utf8_exits_2_naming_the_path_and_line(tmp_path, capsys,
+                                                                           strict):
+    src, out = tmp_path / "roft.jsonl", tmp_path / "o.jsonl"
+    good = json.dumps({"sentences": ["a b.", "c d."], "boundary": 1})
+    src.write_text("\n".join([good, "", good, good]) + "\n")
+    _not_utf8(src, 4)
+    argv = ["convert", "--format", "roft", "--input", str(src), "--out", str(out)]
+    assert main(argv + strict) == 2
+    assert f"error: {src}:4: not UTF-8: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _train_argv(ds, out, *flags):
+    return ["train", "--dataset", str(ds), "--out", str(out), "--hidden", "16", "--heads", "4",
+            "--enc-layers", "1", "--dec-layers", "1", "--epochs", "1", *flags]
+
+
+def test_a_train_stopped_by_a_record_leaves_a_fresh_out_free_for_the_corrected_rerun(
+        tmp_path, capsys):
+    ds, out = tmp_path / "ds", tmp_path / "run"
+    assert main(["generate", "--n", "12", "--sentences", "3", "--dim", "16",
+                 "--out", str(ds)]) == 0
+    assert main(_train_argv(ds, out, "--max-tokens", "8")) == 2
+    assert "tokens exceed max_tokens 8" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+    assert main(_train_argv(ds, out)) == 0
+    assert json.loads((out / "invocation.json").read_text())["max_tokens"] == 512
+
+
+def test_no_file_of_an_earlier_run_survives_a_train_overwrite(tmp_path, capsys):
+    ds, out = tmp_path / "ds", tmp_path / "run"
+    assert main(["generate", "--n", "12", "--sentences", "3", "--dim", "16",
+                 "--out", str(ds)]) == 0
+    assert main(_train_argv(ds, out, "--max-tokens", "128")) == 0
+    assert {p.name for p in out.iterdir()} == {"invocation.json", "config.json",
+                                               "metrics.jsonl", "last.npz", "best.npz"}
+    assert main(_train_argv(ds, out, "--max-tokens", "8", "--overwrite")) == 2
+    assert "tokens exceed max_tokens 8" in capsys.readouterr().err
+    assert not any(out.iterdir())

@@ -261,7 +261,7 @@ def test_encoder_layer_grad_check():
 
 def test_classifier_zero_weights_uniform():
     head = ClassifierHead(16, 8, 3, seed=0)
-    for lin in (head.lin1, head.lin2):
+    for lin in head.mlp.layers:
         lin.weight.data[:] = 0.0
         lin.bias.data[:] = 0.0
     probs = head.classify(np.random.default_rng(0).normal(size=(5, 16)))

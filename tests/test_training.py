@@ -15,10 +15,10 @@ from spandet.data import SynthSpec, synth_generate, synthetic_provider
 from spandet.geometry import Interval, span_to_cw
 from spandet.matching import hungarian
 from spandet.model import LayerPrediction, ModelConfig, ModelOutput, dn_attention_mask
-from spandet.training import (ADAM_BETAS, ADAM_EPS, WEIGHT_DECAY, AdamW, LossWeights,
-                              NumericalError, TERMS,
+from spandet.training import (ADAM_BETAS, ADAM_EPS, FOCAL_ALPHA, FOCAL_GAMMA, WEIGHT_DECAY,
+                              AdamW, LossWeights, NumericalError, TERMS,
                               TrainConfig, clip_grad_norm, composite_loss, cosine_lr,
-                              cross_entropy, detection_loss, focal_loss,
+                              cross_entropy, detection_loss,
                               make_denoising, train, train_classifier)
 
 import reference_ops as R
@@ -33,28 +33,28 @@ CFG = ModelConfig(d_model=16, hidden=16, heads=4, ffn_mult=2, enc_layers=1,
 # -- focal loss ----------------------------------------------------------------
 
 
+def focal_at(logit, target, alpha=FOCAL_ALPHA, gamma=FOCAL_GAMMA):
+    """The objective's focal term (``training._focal``) for one logit."""
+    loss, _ = training._focal(T.expit(np.array([float(logit)])), np.array([float(target)]),
+                              alpha, gamma)
+    return float(loss[0])
+
+
 def test_focal_reduces_to_cross_entropy_at_gamma_zero():
     # p = 0.5 -> 0.5 * ln 2
-    assert abs(focal_loss(0.0, 1, alpha=0.5, gamma=0.0) - 0.5 * math.log(2)) < 1e-12
+    assert abs(focal_at(0.0, 1, alpha=0.5, gamma=0.0) - 0.5 * math.log(2)) < 1e-12
 
 
 def test_focal_zero_at_certain_correct():
     big = 50.0
-    assert focal_loss(big, 1) < 1e-10
-    assert focal_loss(-big, 0) < 1e-10
+    assert focal_at(big, 1) < 1e-10
+    assert focal_at(-big, 0) < 1e-10
 
 
 def test_focal_hand_value():
     logit = math.log(0.9 / 0.1)
     want = 0.25 * 0.01 * (-math.log(0.9))
-    assert abs(focal_loss(logit, 1, alpha=0.25, gamma=2.0) - want) < 1e-9
-
-
-def test_focal_validates_parameters():
-    with pytest.raises(ValueError):
-        focal_loss(0.0, 1, alpha=1.5)
-    with pytest.raises(ValueError):
-        focal_loss(0.0, 1, gamma=-1.0)
+    assert abs(focal_at(logit, 1, alpha=0.25, gamma=2.0) - want) < 1e-9
 
 
 def test_focal_gradient():
@@ -318,7 +318,7 @@ def test_composite_no_targets_only_background_focal():
     total, [terms] = composite_loss(layer, None, None, [[]])
     assert terms["span"] == 0.0 and terms["giou"] == 0.0
     assert terms["dn_span"] == 0.0 and terms["dn_giou"] == 0.0
-    want = focal_loss(0.7, 0)
+    want = focal_at(0.7, 0)
     assert abs(terms["focal"] - want) < 1e-12
     assert abs(float(total.data) - 4.0 * want) < 1e-12
 
@@ -383,6 +383,14 @@ def test_composite_loss_takes_one_target_list_per_record_and_says_what_was_passe
 def test_weights_validated():
     with pytest.raises(ValueError):
         LossWeights(span=-1.0)
+
+
+@pytest.mark.parametrize("field, value", [("span", math.nan), ("giou", math.inf),
+                                          ("focal", -math.inf), ("dn_giou", math.nan)])
+def test_a_loss_weight_that_is_not_finite_is_rejected_by_name(field, value):
+    with pytest.raises(ValueError, match=f"^loss weight {field} must be a finite number >= 0, "
+                                         f"got {value}$"):
+        LossWeights(**{field: value})
 
 
 # -- classifier cross-entropy ------------------------------------------------------
@@ -469,8 +477,9 @@ def test_classify_scores_the_mean_row_of_the_provider_features():
     for s in split.train + split.val + split.test:
         vec, _ = prov(s)
         mean_row = R.reshape(R.mean(T.Tensor(vec), axis=0), (1, vec.shape[1]))
-        hidden = T.relu(R.add(R.matmul(mean_row, head.lin1.weight), head.lin1.bias))
-        logits = R.add(R.matmul(hidden, head.lin2.weight), head.lin2.bias)
+        lin1, lin2 = head.mlp.layers
+        hidden = T.relu(R.add(R.matmul(mean_row, lin1.weight), lin1.bias))
+        logits = R.add(R.matmul(hidden, lin2.weight), lin2.bias)
         assert np.array_equal(head.classify(vec), R.softmax(logits).data[0]), s.id
 
 
